@@ -45,18 +45,7 @@ from .perturbation import (
     sample_w,
     w2_closed_form,
 )
-from .spectral_oracle import (
-    ChannelSpectrum,
-    OracleConfig,
-    bessel_order,
-    channel_spectrum,
-    classical_channel_trace,
-    exact_channel_sum,
-    jnu_zeros,
-    oracle_trace,
-    oracle_w,
-    quantum_channel_trace,
-)
+from .spectral_oracle import OracleConfig, bessel_channel_sums, oracle_trace
 from .anomaly import (
     AnomalyResult,
     Status,
@@ -102,16 +91,9 @@ __all__ = [
     "geometric_grid",
     "sample_w",
     "w2_closed_form",
-    "ChannelSpectrum",
     "OracleConfig",
-    "bessel_order",
-    "channel_spectrum",
-    "classical_channel_trace",
-    "exact_channel_sum",
-    "jnu_zeros",
+    "bessel_channel_sums",
     "oracle_trace",
-    "oracle_w",
-    "quantum_channel_trace",
     "AnomalyResult",
     "Status",
     "classify_divergence_first_order",

@@ -174,7 +174,7 @@ def delta_an_case_a_exact(alpha: float, units: UnitSystem) -> float:
 
     * quantum: Lambda Tr[(Lambda+H_nu)^-1 - (Lambda+H_mu)^-1] = -(nu-mu)/2,
       from I_{nu+1}(x)/I_nu(x) = 1 - (2 nu + 1)/(2x) + O(x^-2) in the
-      Bessel-ratio channel sum (``spectral_oracle.exact_channel_sum``);
+      Bessel-ratio channel sum (``spectral_oracle.bessel_channel_sums``);
     * classical: the radial phase-space difference with the centrifugal
       term hbar^2 (l+1/2)^2/(2 m r^2) is -(nu-mu)/2 as well.
 

@@ -93,36 +93,9 @@ def _panel_1d(g, a, b):
     return ik, abs(ik - ig)
 
 
-def _adapt_1d(g, a, b, budget: QuadratureBudget) -> QuadratureResult:
-    val, err = _panel_1d(g, a, b)
-    evals = 15
-    heap = [(-err, 0, a, b, val, err)]
-    seq = 1
-    total_val, total_err = val, err
-    while True:
-        if seq % 64 == 0:  # resync running sums against float drift
-            total_val = math.fsum(item[4] for item in heap)
-            total_err = math.fsum(item[5] for item in heap)
-        tol = max(budget.abs_tol, budget.rel_tol * abs(total_val))
-        if total_err <= tol:
-            break
-        if evals + 30 > budget.max_evals:
-            return QuadratureResult(math.fsum(item[4] for item in heap),
-                                    math.fsum(item[5] for item in heap),
-                                    evals, False)
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        total_val -= pval
-        total_err -= perr
-        mid = 0.5 * (pa + pb)
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _panel_1d(g, lo, hi)
-            heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-            seq += 1
-            total_val += v
-            total_err += e
-        evals += 30
-    return QuadratureResult(math.fsum(item[4] for item in heap),
-                            math.fsum(item[5] for item in heap), evals, True)
+def _split_1d(a, b):
+    mid = 0.5 * (a + b)
+    return (a, mid), (mid, b)
 
 
 def _panel_2d(g, ax, bx, ay, by):
@@ -135,41 +108,48 @@ def _panel_2d(g, ax, bx, ay, by):
     return ik, abs(ik - ig)
 
 
-def _adapt_2d(g, ax, bx, ay, by, budget: QuadratureBudget) -> QuadratureResult:
-    val, err = _panel_2d(g, ax, bx, ay, by)
-    evals = 225
-    heap = [(-err, 0, ax, bx, ay, by, val, err)]
+def _split_2d(ax, bx, ay, by):
+    if (bx - ax) >= (by - ay):
+        mid = 0.5 * (ax + bx)
+        return (ax, mid, ay, by), (mid, bx, ay, by)
+    mid = 0.5 * (ay + by)
+    return (ax, bx, ay, mid), (ax, bx, mid, by)
+
+
+def _adapt(g, panel, split, box, n_nodes, budget: QuadratureBudget) -> QuadratureResult:
+    """Greedy bisection of the worst panel until the error sum meets tolerance.
+
+    ``panel(g, *box)`` returns (value, error) from ``n_nodes`` evaluations of
+    ``g``; ``split(*box)`` returns the two halves of a box.
+    """
+    val, err = panel(g, *box)
+    evals = n_nodes
+    heap = [(-err, 0, box, val, err)]
     seq = 1
     total_val, total_err = val, err
     while True:
-        if seq % 64 == 0:
-            total_val = math.fsum(item[6] for item in heap)
-            total_err = math.fsum(item[7] for item in heap)
+        if seq % 64 == 0:  # resync running sums against float drift
+            total_val = math.fsum(item[3] for item in heap)
+            total_err = math.fsum(item[4] for item in heap)
         tol = max(budget.abs_tol, budget.rel_tol * abs(total_val))
         if total_err <= tol:
             break
-        if evals + 450 > budget.max_evals:
-            return QuadratureResult(math.fsum(item[6] for item in heap),
-                                    math.fsum(item[7] for item in heap),
+        if evals + 2 * n_nodes > budget.max_evals:
+            return QuadratureResult(math.fsum(item[3] for item in heap),
+                                    math.fsum(item[4] for item in heap),
                                     evals, False)
-        _, _, pax, pbx, pay, pby, pval, perr = heapq.heappop(heap)
+        _, _, pbox, pval, perr = heapq.heappop(heap)
         total_val -= pval
         total_err -= perr
-        if (pbx - pax) >= (pby - pay):
-            mid = 0.5 * (pax + pbx)
-            boxes = ((pax, mid, pay, pby), (mid, pbx, pay, pby))
-        else:
-            mid = 0.5 * (pay + pby)
-            boxes = ((pax, pbx, pay, mid), (pax, pbx, mid, pby))
-        for box in boxes:
-            v, e = _panel_2d(g, *box)
-            heapq.heappush(heap, (-e, seq, *box, v, e))
+        for sub in split(*pbox):
+            v, e = panel(g, *sub)
+            heapq.heappush(heap, (-e, seq, sub, v, e))
             seq += 1
             total_val += v
             total_err += e
-        evals += 450
-    return QuadratureResult(math.fsum(item[6] for item in heap),
-                            math.fsum(item[7] for item in heap), evals, True)
+        evals += 2 * n_nodes
+    return QuadratureResult(math.fsum(item[3] for item in heap),
+                            math.fsum(item[4] for item in heap), evals, True)
 
 
 def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = None) -> QuadratureResult:
@@ -189,7 +169,7 @@ def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = No
         def g(t):
             return f(xmap(t)) * wmap(t)
 
-        return _adapt_1d(g, lo, hi, budget)
+        return _adapt(g, _panel_1d, _split_1d, (lo, hi), 15, budget)
 
     (ax, bx), (ay, by) = domain
     lox, hix, xmap, wxmap = _map_axis(float(ax), float(bx))
@@ -198,7 +178,7 @@ def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = No
     def g2(t, u):
         return f(xmap(t), ymap(u)) * wxmap(t) * wymap(u)
 
-    return _adapt_2d(g2, lox, hix, loy, hiy, budget)
+    return _adapt(g2, _panel_2d, _split_2d, (lox, hix, loy, hiy), 225, budget)
 
 
 def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) -> float:

@@ -26,13 +26,12 @@ families use symmetric tridiagonal grid spectra.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import digamma, ive, jv
+from scipy.special import ive
 
 from .errors import TailDivergentError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
@@ -45,7 +44,6 @@ from .units import UnitSystem
 class OracleConfig:
     box_radius: float = 40.0
     ell_max: int = 60
-    levels_per_channel: int = 120
     grid_points: int = 2400
     richardson_levels: tuple = (20.0, 40.0)
 
@@ -54,63 +52,11 @@ class OracleConfig:
             raise ValueError("box_radius must be positive")
         if self.ell_max < 10:
             raise ValueError("ell_max must be at least 10")
-        if self.levels_per_channel < 20:
-            raise ValueError("levels_per_channel must be at least 20")
         if self.grid_points < 200:
             raise ValueError("grid_points must be at least 200")
         radii = self.richardson_levels
         if len(radii) < 2 or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
             raise ValueError("richardson_levels needs >= 2 strictly increasing radii")
-
-
-@dataclass(frozen=True)
-class ChannelSpectrum:
-    ell: int
-    nu: float
-    eigenvalues: tuple
-    # hbar^2 pi^2 / (2 m R^2): prefactor of the asymptotic level ladder
-    # E_n ~ level_scale * (n + nu/2 - 1/4)^2, used for analytic tails.
-    level_scale: float
-
-    def __post_init__(self):
-        ev = self.eigenvalues
-        if any(not (ev[i] < ev[i + 1]) for i in range(len(ev) - 1)):
-            raise ValueError("eigenvalues must be strictly increasing")
-
-
-def bessel_order(spec: PotentialSpec, units: UnitSystem, ell: int) -> float:
-    """Effective Bessel order of the radial channel.
-
-    sqrt(2 m alpha / hbar^2 + (l+1/2)^2) for the inverse-square family,
-    l+1/2 otherwise.
-    """
-    nu_l = ell + 0.5
-    if spec.family is Family.INVERSE_SQUARE:
-        return math.sqrt(2.0 * units.m * spec.alpha / units.hbar**2 + nu_l * nu_l)
-    return nu_l
-
-
-def jnu_zeros(nu: float, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_nu, by scan-and-bisect."""
-    if nu < 0.0:
-        raise ValueError("order must be nonnegative")
-    zeros = []
-    # start safely below the first zero
-    x = max(1.0, nu + 1.85 * nu ** (1.0 / 3.0) - 1.0) if nu > 0 else 1.0
-    step = 0.8
-    f_prev = jv(nu, x)
-    while len(zeros) < count:
-        x_next = x + step
-        f_next = jv(nu, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-            f_prev = f_next
-            x = x_next
-            continue
-        if f_prev * f_next < 0.0:
-            zeros.append(brentq(lambda t: jv(nu, t), x, x_next, xtol=1e-14))
-        x, f_prev = x_next, f_next
-    return np.array(zeros)
 
 
 def _grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
@@ -125,149 +71,21 @@ def _grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
 
 
-def channel_spectrum(spec: PotentialSpec, units: UnitSystem, ell: int,
-                     config: OracleConfig | None = None, *,
-                     check_discretization: bool = True) -> ChannelSpectrum:
-    """Box eigenvalues of one angular channel, up to the per-channel cap.
-
-    Inverse-square channels are exact (Bessel zeros of the effective
-    order); screened families are discretized on a uniform radial grid.
-    Coulomb is rejected: its tail decays too slowly for a finite box.
-    """
-    if config is None:
-        config = OracleConfig()
-    if spec.family is Family.COULOMB:
-        raise UnsupportedPotentialError(
-            "bare Coulomb tail is not representable in a finite box oracle"
-        )
-    hbar, m = units.hbar, units.m
-    r_box = config.box_radius
-    scale = hbar * hbar * math.pi**2 / (2.0 * m * r_box * r_box)
-    nu = bessel_order(spec, units, ell)
-    n_lv = config.levels_per_channel
-    if spec.family is Family.INVERSE_SQUARE:
-        z = jnu_zeros(nu, n_lv)
-        ev = hbar * hbar * z * z / (2.0 * m * r_box * r_box)
-        return ChannelSpectrum(ell, nu, tuple(ev), scale)
-
-    vfun = radial_profile(spec, units)
-    ev = _grid_channel_levels(vfun, ell, r_box, config.grid_points, units)[:n_lv]
-    if check_discretization:
-        ev2 = _grid_channel_levels(vfun, ell, r_box, 2 * config.grid_points, units)[:n_lv]
-        shift = np.max(np.abs(ev2 - ev) / np.maximum(np.abs(ev2), 1e-300))
-        if shift > 1e-6:
-            warnings.warn(
-                f"channel (l={ell}) discretization unconverged: doubling the grid "
-                f"moves retained eigenvalues by {shift:.2e} relative",
-                stacklevel=2,
-            )
-        ev = ev2
-    return ChannelSpectrum(ell, nu, tuple(ev), scale)
-
-
-def _ladder_tail(n_from: int, delta: float, lam: float, level_scale: float) -> float:
-    """sum_{n > n_from} (lam + level_scale (n+delta)^2)^-1, in digamma closed form."""
-    y = math.sqrt(lam / level_scale)
-    z = complex(n_from + 1 + delta, y)
-    return float(digamma(z).imag) / (y * level_scale)
-
-
-def quantum_channel_trace(chspec: ChannelSpectrum, lam: float) -> float:
-    """(2l+1) sum_n (Lambda+E_n)^-1 with the beyond-cap tail added analytically.
-
-    The tail uses the asymptotic ladder E_n ~ level_scale (n + nu/2 - 1/4)^2.
-    Emits a precision warning when the tail exceeds 1% of the partial sum.
-    """
-    if not (lam > 0.0):
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    ev = np.asarray(chspec.eigenvalues)
-    partial = float(np.sum(1.0 / (lam + ev)))
-    delta = chspec.nu / 2.0 - 0.25
-    tail = _ladder_tail(len(ev), delta, lam, chspec.level_scale)
-    if partial > 0.0 and tail > 0.01 * partial:
-        warnings.warn(
-            f"channel (l={chspec.ell}) tail is {tail/partial:.1%} of the partial "
-            "sum; raise levels_per_channel for full precision",
-            stacklevel=2,
-        )
-    return (2 * chspec.ell + 1) * (partial + tail)
-
-
-def matched_cutoff(chspec: ChannelSpectrum) -> float:
-    """Spectral cutoff halfway up the asymptotic ladder above the level cap."""
-    n = len(chspec.eigenvalues)
-    delta = chspec.nu / 2.0 - 0.25
-    return chspec.level_scale * (n + delta + 0.5) ** 2
-
-
-def classical_channel_trace(spec: PotentialSpec | None, units: UnitSystem, ell: int,
-                            lam: float, config: OracleConfig | None = None, *,
-                            e_cut: float | None = None,
-                            n_cap: int | None = None) -> float:
-    """Phase-space value of one channel with the Langer centrifugal term.
-
-    (2l+1)/(pi hbar) * int_0^R dr int_0^{p_max(r)} dp_r
-        (Lambda + p_r^2/2m + hbar^2 (l+1/2)^2/(2 m r^2) + U(r))^-1
-    cut at the same spectral energy as the quantum ladder, with the
-    identical asymptotic tail added back, so the two traces can be
-    subtracted without any residual ultraviolet mismatch.
-    """
-    if config is None:
-        config = OracleConfig()
-    if not (lam > 0.0):
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    hbar, m = units.hbar, units.m
-    r_box = config.box_radius
-    nu_l = ell + 0.5
-    scale = hbar * hbar * math.pi**2 / (2.0 * m * r_box * r_box)
-    nu = bessel_order(spec, units, ell) if spec is not None else nu_l
-    n_lv = n_cap if n_cap is not None else config.levels_per_channel
-    delta = nu / 2.0 - 0.25
-    if e_cut is None:
-        e_cut = scale * (n_lv + delta + 0.5) ** 2
-
-    b2 = hbar * hbar * nu_l * nu_l / (2.0 * m)
-
-    def w_eff(r):
-        v = b2 / (r * r)
-        if spec is not None:
-            v += evaluate(spec, units, r)
-        return v
-
-    def integrand(r):
-        w = w_eff(r)
-        gap = e_cut - w
-        if gap <= 0.0:
-            return 0.0
-        a = lam + w
-        return math.sqrt(2.0 * m / a) * math.atan(math.sqrt(gap / a))
-
-    # knot at the classical turning point W(r) = e_cut
-    knots = [0.0]
-    if w_eff(r_box) < e_cut:
-        lo = 1e-12 * r_box
-        if w_eff(lo) > e_cut:
-            knots.append(brentq(lambda r: w_eff(r) - e_cut, lo, r_box))
-    knots.append(r_box)
-    budget = QuadratureBudget(abs_tol=1e-13, rel_tol=1e-10, max_evals=200_000)
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b > a:
-            total += integrate_adaptive(integrand, (a, b), budget).value
-    tail = _ladder_tail(n_lv, delta, lam, scale)
-    return (2 * ell + 1) * (total / (math.pi * hbar) + tail)
-
-
 # ---------------------------------------------------------------------------
 # Inverse-square fast path: exact Bessel-ratio channel sums
 # ---------------------------------------------------------------------------
 
-def _bessel_ratio(nu: np.ndarray, x: float) -> np.ndarray:
-    """I_{nu+1}(x) / I_nu(x), stable for all orders.
+def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
+    """Lambda sum_n (Lambda + E_n)^-1 over the Dirichlet box levels of each order.
 
-    Uses scaled Bessel functions where they do not underflow and a seeded
-    backward recurrence (equivalent to the ratio continued fraction)
-    elsewhere.
+    The levels are E_n = hbar^2 z_{nu,n}^2 / (2 m R^2) with z_{nu,n} the
+    zeros of J_nu, and x = sqrt(2 m Lambda) R / hbar.  The pole expansion
+    of J_{nu+1}/J_nu gives sum_n (z_{nu,n}^2 + x^2)^-1 = I_{nu+1}(x) / (2 x
+    I_nu(x)), so the result is x I_{nu+1}(x) / (2 I_nu(x)).
+
+    The ratio uses scaled Bessel functions where they do not underflow and
+    a seeded backward recurrence (equivalent to the ratio continued
+    fraction) elsewhere.
     """
     nu = np.asarray(nu, dtype=float)
     out = np.empty_like(nu)
@@ -284,20 +102,7 @@ def _bessel_ratio(nu: np.ndarray, x: float) -> np.ndarray:
         for j in range(steps, 0, -1):
             r = 1.0 / (2.0 * (nb + j) / x + r)
         out[bad] = r
-    return out
-
-
-def exact_channel_sum(nu: float, lam: float, box_radius: float,
-                      units: UnitSystem) -> float:
-    """Closed form of sum_n (lam + E_n)^-1 over all Bessel-zero box levels.
-
-    From the pole expansion of J_{nu+1}/J_nu:
-    sum_n (z_{nu,n}^2 + X^2)^-1 = I_{nu+1}(X) / (2 X I_nu(X)),
-    X = sqrt(2 m lam) R / hbar.
-    """
-    x = math.sqrt(2.0 * units.m * lam) * box_radius / units.hbar
-    ratio = float(_bessel_ratio(np.array([nu]), x)[0])
-    return x * ratio / (2.0 * lam)
+    return 0.5 * x * out
 
 
 def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
@@ -316,11 +121,8 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
     nu_l = np.arange(n_ch, dtype=float) + 0.5
     nu_q = np.sqrt(nu_l * nu_l + beta2)
     deg = 2.0 * nu_l
-
-    def q(nu):
-        return 0.5 * x * _bessel_ratio(nu, x)
-
-    quantum = float(np.sum(deg * (q(nu_q) - q(nu_l))))
+    quantum = float(np.sum(deg * (bessel_channel_sums(nu_q, x)
+                                  - bessel_channel_sums(nu_l, x))))
 
     beta = math.sqrt(beta2)
     j = float(n_ch)
@@ -334,7 +136,7 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
     classical = classical_free_subtracted(j)
 
     h = 0.25
-    qp = (q(nu_l + h) - q(nu_l - h)) / (2.0 * h)
+    qp = (bessel_channel_sums(nu_l + h, x) - bessel_channel_sums(nu_l - h, x)) / (2.0 * h)
     c_of = lambda nu: 0.5 * (math.sqrt(x * x + nu * nu) - nu)
     linear_response = float(np.sum(qp)) - (c_of(j) - c_of(0.0))
 
@@ -381,10 +183,12 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
     sqrt_lam = math.sqrt(lam)
 
     def integrand(r):
+        # sqrt(lam) - sqrt(lam + u) without the cancellation at |u| << lam
         u = factor * evaluate(spec, units, r)
         inside = lam + u
-        root = math.sqrt(inside) if inside > 0.0 else 0.0
-        return r * r * (sqrt_lam - root)
+        if inside <= 0.0:
+            return r * r * sqrt_lam
+        return -r * r * u / (sqrt_lam + math.sqrt(inside))
 
     knots = [0.0]
     probe = 1e-12 * r_box
@@ -398,7 +202,8 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
         if b > a:
-            total += integrate_adaptive(integrand, (a, b), budget).value
+            res = integrate_adaptive(integrand, (a, b), budget)
+            total += res.require_converged("classical phase-space difference").value
     return 2.0 * m * math.sqrt(2.0 * m) / hbar**3 * total
 
 
@@ -579,9 +384,3 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     return TraceSamples(tuple(lams), tuple(float(v) for v in w_best),
                         tuple(float(e) for e in err), Source.ORACLE, spec, units)
 
-
-def oracle_w(spec: PotentialSpec, units: UnitSystem, lam: float,
-             config: OracleConfig | None = None) -> tuple[float, float]:
-    """Reduced trace difference w(Lambda) and its error estimate."""
-    samples = oracle_trace(spec, units, [lam], config)
-    return samples.values[0], samples.errors[0]

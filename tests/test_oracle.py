@@ -4,67 +4,70 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import digamma, jv
 
+from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import TailDivergentError, UnsupportedPotentialError
 from anomaly_forge.perturbation import Source, compute_w2
 from anomaly_forge.potentials import coulomb, inverse_square, yukawa
 from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import (
-    ChannelSpectrum,
     OracleConfig,
+    _classical_difference,
     _fit_channel_tail,
-    bessel_order,
-    channel_spectrum,
-    classical_channel_trace,
-    exact_channel_sum,
-    jnu_zeros,
-    matched_cutoff,
+    _grid_channel_levels,
+    bessel_channel_sums,
     oracle_trace,
-    oracle_w,
-    quantum_channel_trace,
+    radial_profile,
 )
-
-
-class TestWarningContracts:
-    def test_quantum_trace_tail_warning(self):
-        # a short spectrum forces the analytic tail above 1% of the partial sum
-        ch = ChannelSpectrum(0, 0.5, (1.0, 2.0, 3.0), 1e-2)
-        with pytest.warns(UserWarning, match="tail is"):
-            quantum_channel_trace(ch, 1.0)
-
-    def test_discretization_warning_on_coarse_grid(self):
-        cfg = OracleConfig(box_radius=30.0, grid_points=200,
-                           richardson_levels=(30.0, 60.0), levels_per_channel=60)
-        with pytest.warns(UserWarning, match="discretization unconverged"):
-            channel_spectrum(yukawa(1.0, 1.0), ATOMIC, 0, cfg)
-
-    def test_matched_cutoff_above_cap(self):
-        ch = ChannelSpectrum(0, 0.5, (1.0, 2.0), 1.0)
-        assert matched_cutoff(ch) > 2.0
 from anomaly_forge.units import ATOMIC, UnitSystem
 
 ALPHA_100 = 50.0  # 2 m alpha / hbar^2 = 100 in atomic units
 
 
+def jnu_zeros(nu: float, count: int) -> np.ndarray:
+    """First ``count`` positive zeros of J_nu, by scan-and-bisect."""
+    if nu < 0.0:
+        raise ValueError("order must be nonnegative")
+    zeros = []
+    # start safely below the first zero
+    x = max(1.0, nu + 1.85 * nu ** (1.0 / 3.0) - 1.0) if nu > 0 else 1.0
+    step = 0.8
+    f_prev = jv(nu, x)
+    while len(zeros) < count:
+        x_next = x + step
+        f_next = jv(nu, x_next)
+        if f_prev == 0.0:
+            zeros.append(x)
+            f_prev = f_next
+            x = x_next
+            continue
+        if f_prev * f_next < 0.0:
+            zeros.append(brentq(lambda t: jv(nu, t), x, x_next, xtol=1e-14))
+        x, f_prev = x_next, f_next
+    return np.array(zeros)
+
+
+def _ladder_tail(n_from: int, delta: float, lam: float, level_scale: float) -> float:
+    """sum_{n > n_from} (lam + level_scale (n+delta)^2)^-1, in digamma closed form."""
+    y = math.sqrt(lam / level_scale)
+    z = complex(n_from + 1 + delta, y)
+    return float(digamma(z).imag) / (y * level_scale)
+
+
+def channel_sum(nu: float, lam: float, r_box: float) -> float:
+    """sum_n (lam + E_n)^-1 over one atomic-unit box channel, from production."""
+    x = math.sqrt(2.0 * lam) * r_box
+    return float(bessel_channel_sums(np.array([nu]), x)[0]) / lam
+
+
 class TestChannelSpectrum:
     def test_free_s_wave_box(self):
-        # nu = 1/2 zeros are n pi, so E_n = n^2/2 at R = pi
-        cfg = OracleConfig(box_radius=math.pi, richardson_levels=(math.pi, 2 * math.pi),
-                           levels_per_channel=20)
-        ch = channel_spectrum(inverse_square(0.0), ATOMIC, 0, cfg)
-        assert ch.nu == pytest.approx(0.5)
-        for n, e in enumerate(ch.eigenvalues[:6], start=1):
-            assert e == pytest.approx(n * n / 2.0, rel=1e-12)
-
-    def test_effective_order(self):
-        assert bessel_order(inverse_square(ALPHA_100), ATOMIC, 0) == pytest.approx(
-            math.sqrt(100.25))
-        assert bessel_order(inverse_square(ALPHA_100), ATOMIC, 3) == pytest.approx(
-            math.sqrt(100.0 + 3.5**2))
-
-    def test_coulomb_rejected(self):
-        with pytest.raises(UnsupportedPotentialError):
-            channel_spectrum(coulomb(1.0), ATOMIC, 0)
+        # the grid eigensolve behind the screened oracle: at R = pi the free
+        # s-wave levels are n^2/2, up to the O((k h)^2) grid error
+        levels = _grid_channel_levels(lambda r: 0.0 * r, 0, math.pi, 2400, ATOMIC)
+        for n, e in enumerate(levels[:6], start=1):
+            assert e == pytest.approx(n * n / 2.0, rel=1e-5)
 
     def test_jnu_zeros_interlace_known_orders(self):
         z0 = jnu_zeros(0.0, 3)
@@ -73,16 +76,12 @@ class TestChannelSpectrum:
         zh = jnu_zeros(0.5, 4)
         assert zh == pytest.approx([math.pi * n for n in range(1, 5)], rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:channel .l=0. discretization")
     def test_yukawa_channel_vs_shooting(self):
         # independent oracle: radial shooting with bisection on the energy
         spec = yukawa(1.0, 1.0)
         r_box = 30.0
-        cfg = OracleConfig(box_radius=r_box, grid_points=6000,
-                           richardson_levels=(r_box, 2 * r_box),
-                           levels_per_channel=20)
-        ch = channel_spectrum(spec, ATOMIC, 0, cfg)
-        lowest = ch.eigenvalues[0]
+        lowest = _grid_channel_levels(radial_profile(spec, ATOMIC), 0, r_box, 6000,
+                                      ATOMIC)[0]
 
         def u_at_wall(energy):
             def rhs(r, y):
@@ -99,25 +98,10 @@ class TestChannelSpectrum:
 
 
 class TestQuantumChannelTrace:
-    def _synthetic(self, ell, eigenvalues):
-        # huge ladder scale makes the analytic tail negligible
-        return ChannelSpectrum(ell, ell + 0.5, tuple(eigenvalues), 1e12)
-
-    def test_single_level(self):
-        assert quantum_channel_trace(self._synthetic(0, [1.0]), 1.0) == pytest.approx(0.5)
-
-    def test_degeneracy_weight(self):
-        got = quantum_channel_trace(self._synthetic(1, [1.0, 3.0]), 1.0)
-        assert got == pytest.approx(3.0 * (0.5 + 0.25))
-
-    @pytest.mark.filterwarnings("ignore:channel .l=0. tail")
     def test_free_box_tail_vs_direct_summation(self):
         # R = pi free s-wave: E_n = n^2/2; direct summation with 1e5 terms
         # plus the midpoint remainder of the summed series
-        cfg = OracleConfig(box_radius=math.pi, richardson_levels=(math.pi, 2 * math.pi),
-                           levels_per_channel=80)
-        ch = channel_spectrum(inverse_square(0.0), ATOMIC, 0, cfg)
-        got = quantum_channel_trace(ch, 1.0)
+        got = channel_sum(0.5, 1.0, math.pi)
         n = np.arange(1, 100_001)
         direct = float(np.sum(1.0 / (1.0 + n * n / 2.0)))
         direct += math.sqrt(2.0) * math.atan(math.sqrt(2.0) / 100_000.5)
@@ -125,63 +109,7 @@ class TestQuantumChannelTrace:
 
     def test_positive_lambda(self):
         with pytest.raises(ValueError):
-            quantum_channel_trace(self._synthetic(0, [1.0]), 0.0)
-
-
-class TestMatchedCutoff:
-    def test_free_difference_converges_in_cutoff(self):
-        # the free-channel quantum-minus-classical difference settles to a
-        # finite constant: doubling the shared cutoff moves it by < 1e-6
-        # relative to the channel value
-        r_box = math.pi
-        lam = 1.0
-        cfg = OracleConfig(box_radius=r_box, richardson_levels=(r_box, 2 * r_box),
-                           levels_per_channel=800)
-        ch = channel_spectrum(inverse_square(0.0), ATOMIC, 0, cfg)
-
-        def difference(n_cap):
-            part = ChannelSpectrum(ch.ell, ch.nu, ch.eigenvalues[:n_cap], ch.level_scale)
-            q = quantum_channel_trace(part, lam)
-            c = classical_channel_trace(None, ATOMIC, 0, lam, cfg, n_cap=n_cap)
-            return q, q - c
-
-        qval, d1 = difference(200)
-        _, d2 = difference(400)
-        _, d3 = difference(800)
-        assert abs(d2 - d1) < 1e-6 * abs(qval)
-        assert abs(d3 - d2) < 1e-6 * abs(qval)
-
-    @pytest.mark.filterwarnings("ignore:channel .l=0. tail")
-    def test_difference_vanishes_at_large_lambda(self):
-        r_box = math.pi
-        cfg = OracleConfig(box_radius=r_box, richardson_levels=(r_box, 2 * r_box),
-                           levels_per_channel=400)
-        ch = channel_spectrum(inverse_square(0.0), ATOMIC, 0, cfg)
-
-        def difference(lam):
-            q = quantum_channel_trace(ch, lam)
-            c = classical_channel_trace(None, ATOMIC, 0, lam, cfg, n_cap=400)
-            return q - c
-
-        assert abs(difference(1e4)) < abs(difference(1.0)) * 1e-2
-
-    @pytest.mark.filterwarnings("ignore:channel .l=1.. tail")
-    @pytest.mark.filterwarnings("ignore:channel .l=2.. tail")
-    def test_langer_factor_suppression_at_high_ell(self):
-        # with the (l+1/2)^2 classical barrier the free-channel difference is
-        # O(1/nu) relative to the channel value
-        r_box = 10.0
-        lam = 1.0
-        cfg = OracleConfig(box_radius=r_box, richardson_levels=(r_box, 2 * r_box),
-                           levels_per_channel=400)
-        rel = {}
-        for ell in (10, 20):
-            ch = channel_spectrum(inverse_square(0.0), ATOMIC, ell, cfg)
-            q = quantum_channel_trace(ch, lam)
-            c = classical_channel_trace(None, ATOMIC, ell, lam, cfg, n_cap=400)
-            rel[ell] = abs(q - c) / abs(q)
-            assert rel[ell] < 3.0 / (ell + 0.5)
-        assert rel[20] < rel[10]
+            oracle_trace(inverse_square(1.0), ATOMIC, [10.0, 0.0])
 
 
 class TestExactChannelSum:
@@ -189,11 +117,10 @@ class TestExactChannelSum:
         # nu = 1/2 has exactly the asymptotic ladder, so zeros + digamma
         # tail reproduce the closed form to round-off
         lam, r_box = 5.0, 20.0
-        closed = exact_channel_sum(0.5, lam, r_box, ATOMIC)
+        closed = channel_sum(0.5, lam, r_box)
         ev = (np.arange(1, 401) * math.pi) ** 2 / (2.0 * r_box * r_box)
         partial = float(np.sum(1.0 / (lam + ev)))
         scale = math.pi**2 / (2.0 * r_box * r_box)
-        from anomaly_forge.spectral_oracle import _ladder_tail
         tail = _ladder_tail(400, 0.0, lam, scale)
         assert closed == pytest.approx(partial + tail, rel=1e-12)
 
@@ -202,13 +129,12 @@ class TestExactChannelSum:
         # the ppm level with 600 explicit zeros
         nu = math.sqrt(100.25)
         lam, r_box = 5.0, 20.0
-        closed = exact_channel_sum(nu, lam, r_box, ATOMIC)
+        closed = channel_sum(nu, lam, r_box)
         z = jnu_zeros(nu, 600)
         ev = z * z / (2.0 * r_box * r_box)
         partial = float(np.sum(1.0 / (lam + ev)))
         scale = math.pi**2 / (2.0 * r_box * r_box)
         delta = nu / 2.0 - 0.25
-        from anomaly_forge.spectral_oracle import _ladder_tail
         tail = _ladder_tail(600, delta, lam, scale)
         assert closed == pytest.approx(partial + tail, rel=3e-6)
 
@@ -224,8 +150,7 @@ class TestExactChannelSum:
         target = -(nu - mu) / 2.0
 
         def scaled_difference(r_box):
-            return lam * (exact_channel_sum(nu, lam, r_box, ATOMIC)
-                          - exact_channel_sum(mu, lam, r_box, ATOMIC))
+            return lam * (channel_sum(nu, lam, r_box) - channel_sum(mu, lam, r_box))
 
         d_half, d_full = scaled_difference(500.0), scaled_difference(1000.0)
         assert abs(d_full / target - 1.0) < 2.5e-3
@@ -235,7 +160,8 @@ class TestExactChannelSum:
 
 class TestOracleW:
     def test_free_is_zero(self):
-        w, err = oracle_w(inverse_square(0.0), ATOMIC, 10.0)
+        samples = oracle_trace(inverse_square(0.0), ATOMIC, [10.0])
+        (w,), (err,) = samples.values, samples.errors
         assert w == pytest.approx(0.0, abs=max(err, 1e-12))
 
     def test_case_a_power_law(self):
@@ -249,10 +175,10 @@ class TestOracleW:
     def test_case_a_box_convergence(self):
         spec = inverse_square(ALPHA_100)
         lam = 10.0
-        w1, e1 = oracle_w(spec, ATOMIC, lam,
-                          OracleConfig(richardson_levels=(15.0, 30.0)))
-        w2, e2 = oracle_w(spec, ATOMIC, lam,
-                          OracleConfig(richardson_levels=(30.0, 60.0)))
+        s1 = oracle_trace(spec, ATOMIC, [lam], OracleConfig(richardson_levels=(15.0, 30.0)))
+        s2 = oracle_trace(spec, ATOMIC, [lam], OracleConfig(richardson_levels=(30.0, 60.0)))
+        (w1,), (e1,) = s1.values, s1.errors
+        (w2,), (e2,) = s2.values, s2.errors
         assert abs(w1 - w2) <= e1 + e2
 
     def test_case_a_hbar_scaling(self):
@@ -260,8 +186,8 @@ class TestOracleW:
         # like 1/hbar
         spec = inverse_square(ALPHA_100)
         lam = 10.0
-        w1, _ = oracle_w(spec, ATOMIC, lam)
-        w2, _ = oracle_w(spec, UnitSystem(hbar=0.5), lam)
+        (w1,) = oracle_trace(spec, ATOMIC, [lam]).values
+        (w2,) = oracle_trace(spec, UnitSystem(hbar=0.5), [lam]).values
         assert w2 / w1 == pytest.approx(2.0, rel=0.10)
 
     def test_case_a_strong_coupling_asymptote(self):
@@ -273,7 +199,7 @@ class TestOracleW:
         for beta in (10.0, 20.0):
             spec = inverse_square(beta * beta / 2.0)
             lam = 10.0
-            w, err = oracle_w(spec, ATOMIC, lam)
+            (w,) = oracle_trace(spec, ATOMIC, [lam]).values
             asymptote = -beta / (24.0 * lam)
             assert w == pytest.approx(asymptote, rel=0.02)
 
@@ -284,17 +210,53 @@ class TestOracleW:
         lam = 20.0
         cfg = OracleConfig(box_radius=18.0, ell_max=40, grid_points=1200,
                            richardson_levels=(14.0, 18.0))
-        w, err = oracle_w(spec, ATOMIC, lam, cfg)
+        (w,) = oracle_trace(spec, ATOMIC, [lam], cfg).values
         target = compute_w2(spec, ATOMIC, lam)
         assert w == pytest.approx(target, rel=0.05)
 
     def test_coulomb_rejected(self):
         with pytest.raises(UnsupportedPotentialError):
-            oracle_w(coulomb(1.0), ATOMIC, 10.0)
+            oracle_trace(coulomb(1.0), ATOMIC, [10.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             oracle_trace(inverse_square(1.0), ATOMIC, [])
+
+
+class TestClassicalDifference:
+    @pytest.mark.parametrize("factor", [1.0, -1.0, 0.5, -0.5])
+    def test_weak_yukawa_converges_cheaply(self, monkeypatch, factor):
+        # |f U| << Lambda over most of the box: the integrand must not
+        # cancel, or the quadrature runs out of budget on rounding noise
+        mpmath = pytest.importorskip("mpmath")
+        results = []
+
+        def recording(*args, **kwargs):
+            res = integrate_adaptive(*args, **kwargs)
+            results.append(res)
+            return res
+
+        integrate_adaptive = spectral_oracle.integrate_adaptive
+        monkeypatch.setattr(spectral_oracle, "integrate_adaptive", recording)
+        lam, r_box = 100.0, 12.0
+        got = _classical_difference(yukawa(0.05, 1.0), ATOMIC, factor, lam, r_box)
+        assert all(res.converged for res in results)
+        assert sum(res.evals for res in results) < 5000
+
+        mpmath.mp.dps = 30
+        lam_mp, f_mp = mpmath.mpf(lam), mpmath.mpf(factor)
+
+        def inside(r):
+            return lam_mp - f_mp * mpmath.mpf("0.05") * mpmath.exp(-r) / r
+
+        def integrand(r):
+            return r * r * (mpmath.sqrt(lam_mp) - mpmath.sqrt(max(inside(r), 0)))
+
+        knots = [0, r_box]
+        if factor > 0.0:
+            knots.insert(1, mpmath.findroot(inside, (1e-4, 1e-3), solver="illinois"))
+        exact = 2 * mpmath.sqrt(2) * mpmath.quad(integrand, knots)
+        assert got == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestTailFit:

@@ -57,17 +57,19 @@ class TestIntegrateAdaptive:
                                  ((0.0, math.inf), (0.0, math.inf)))
         assert res.value == pytest.approx(0.5, abs=1e-9)
 
-    def test_unconverged_flag(self):
+    @pytest.mark.parametrize("f, domain", [
+        (lambda x: math.sin(50.0 * x) ** 2 / (1e-3 + x), (0.0, 1.0)),
+        (lambda x, y: math.sin(20.0 * x * y) ** 2 / (1e-2 + x * x + y * y),
+         ((0.0, 1.0), (0.0, 1.0))),
+    ], ids=["1d", "2d"])
+    def test_unconverged_flag(self, f, domain):
         budget = QuadratureBudget(abs_tol=1e-300, rel_tol=1e-16, max_evals=1000)
-        res = integrate_adaptive(lambda x: math.sin(50.0 * x) ** 2 / (1e-3 + x), (0.0, 1.0))
-        assert res.converged  # default budget reaches it
-        res = integrate_adaptive(lambda x: math.sin(50.0 * x) ** 2 / (1e-3 + x),
-                                 (0.0, 1.0), budget)
+        full = integrate_adaptive(f, domain)
+        assert full.converged  # default budget reaches it
+        res = integrate_adaptive(f, domain, budget)
         assert not res.converged
-        assert res.value == pytest.approx(
-            integrate_adaptive(lambda x: math.sin(50.0 * x) ** 2 / (1e-3 + x),
-                               (0.0, 1.0)).value,
-            rel=0.05)
+        assert res.evals <= budget.max_evals
+        assert res.value == pytest.approx(full.value, rel=0.05)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
