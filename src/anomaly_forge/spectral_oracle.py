@@ -20,7 +20,9 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
 so the whole evaluation is closed-form up to the ratio itself.  Screened
-families use symmetric tridiagonal grid spectra.
+families use O(N) pivot-recursion resolvent traces of the symmetric
+tridiagonal radial grid operator: Tr (Lambda + H)^-1 per channel, without
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import ive
+from scipy.special import ive, zeta
 
 from .errors import TailDivergentError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
@@ -61,7 +63,11 @@ class OracleConfig:
 
 def _grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
                          units: UnitSystem) -> np.ndarray:
-    """All eigenvalues of the Dirichlet tridiagonal radial discretization."""
+    """All eigenvalues of the Dirichlet tridiagonal radial discretization.
+
+    The reference that the trace recursion of ``_grid_traces`` is tested
+    against; the oracle itself never needs the eigenvalues.
+    """
     hbar, m = units.hbar, units.m
     h = box_radius / n_points
     r = h * np.arange(1, n_points)
@@ -166,11 +172,6 @@ def radial_profile(spec: PotentialSpec, units: UnitSystem):
     return lambda r: s * ze2 / np.maximum(r, r_cut)
 
 
-def _scaled_potential(spec: PotentialSpec, units: UnitSystem, factor: float):
-    base = radial_profile(spec, units)
-    return lambda r: factor * base(np.asarray(r, dtype=float))
-
-
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
                           lam: float, r_box: float) -> float:
     """(2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1].
@@ -210,16 +211,46 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
 _COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)
 
 
-def _grid_spectra(spec, units, r_box, n_points, ell_max):
-    """Eigenvalues for every channel and coupling factor on one grid."""
-    out = {}
-    for factor in _COUPLING_FACTORS:
-        vfun = _scaled_potential(spec, units, factor)
-        out[factor] = [
-            _grid_channel_levels(vfun, ell, r_box, n_points, units)
-            for ell in range(ell_max + 1)
-        ]
-    return out
+def _grid_traces(spec, units, lams, r_box, n_points, ell_max):
+    """Tr (lam + H)^-1 of every channel on one grid, without eigenvalues.
+
+    Returns an array of shape (len(_COUPLING_FACTORS), ell_max + 1, len(lams)),
+    H being the Dirichlet tridiagonal radial operator of ``_grid_channel_levels``
+    with the potential scaled by the coupling factor.  For the symmetric
+    tridiagonal lam + H = L D L^T with diagonal a_i and off-diagonal b, the
+    pivots are d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
+    = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.  One pass
+    over the radial index serves all (factor, ell, lam) lanes; each row's
+    diagonal is built inside the loop, so memory stays O(lanes), not O(N lanes).
+    """
+    hbar, m = units.hbar, units.m
+    h = r_box / n_points
+    r = h * np.arange(1, n_points)
+    kin = hbar * hbar / (m * h * h)
+    b2 = 0.25 * kin * kin
+    pot = radial_profile(spec, units)(r)
+    inv_r2 = 1.0 / (r * r)
+    # lanes broadcast as (factor, ell, lam)
+    factor = np.array(_COUPLING_FACTORS)[:, None, None]
+    ell = np.arange(ell_max + 1, dtype=float)[:, None]
+    cent = hbar * hbar * ell * (ell + 1.0) / (2.0 * m)
+    shift = kin + np.asarray(lams, dtype=float)
+    d = shift + cent * inv_r2[0] + factor * pot[0]
+    dp = np.ones_like(d)
+    trace = 1.0 / d
+    # The oracle uses small differences of these traces, which a plain
+    # running sum over N rows buries in rounding; compensated (Kahan)
+    # summation keeps each trace to a few ulps.
+    carry = np.zeros_like(d)
+    for i in range(1, n_points - 1):
+        g = b2 / d
+        dp = 1.0 + g * dp / d
+        d = shift + cent * inv_r2[i] + factor * pot[i] - g
+        term = dp / d - carry
+        total = trace + term
+        carry = (total - trace) - term
+        trace = total
+    return trace
 
 
 def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[float, float]:
@@ -251,15 +282,14 @@ def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[fl
         raise TailDivergentError(
             f"channel terms decay like nu^-{q:.2f}; the tail sum does not converge"
         )
-    nu_tail = np.arange(ell_max + 1, ell_max + 1 + 200_000, dtype=float) + 0.5
-    tail_terms = amp * nu_tail ** (-q)
-    tail = float(np.sum(tail_terms))
+    # sum over nu = ell_max + 3/2, ell_max + 5/2, ...: a Hurwitz zeta
+    tail = amp * float(zeta(q, ell_max + 1.5))
     return tail, abs(tail) * 0.3
 
 
 def _grid_w_once(spec, units, lams, r_box, n_points, ell_max, tail_floor,
                  classical):
-    """Coupling-even w(lam) for each lam from one set of grid spectra.
+    """Coupling-even w(lam) for each lam from one grid's channel traces.
 
     The even projection [W(+U) + W(-U)]/2 cancels the coupling-linear wall
     and grid artifacts to all odd orders; the discarded genuine odd content
@@ -268,19 +298,14 @@ def _grid_w_once(spec, units, lams, r_box, n_points, ell_max, tail_floor,
     error component.  ``classical`` maps coupling factor -> per-lam values
     of the phase-space difference (grid independent, so computed once).
     """
-    spectra = _grid_spectra(spec, units, r_box, n_points, ell_max)
+    traces = _grid_traces(spec, units, lams, r_box, n_points, ell_max)
+    free = traces[_COUPLING_FACTORS.index(0.0)]
+    deg = 2.0 * np.arange(ell_max + 1)[:, None] + 1.0
+    # channel terms (2 ell + 1) [Tr_f - Tr_0], shape (factor, ell, lam)
+    channel_terms = deg * (traces - free)
     values, tail_errs, odd_resids = [], [], []
-    for i, lam in enumerate(lams):
-        def channel_terms(factor):
-            free = spectra[0.0]
-            pot = spectra[factor]
-            return np.array([
-                (2 * ell + 1) * float(np.sum(1.0 / (lam + pot[ell]) - 1.0 / (lam + free[ell])))
-                for ell in range(ell_max + 1)
-            ])
-
-        t_p1, t_m1 = channel_terms(1.0), channel_terms(-1.0)
-        t_ph, t_mh = channel_terms(0.5), channel_terms(-0.5)
+    for i in range(len(lams)):
+        t_p1, t_m1, t_ph, t_mh, _ = channel_terms[:, :, i]   # _COUPLING_FACTORS order
         c_p1, c_m1 = classical[1.0][i], classical[-1.0][i]
         c_ph, c_mh = classical[0.5][i], classical[-0.5][i]
         terms = 0.5 * (t_p1 + t_m1)
@@ -320,8 +345,8 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                  config: OracleConfig | None = None) -> TraceSamples:
     """Nonperturbative reduced trace difference over a Lambda grid.
 
-    Builds the box spectra once per radius and reuses them across the
-    grid.  The returned samples carry combined extrapolation, tail and
+    Builds the box channel traces once per grid for the whole Lambda grid.
+    The returned samples carry combined extrapolation, tail and
     discretization error estimates.
     """
     if config is None:
@@ -352,7 +377,7 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         return TraceSamples(tuple(lams), tuple(vals), tuple(errs),
                             Source.ORACLE, spec, units)
 
-    # screened families: grid spectra, coarse/fine step Richardson,
+    # screened families: grid channel traces, coarse/fine step Richardson,
     # radius spread as the box error component
     r_ref = config.richardson_levels[0]
     tail_floor = 1e-16

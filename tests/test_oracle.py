@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import digamma, jv
+from scipy.special import digamma, jv, zeta
 
 from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import TailDivergentError, UnsupportedPotentialError
 from anomaly_forge.perturbation import Source, compute_w2
-from anomaly_forge.potentials import coulomb, inverse_square, yukawa
+from anomaly_forge.potentials import coulomb, cutoff_coulomb, inverse_square, yukawa
 from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import (
     OracleConfig,
     _classical_difference,
     _fit_channel_tail,
+    _COUPLING_FACTORS,
     _grid_channel_levels,
+    _grid_traces,
     bessel_channel_sums,
     oracle_trace,
     radial_profile,
@@ -95,6 +97,53 @@ class TestChannelSpectrum:
 
         e_shoot = brentq(u_at_wall, lowest - 0.01, lowest + 0.01, xtol=1e-9)
         assert lowest == pytest.approx(e_shoot, abs=1e-5)
+
+
+class TestGridTraces:
+    @pytest.mark.parametrize("n_points", [200, 500, 1500])
+    def test_free_box_closed_form(self, n_points):
+        # zero potential, ell = 0: the grid levels are kin (1 - cos(k pi/N)),
+        # k = 1 .. N-1, in every coupling-factor lane
+        r_box, lams = 8.0, [0.5, 10.0, 100.0, 3000.0]
+        traces = _grid_traces(inverse_square(0.0), ATOMIC, lams, r_box, n_points, 10)
+        kin = (n_points / r_box) ** 2
+        k = np.arange(1, n_points)
+        levels = kin * (1.0 - np.cos(k * math.pi / n_points))
+        for j, lam in enumerate(lams):
+            exact = float(np.sum(1.0 / (lam + levels)))
+            assert traces[:, 0, j] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, lams, indefinite", [
+        (yukawa(0.05, 1.0), [10.0, 100.0], False),
+        (cutoff_coulomb(10.0, 0.1), [5.0], True),
+        (yukawa(3.0, 0.5), [0.5], True),
+    ], ids=["weak-yukawa", "cutoff-coulomb", "strong-yukawa"])
+    def test_matches_eigensolve_reference(self, spec, lams, indefinite):
+        # every factor and channel against the eigenvalue sum; in the
+        # indefinite cases some levels lie below -Lambda, so lam + H has
+        # negative pivots and the recursion runs through them unguarded
+        r_box, n_points, ell_max = 8.0, 500, 12
+        traces = _grid_traces(spec, ATOMIC, lams, r_box, n_points, ell_max)
+        base = radial_profile(spec, ATOMIC)
+        below = 0
+        for i, factor in enumerate(_COUPLING_FACTORS):
+            for ell in range(ell_max + 1):
+                levels = _grid_channel_levels(lambda r: factor * base(r), ell, r_box,
+                                              n_points, ATOMIC)
+                for j, lam in enumerate(lams):
+                    below += int(np.sum(levels < -lam))
+                    exact = float(np.sum(1.0 / (lam + levels)))
+                    assert traces[i, ell, j] == pytest.approx(exact, rel=1e-9)
+        assert (below > 0) == indefinite
+
+    def test_no_eigensolve_in_production(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the screened oracle called an eigensolver")
+
+        monkeypatch.setattr(spectral_oracle, "eigvalsh_tridiagonal", forbidden)
+        cfg = OracleConfig(ell_max=10, grid_points=200, richardson_levels=(8.0, 12.0))
+        samples = oracle_trace(yukawa(0.05, 1.0), ATOMIC, [20.0], cfg)
+        assert all(math.isfinite(v) for v in samples.values + samples.errors)
 
 
 class TestQuantumChannelTrace:
@@ -272,6 +321,17 @@ class TestTailFit:
         tail, err = _fit_channel_tail(terms, 40, 1e-16)
         exact = float(np.sum((np.arange(41, 200_000) + 0.5) ** -3.0))
         assert tail == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("amp, q", [(2.5e-3, 2.7), (-4.0e-9, 3.6)])
+    def test_exact_power_law_hurwitz_tail(self, amp, q):
+        # an exact power law is fitted exactly, and its tail over
+        # nu = ell_max + 3/2, ell_max + 5/2, ... is amp zeta(q, ell_max + 3/2)
+        ell_max = 30
+        nu = np.arange(ell_max + 1, dtype=float) + 0.5
+        tail, err = _fit_channel_tail(amp * nu**-q, ell_max, 1e-16)
+        exact = amp * float(zeta(q, ell_max + 1.5))
+        assert tail == pytest.approx(exact, rel=1e-10)
+        assert err == pytest.approx(0.3 * abs(exact), rel=1e-10)
 
     def test_negligible_tail_zero(self):
         terms = np.full(41, 1e-18)
