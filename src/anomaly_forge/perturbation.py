@@ -126,7 +126,11 @@ def _w2_result(spec: PotentialSpec, units: UnitSystem, lam: float,
         return pref * tp * tp * tk * tk * u_k * u_k * br / (e_free * e_free)
 
     if budget is None:
-        budget = QuadratureBudget(abs_tol=1e-14, rel_tol=1e-7, max_evals=2_000_000)
+        # the absolute floor is set in units of Z^2 e^2 / (a0 Lambda^2), the
+        # scale of w2 for every supported family, so that when the quadrature
+        # stops does not depend on the unit system
+        w_unit = spec.Z**2 * units.e2 / (units.a0 * lam * lam)
+        budget = QuadratureBudget(abs_tol=1e-14 * w_unit, rel_tol=1e-7, max_evals=2_000_000)
     res = integrate_adaptive(integrand, ((0.0, math.inf), (0.0, math.inf)), budget)
     return res.require_converged("compute_w2")
 

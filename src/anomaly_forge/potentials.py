@@ -20,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotRepresentableError
 from .units import UnitSystem
 
@@ -96,9 +98,9 @@ class SingularityClass:
     case_label: CaseLabel
 
 
-def evaluate(spec: PotentialSpec, units: UnitSystem, r: float) -> float:
-    """Potential energy U(r); raises on r <= 0."""
-    if not (r > 0.0):
+def evaluate(spec: PotentialSpec, units: UnitSystem, r):
+    """Potential energy U(r) at a radius or an array of radii; raises on r <= 0."""
+    if not np.all(r > 0.0):
         raise ValueError(f"r must be strictly positive, got {r}")
     fam = spec.family
     if fam is Family.INVERSE_SQUARE:
@@ -106,21 +108,21 @@ def evaluate(spec: PotentialSpec, units: UnitSystem, r: float) -> float:
     if fam is Family.COULOMB:
         return spec.sign * spec.Z * units.e2 / r
     if fam is Family.YUKAWA:
-        return spec.sign * spec.Z * units.e2 * math.exp(-spec.kappa * r) / r
+        return spec.sign * spec.Z * units.e2 * np.exp(-spec.kappa * r) / r
     if fam is Family.CUTOFF_COULOMB:
-        return spec.sign * spec.Z * units.e2 / max(r, spec.r_cut)
+        return spec.sign * spec.Z * units.e2 / np.maximum(r, spec.r_cut)
     raise AssertionError(f"unhandled family {fam}")
 
 
-def fourier_transform_at(spec: PotentialSpec, units: UnitSystem, k: float) -> float:
+def fourier_transform_at(spec: PotentialSpec, units: UnitSystem, k):
     """Momentum-space transform of the magnitude profile at momentum k > 0.
 
     Convention: Coulomb maps to 4 pi Z e^2 hbar^2 / k^2.  The cutoff
     Coulomb picks up the spherical factor sin(x)/x with x = k r_cut/hbar
     and may therefore oscillate in sign at large k; only its square enters
-    second-order kernels.
+    second-order kernels.  Accepts an array of momenta.
     """
-    if not (k > 0.0):
+    if not np.all(k > 0.0):
         raise ValueError(f"k must be strictly positive, got {k}")
     hbar = units.hbar
     fam = spec.family
@@ -136,7 +138,7 @@ def fourier_transform_at(spec: PotentialSpec, units: UnitSystem, k: float) -> fl
         return amp / (k**2 + (hbar * spec.kappa) ** 2)
     if fam is Family.CUTOFF_COULOMB:
         x = k * spec.r_cut / hbar
-        return amp / k**2 * (math.sin(x) / x)
+        return amp / k**2 * (np.sin(x) / x)
     raise AssertionError(f"unhandled family {fam}")
 
 

@@ -4,7 +4,10 @@ The integrator is a plain Gauss-Kronrod 15(7) panel scheme with greedy
 bisection of the worst panel.  Semi-infinite axes are compactified with
 the algebraic change of variables x = a + t/(1-t), applied before any
 panels are formed, so every evaluation stays at interior nodes.
-Evaluation order is deterministic, making repeated runs bit-identical.
+Integrands are array functions: each panel calls the integrand once with
+all of its nodes, a (15,) array in 1D and a (15, 1) x (1, 15) broadcast
+pair in 2D.  Evaluation order is deterministic, making repeated runs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import MixedSignError, UnconvergedError
 from .units import UnitSystem
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
-# (Gauss nodes sit at the odd Kronrod indices).
+# (Gauss nodes sit at the odd Kronrod indices, taken as ``[1::2]``).
 _XK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
@@ -37,7 +40,6 @@ _WK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
@@ -87,9 +89,9 @@ def _map_axis(a: float, b: float):
 def _panel_1d(g, a, b):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = np.array([g(c + h * x) for x in _XK])
+    fv = g(c + h * _XK)
     ik = h * float(fv @ _WK)
-    ig = h * float(fv[_GAUSS_IDX] @ _WG)
+    ig = h * float(fv[1::2] @ _WG)
     return ik, abs(ik - ig)
 
 
@@ -101,10 +103,9 @@ def _split_1d(a, b):
 def _panel_2d(g, ax, bx, ay, by):
     cx, hx = 0.5 * (ax + bx), 0.5 * (bx - ax)
     cy, hy = 0.5 * (ay + by), 0.5 * (by - ay)
-    fv = np.array([[g(cx + hx * x, cy + hy * y) for y in _XK] for x in _XK])
+    fv = g((cx + hx * _XK)[:, None], (cy + hy * _XK)[None, :])
     ik = hx * hy * float(_WK @ fv @ _WK)
-    sub = fv[np.ix_(_GAUSS_IDX, _GAUSS_IDX)]
-    ig = hx * hy * float(_WG @ sub @ _WG)
+    ig = hx * hy * float(_WG @ fv[1::2, 1::2] @ _WG)
     return ik, abs(ik - ig)
 
 
@@ -156,9 +157,13 @@ def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = No
     """Adaptively integrate ``f`` over a 1D interval or 2D rectangle.
 
     ``domain`` is ``(a, b)`` for one dimension or ``((ax, bx), (ay, by))``
-    for two; upper limits may be ``math.inf``.  Returns value and error
-    estimate; if the evaluation cap is hit first, the result is flagged
-    unconverged but still carries the best value.
+    for two; upper limits may be ``math.inf``.  ``f`` takes numpy arrays:
+    ``f(x)`` gets a panel's 15 nodes as shape (15,), ``f(x, y)`` gets
+    shapes (15, 1) and (1, 15), and either must return the values at the
+    nodes in the broadcast shape.  ``evals`` counts nodes, 15 or 225 per
+    panel.  Returns value and error estimate; if the evaluation cap is hit
+    first, the result is flagged unconverged but still carries the best
+    value.
     """
     if budget is None:
         budget = QuadratureBudget()
@@ -190,52 +195,67 @@ def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) 
     return res.value
 
 
-# Relative size of 2pk against 2m*Lambda + p^2 + k^2 below which the exact
-# p=0 / k=0 limit of the angle average is used instead of the log formula.
-_ANGLE_SWITCH = 1e-6
-# Same ratio below which the subtracted bracket switches to its k^2 series.
-_BRACKET_SWITCH = 1e-4
+# x = 2pk / (2m Lambda + p^2 + k^2) below which artanh(x)/x - 1 is summed
+# from its series.  The 19 terms kept are exact to rounding up to here (the
+# first omitted term is below 2^-53 of the sum); the log form, whose
+# relative error grows like 1e-15 / x^2, is used only above it.
+_SERIES_SWITCH = 0.4
+_SERIES_COEFFS = tuple(1.0 / (2 * n + 1) for n in range(19, 0, -1))
 
 
-def angle_averaged_resolvent(p: float, k: float, lam: float, units: UnitSystem) -> float:
-    """Angular average of (Lambda + (p+k)^2/2m)^-1 over the relative angle.
+def _angle_excess(p, k, lam, m):
+    """Return (a, S) with a = Lambda + (p^2+k^2)/2m, S = artanh(x)/x - 1, x = pk/(m a).
 
-    Closed form (m/2pk) * ln[(Lambda+(p+k)^2/2m)/(Lambda+(p-k)^2/2m)], with
-    the exact small-argument limit 1/(Lambda + (p^2+k^2)/2m) below the
-    cancellation threshold.
+    The angle average of (Lambda + (p+k)^2/2m)^-1 is (1 + S)/a.  S is summed
+    from sum_{n>=1} x^2n/(2n+1) for x below ``_SERIES_SWITCH`` and otherwise
+    taken from artanh(x) = log1p(2b/(a-b))/2, b = pk/m, with a - b computed
+    as Lambda + (p-k)^2/2m, so neither branch cancels.  Works elementwise on
+    broadcastable arrays.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    if p < 0.0 or k < 0.0:
-        raise ValueError("momenta must be nonnegative")
-    m = units.m
-    a = lam + (p * p + k * k) / (2.0 * m)
-    b = p * k / m
-    if b < _ANGLE_SWITCH * a:
-        return 1.0 / a
-    return math.log((a + b) / (a - b)) / (2.0 * b)
-
-
-def resolvent_bracket(p: float, k: float, lam: float, units: UnitSystem) -> float:
-    """angle_averaged_resolvent minus the k=0 resolvent, stable at small k.
-
-    The difference vanishes like k^2; below the cancellation threshold it is
-    evaluated from the series
-    -k^2/(2m A E) + x^2/(3A) + x^4/(5A),  x = b/a,  A = Lambda+(p^2+k^2)/2m,
-    E = Lambda + p^2/2m.
-    """
-    m = units.m
-    e_free = lam + p * p / (2.0 * m)
     a = lam + (p * p + k * k) / (2.0 * m)
     b = p * k / m
     x = b / a
-    if x < _BRACKET_SWITCH:
-        x2 = x * x
-        return -k * k / (2.0 * m * a * e_free) + x2 / (3.0 * a) + x2 * x2 / (5.0 * a)
-    return math.log((a + b) / (a - b)) / (2.0 * b) - 1.0 / e_free
+    x2 = x * x
+    series = _SERIES_COEFFS[0] * x2
+    for c in _SERIES_COEFFS[1:]:
+        series += c
+        series *= x2
+    a_minus_b = lam + (p - k) ** 2 / (2.0 * m)
+    # the log form is discarded below the switch; the clamp keeps x = 0 finite
+    log_form = np.log1p(2.0 * b / a_minus_b) / (2.0 * np.maximum(x, _SERIES_SWITCH)) - 1.0
+    return a, np.where(x < _SERIES_SWITCH, series, log_form)
 
 
-def small_k_curvature(p: float, lam: float, units: UnitSystem) -> float:
+def angle_averaged_resolvent(p, k, lam: float, units: UnitSystem):
+    """Angular average of (Lambda + (p+k)^2/2m)^-1 over the relative angle.
+
+    Closed form (m/2pk) * ln[(Lambda+(p+k)^2/2m)/(Lambda+(p-k)^2/2m)]
+    = (1 + S)/a in the terms of ``_angle_excess``, which is exact at p = 0
+    or k = 0 and has no cancellation threshold.  Accepts arrays.
+    """
+    if not (lam > 0.0):
+        raise ValueError(f"Lambda must be positive, got {lam}")
+    if not (np.all(p >= 0.0) and np.all(k >= 0.0)):
+        raise ValueError("momenta must be nonnegative")
+    a, excess = _angle_excess(p, k, lam, units.m)
+    return ((1.0 + excess) / a)[()]
+
+
+def resolvent_bracket(p, k, lam: float, units: UnitSystem):
+    """angle_averaged_resolvent minus the k=0 resolvent, stable at small k.
+
+    The difference vanishes like k^2.  With 1/a - 1/E = -k^2/(2m a E) taken
+    in closed form it is -k^2/(2m a E) + S/a, E = Lambda + p^2/2m, and S from
+    ``_angle_excess``; each term is computed without cancellation.  Accepts
+    arrays.
+    """
+    m = units.m
+    e_free = lam + p * p / (2.0 * m)
+    a, excess = _angle_excess(p, k, lam, m)
+    return (-k * k / (2.0 * m * a * e_free) + excess / a)[()]
+
+
+def small_k_curvature(p, lam: float, units: UnitSystem):
     """lim_{k->0} k^-2 [angle_averaged_resolvent(p,k) - (Lambda+p^2/2m)^-1].
 
     Closed form -1/(2m E^2) + p^2/(3 m^2 E^3) with E = Lambda + p^2/2m,

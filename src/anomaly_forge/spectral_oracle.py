@@ -155,23 +155,6 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
 # Grid path for screened families
 # ---------------------------------------------------------------------------
 
-def radial_profile(spec: PotentialSpec, units: UnitSystem):
-    """Vectorized U(r) for grid assembly (r strictly positive arrays)."""
-    fam = spec.family
-    s = spec.sign
-    if fam is Family.INVERSE_SQUARE:
-        alpha = spec.alpha
-        return lambda r: alpha / (r * r)
-    ze2 = spec.Z * units.e2
-    if fam is Family.COULOMB:
-        return lambda r: s * ze2 / r
-    if fam is Family.YUKAWA:
-        kappa = spec.kappa
-        return lambda r: s * ze2 * np.exp(-kappa * r) / r
-    r_cut = spec.r_cut
-    return lambda r: s * ze2 / np.maximum(r, r_cut)
-
-
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
                           lam: float, r_box: float) -> float:
     """(2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1].
@@ -187,9 +170,9 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
         # sqrt(lam) - sqrt(lam + u) without the cancellation at |u| << lam
         u = factor * evaluate(spec, units, r)
         inside = lam + u
-        if inside <= 0.0:
-            return r * r * sqrt_lam
-        return -r * r * u / (sqrt_lam + math.sqrt(inside))
+        root = np.sqrt(np.maximum(inside, 0.0))
+        return np.where(inside <= 0.0, r * r * sqrt_lam,
+                        -r * r * u / (sqrt_lam + root))
 
     knots = [0.0]
     probe = 1e-12 * r_box
@@ -228,7 +211,7 @@ def _grid_traces(spec, units, lams, r_box, n_points, ell_max):
     r = h * np.arange(1, n_points)
     kin = hbar * hbar / (m * h * h)
     b2 = 0.25 * kin * kin
-    pot = radial_profile(spec, units)(r)
+    pot = evaluate(spec, units, r)
     inv_r2 = 1.0 / (r * r)
     # lanes broadcast as (factor, ell, lam)
     factor = np.array(_COUPLING_FACTORS)[:, None, None]

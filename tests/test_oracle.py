@@ -9,7 +9,7 @@ from scipy.special import digamma, jv, zeta
 from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import TailDivergentError, UnsupportedPotentialError
 from anomaly_forge.perturbation import Source, compute_w2
-from anomaly_forge.potentials import coulomb, cutoff_coulomb, inverse_square, yukawa
+from anomaly_forge.potentials import coulomb, cutoff_coulomb, evaluate, inverse_square, yukawa
 from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import (
     OracleConfig,
@@ -20,7 +20,6 @@ from anomaly_forge.spectral_oracle import (
     _grid_traces,
     bessel_channel_sums,
     oracle_trace,
-    radial_profile,
 )
 from anomaly_forge.units import ATOMIC, UnitSystem
 
@@ -82,8 +81,8 @@ class TestChannelSpectrum:
         # independent oracle: radial shooting with bisection on the energy
         spec = yukawa(1.0, 1.0)
         r_box = 30.0
-        lowest = _grid_channel_levels(radial_profile(spec, ATOMIC), 0, r_box, 6000,
-                                      ATOMIC)[0]
+        lowest = _grid_channel_levels(lambda r: evaluate(spec, ATOMIC, r), 0, r_box,
+                                      6000, ATOMIC)[0]
 
         def u_at_wall(energy):
             def rhs(r, y):
@@ -124,12 +123,11 @@ class TestGridTraces:
         # negative pivots and the recursion runs through them unguarded
         r_box, n_points, ell_max = 8.0, 500, 12
         traces = _grid_traces(spec, ATOMIC, lams, r_box, n_points, ell_max)
-        base = radial_profile(spec, ATOMIC)
         below = 0
         for i, factor in enumerate(_COUPLING_FACTORS):
             for ell in range(ell_max + 1):
-                levels = _grid_channel_levels(lambda r: factor * base(r), ell, r_box,
-                                              n_points, ATOMIC)
+                levels = _grid_channel_levels(lambda r: factor * evaluate(spec, ATOMIC, r),
+                                              ell, r_box, n_points, ATOMIC)
                 for j, lam in enumerate(lams):
                     below += int(np.sum(levels < -lam))
                     exact = float(np.sum(1.0 / (lam + levels)))

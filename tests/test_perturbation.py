@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomaly_forge.errors import NotRepresentableError
 from anomaly_forge.perturbation import (
@@ -49,7 +51,8 @@ def _w1_small_k_oracle(spec, units, lam, k_probe):
                 * resolvent_bracket(p, k_probe, lam, units) / (k_probe * k_probe))
 
     budget = QuadratureBudget(abs_tol=1e-13, rel_tol=1e-10, max_evals=500_000)
-    return integrate_adaptive(integrand, (0.0, math.inf), budget).value
+    res = integrate_adaptive(integrand, (0.0, math.inf), budget)
+    return res.require_converged("small-k first-order oracle").value
 
 
 class TestComputeW1:
@@ -121,6 +124,15 @@ class TestComputeW2:
         units = UnitSystem(hbar=2.0, m=3.0, e2=0.5)
         got = compute_w2(coulomb(1.0), units, 10.0)
         assert got == pytest.approx(w2_closed_form(1.0, units, 10.0), rel=1e-3)
+
+    @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+           st.floats(0.5, 3.0), st.floats(1.0, 100.0))
+    @settings(max_examples=40, deadline=None)
+    @example(hbar=4.0, m=0.25, e2=0.25, Z=0.5, lam=100.0)  # smallest |w2| in the box
+    def test_unit_scaling(self, hbar, m, e2, Z, lam):
+        units = UnitSystem(hbar=hbar, m=m, e2=e2)
+        got = compute_w2(coulomb(Z), units, lam)
+        assert got == pytest.approx(w2_closed_form(Z, units, lam), rel=1e-7, abs=0.0)
 
 
 class TestClosedForm:

@@ -84,7 +84,7 @@ class TestTransform:
         budget = QuadratureBudget(abs_tol=1e-14, rel_tol=1e-11, max_evals=100_000)
 
         def integrand(r):
-            return abs(evaluate(spec, ATOMIC, r)) * r * math.sin(q * r)
+            return np.abs(evaluate(spec, ATOMIC, r)) * r * np.sin(q * r)
 
         cell = math.pi / q
         n_cells = 96
