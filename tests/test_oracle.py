@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import digamma, jv, zeta
 
 from anomaly_forge import spectral_oracle
-from anomaly_forge.errors import TailDivergentError, UnsupportedPotentialError
+from anomaly_forge.errors import (
+    TailDivergentError,
+    UnconvergedError,
+    UnsupportedPotentialError,
+)
 from anomaly_forge.perturbation import Source, compute_w2
 from anomaly_forge.potentials import coulomb, cutoff_coulomb, evaluate, inverse_square, yukawa
 from anomaly_forge.quadrature import fit_power_law
@@ -203,6 +209,106 @@ class TestExactChannelSum:
         assert abs(d_full / target - 1.0) < 2.5e-3
         assert (d_half - target) / (d_full - target) == pytest.approx(2.0, rel=1e-2)
         assert 2.0 * d_full - d_half == pytest.approx(target, rel=1e-5)
+
+
+class TestBesselRatioRoutes:
+    # Orders nu >= x/2 take the continued fraction, lower ones ive(nu+1)/ive(nu).
+    # Each point's reference is x I_{nu+1}(x) / (2 I_nu(x)) at 50 digits;
+    # at 35 digits the reference itself is off by about 4e-13 at x = 800.
+
+    @staticmethod
+    def _reference(nus, x):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        xm = mpmath.mpf(x)
+        return np.array([float(xm / 2 * mpmath.besseli(mpmath.mpf(nu) + 1, xm)
+                               / mpmath.besseli(mpmath.mpf(nu), xm)) for nu in nus])
+
+    @pytest.mark.parametrize("x", [5.0, 63.0, 800.0, 1e4])
+    def test_continued_fraction_orders(self, x):
+        # just above x/2, where the fraction is slowest, up to 6x; at x = 800
+        # nu = 1.33 x is where scipy's ive ratio is off by about 4e-13
+        nus = np.array([0.5 * x, 0.5 * x + 1e-9, 0.5 * x + 0.5, 0.8 * x, 1.33 * x,
+                        2.0 * x, 6.0 * x + 200.0])
+        got = bessel_channel_sums(nus, x)
+        assert got == pytest.approx(self._reference(nus, x), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("x", [5.0, 63.0, 800.0])
+    def test_ive_orders(self, x):
+        # scipy's own accuracy below x/2, up to just under the switch
+        nus = np.array([0.0, 0.5, 1.0, 0.1 * x, 0.25 * x, 0.5 * x - 0.5,
+                        0.5 * x - 1e-9])
+        got = bessel_channel_sums(nus, x)
+        assert got == pytest.approx(self._reference(nus, x), rel=3e-13, abs=0)
+
+    def test_routing_and_ive_work(self, monkeypatch):
+        # criterion 3's case-A fixture: ive sees only orders below x/2 (each
+        # call pair is ive(nu, x), ive(nu + 1, x)), and under 10% of the
+        # 164 624 elements it took when every order went through it
+        calls = []
+
+        def recording(nu, x):
+            calls.append((np.array(nu, dtype=float, ndmin=1), x))
+            return ive(nu, x)
+
+        ive = spectral_oracle.ive
+        monkeypatch.setattr(spectral_oracle, "ive", recording)
+        oracle_trace(inverse_square(ALPHA_100), ATOMIC, np.geomspace(5.0, 50.0, 8))
+        assert calls and len(calls) % 2 == 0
+        for (den, x), (num, x_num) in zip(calls[0::2], calls[1::2]):
+            assert x_num == x
+            assert np.array_equal(num, den + 1.0)
+            assert np.all(den < 0.5 * x)
+        assert sum(nu.size for nu, _ in calls) < 16_462
+
+    @pytest.mark.parametrize("nu, x", [
+        ([1.0, math.nan], 10.0),
+        ([1.0, -0.5], 10.0),
+        ([1.0, math.inf], 10.0),
+        ([1.0], 0.0),
+        ([1.0], -3.0),
+        ([1.0], math.nan),
+        ([1.0], math.inf),
+    ])
+    def test_invalid_input_rejected(self, nu, x):
+        with pytest.raises(ValueError):
+            bessel_channel_sums(np.array(nu), x)
+
+    def test_term_cap_raises(self, monkeypatch):
+        # a Lentz factor that never counts as 1 must stop at the x-derived cap
+        monkeypatch.setattr(spectral_oracle, "_EPS", -1.0)
+        with pytest.raises(UnconvergedError):
+            bessel_channel_sums(np.array([0.5, 400.0]), 63.0)
+
+
+class TestCaseAUnitCovariance:
+    # At fixed beta^2 = 2 m alpha / hbar^2, Lambda w depends on (hbar, m,
+    # Lambda) only through x = sqrt(2 m Lambda) R / hbar: Lambda' = Lambda
+    # hbar'^2 / m' matches the reference point (hbar, m, Lambda) = (1, 1, 10).
+    LAM = 10.0
+
+    @staticmethod
+    def _run(beta2, units, lam):
+        """(Lambda w, the rounded beta^2 and x at every radius) of one point."""
+        alpha = beta2 * units.hbar**2 / (2.0 * units.m)
+        (w,) = oracle_trace(inverse_square(alpha), units, [lam]).values
+        inputs = (2.0 * units.m * alpha / units.hbar**2,
+                  *(math.sqrt(2.0 * units.m * lam) * r / units.hbar
+                    for r in OracleConfig().richardson_levels))
+        return lam * w, inputs
+
+    @settings(max_examples=20, deadline=None)
+    @given(hbar=st.floats(0.5, 2.0), m=st.floats(0.5, 2.0),
+           beta2=st.floats(20.0, 150.0))
+    def test_lambda_w_depends_on_x_only(self, hbar, m, beta2):
+        ref, ref_inputs = self._run(beta2, ATOMIC, self.LAM)
+        got, inputs = self._run(beta2, UnitSystem(hbar=hbar, m=m), self.LAM * hbar * hbar / m)
+        # Where beta^2 and every x round alike, nothing else may matter.  A
+        # last-bit change moves Lambda w through the rounding of the eight
+        # (6x)^3-sized powers in _case_a_w_at_radius's classical closed form:
+        # 1.1e-7 absolute for x within 3 ulps, 6e-7 relative at beta^2 = 20.
+        rel = 1e-10 if inputs == ref_inputs else 2e-6
+        assert got == pytest.approx(ref, rel=rel, abs=0)
 
 
 class TestOracleW:
