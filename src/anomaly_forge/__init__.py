@@ -43,6 +43,7 @@ from .perturbation import (
     compute_w2,
     geometric_grid,
     sample_w,
+    second_order_kernel,
     w2_closed_form,
 )
 from .spectral_oracle import OracleConfig, bessel_channel_sums, oracle_trace
@@ -90,6 +91,7 @@ __all__ = [
     "compute_w2",
     "geometric_grid",
     "sample_w",
+    "second_order_kernel",
     "w2_closed_form",
     "OracleConfig",
     "bessel_channel_sums",

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NotPowerLawError
 from .perturbation import Order, TraceSamples, sample_w
 from .potentials import CaseLabel, PotentialSpec, classify, coulomb_tail_coefficient
-from .quadrature import PowerLawFit, QuadratureBudget, fit_power_law
+from .quadrature import PowerLawFit, fit_power_law
 from .units import UnitSystem
 
 #: treat |value| below this (reduced, atomic-like units) as numerically zero
@@ -236,8 +236,7 @@ def delta_ae_case_b_closed_form(Z: float, units: UnitSystem) -> float:
 
 
 def classify_divergence_first_order(spec: PotentialSpec, units: UnitSystem,
-                                    lambda_grid, budget: QuadratureBudget | None = None
-                                    ) -> AnomalyResult:
+                                    lambda_grid) -> AnomalyResult:
     """First-order anomaly classification.
 
     Screened tails have an identically vanishing first order, so both
@@ -248,6 +247,6 @@ def classify_divergence_first_order(spec: PotentialSpec, units: UnitSystem,
     """
     if coulomb_tail_coefficient(spec, units) == 0.0:
         return zero_result(classify(spec).case_label)
-    samples = sample_w(spec, units, lambda_grid, Order.FIRST, budget)
+    samples = sample_w(spec, units, lambda_grid, Order.FIRST)
     fit = fit_power_law(samples)
     return extract_anomalies(samples, fit, units)

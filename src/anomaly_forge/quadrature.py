@@ -1,13 +1,12 @@
 """Adaptive quadrature, the angle-averaged free resolvent, and power-law fits.
 
-The integrator is a plain Gauss-Kronrod 15(7) panel scheme with greedy
-bisection of the worst panel.  Semi-infinite axes are compactified with
-the algebraic change of variables x = a + t/(1-t), applied before any
-panels are formed, so every evaluation stays at interior nodes.
-Integrands are array functions: each panel calls the integrand once with
-all of its nodes, a (15,) array in 1D and a (15, 1) x (1, 15) broadcast
-pair in 2D.  Evaluation order is deterministic, making repeated runs
-bit-identical.
+The integrator is a plain one-dimensional Gauss-Kronrod 15(7) panel
+scheme with greedy bisection of the worst panel.  A semi-infinite interval
+is compactified with the algebraic change of variables x = a + t/(1-t),
+applied before any panels are formed, so every evaluation stays at
+interior nodes.  Integrands are array functions: each panel calls the
+integrand once with its 15 nodes.  Evaluation order is deterministic,
+making repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -76,16 +75,6 @@ class QuadratureResult(NamedTuple):
         return self
 
 
-def _map_axis(a: float, b: float):
-    """Return (lo, hi, x(t), weight(t)) mapping a possibly semi-infinite axis
-    onto a finite t-interval."""
-    if math.isinf(a):
-        raise ValueError("lower integration limits must be finite")
-    if math.isinf(b):
-        return 0.0, 1.0, (lambda t: a + t / (1.0 - t)), (lambda t: (1.0 - t) ** -2)
-    return a, b, (lambda t: t), (lambda t: 1.0)
-
-
 def _panel_1d(g, a, b):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -95,95 +84,57 @@ def _panel_1d(g, a, b):
     return ik, abs(ik - ig)
 
 
-def _split_1d(a, b):
-    mid = 0.5 * (a + b)
-    return (a, mid), (mid, b)
-
-
-def _panel_2d(g, ax, bx, ay, by):
-    cx, hx = 0.5 * (ax + bx), 0.5 * (bx - ax)
-    cy, hy = 0.5 * (ay + by), 0.5 * (by - ay)
-    fv = g((cx + hx * _XK)[:, None], (cy + hy * _XK)[None, :])
-    ik = hx * hy * float(_WK @ fv @ _WK)
-    ig = hx * hy * float(_WG @ fv[1::2, 1::2] @ _WG)
-    return ik, abs(ik - ig)
-
-
-def _split_2d(ax, bx, ay, by):
-    if (bx - ax) >= (by - ay):
-        mid = 0.5 * (ax + bx)
-        return (ax, mid, ay, by), (mid, bx, ay, by)
-    mid = 0.5 * (ay + by)
-    return (ax, bx, ay, mid), (ax, bx, mid, by)
-
-
-def _adapt(g, panel, split, box, n_nodes, budget: QuadratureBudget) -> QuadratureResult:
-    """Greedy bisection of the worst panel until the error sum meets tolerance.
-
-    ``panel(g, *box)`` returns (value, error) from ``n_nodes`` evaluations of
-    ``g``; ``split(*box)`` returns the two halves of a box.
-    """
-    val, err = panel(g, *box)
-    evals = n_nodes
-    heap = [(-err, 0, box, val, err)]
+def _adapt(g, a, b, budget: QuadratureBudget) -> QuadratureResult:
+    """Greedy bisection of the worst panel of [a, b] until the error sum
+    meets tolerance."""
+    val, err = _panel_1d(g, a, b)
+    evals = 15
+    heap = [(-err, 0, a, b, val, err)]
     seq = 1
     total_val, total_err = val, err
     while True:
         if seq % 64 == 0:  # resync running sums against float drift
-            total_val = math.fsum(item[3] for item in heap)
-            total_err = math.fsum(item[4] for item in heap)
+            total_val = math.fsum(item[4] for item in heap)
+            total_err = math.fsum(item[5] for item in heap)
         tol = max(budget.abs_tol, budget.rel_tol * abs(total_val))
         if total_err <= tol:
             break
-        if evals + 2 * n_nodes > budget.max_evals:
-            return QuadratureResult(math.fsum(item[3] for item in heap),
-                                    math.fsum(item[4] for item in heap),
+        if evals + 30 > budget.max_evals:
+            return QuadratureResult(math.fsum(item[4] for item in heap),
+                                    math.fsum(item[5] for item in heap),
                                     evals, False)
-        _, _, pbox, pval, perr = heapq.heappop(heap)
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
         total_val -= pval
         total_err -= perr
-        for sub in split(*pbox):
-            v, e = panel(g, *sub)
-            heapq.heappush(heap, (-e, seq, sub, v, e))
+        mid = 0.5 * (pa + pb)
+        for lo, hi in ((pa, mid), (mid, pb)):
+            v, e = _panel_1d(g, lo, hi)
+            heapq.heappush(heap, (-e, seq, lo, hi, v, e))
             seq += 1
             total_val += v
             total_err += e
-        evals += 2 * n_nodes
-    return QuadratureResult(math.fsum(item[3] for item in heap),
-                            math.fsum(item[4] for item in heap), evals, True)
+        evals += 30
+    return QuadratureResult(math.fsum(item[4] for item in heap),
+                            math.fsum(item[5] for item in heap), evals, True)
 
 
 def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = None) -> QuadratureResult:
-    """Adaptively integrate ``f`` over a 1D interval or 2D rectangle.
+    """Adaptively integrate ``f`` over the interval ``domain = (a, b)``.
 
-    ``domain`` is ``(a, b)`` for one dimension or ``((ax, bx), (ay, by))``
-    for two; upper limits may be ``math.inf``.  ``f`` takes numpy arrays:
-    ``f(x)`` gets a panel's 15 nodes as shape (15,), ``f(x, y)`` gets
-    shapes (15, 1) and (1, 15), and either must return the values at the
-    nodes in the broadcast shape.  ``evals`` counts nodes, 15 or 225 per
-    panel.  Returns value and error estimate; if the evaluation cap is hit
-    first, the result is flagged unconverged but still carries the best
-    value.
+    ``a`` must be finite; ``b`` may be ``math.inf``.  ``f`` takes a panel's
+    15 nodes as a numpy array of shape (15,) and returns the values there;
+    ``evals`` counts nodes.  Returns value and error estimate; if the
+    evaluation cap is hit first, the result is flagged unconverged but still
+    carries the best value.
     """
     if budget is None:
         budget = QuadratureBudget()
-    a, b = domain
-    if np.isscalar(a):
-        lo, hi, xmap, wmap = _map_axis(float(a), float(b))
-
-        def g(t):
-            return f(xmap(t)) * wmap(t)
-
-        return _adapt(g, _panel_1d, _split_1d, (lo, hi), 15, budget)
-
-    (ax, bx), (ay, by) = domain
-    lox, hix, xmap, wxmap = _map_axis(float(ax), float(bx))
-    loy, hiy, ymap, wymap = _map_axis(float(ay), float(by))
-
-    def g2(t, u):
-        return f(xmap(t), ymap(u)) * wxmap(t) * wymap(u)
-
-    return _adapt(g2, _panel_2d, _split_2d, (lox, hix, loy, hiy), 225, budget)
+    a, b = float(domain[0]), float(domain[1])
+    if math.isinf(a):
+        raise ValueError("lower integration limits must be finite")
+    if math.isinf(b):
+        return _adapt(lambda t: f(a + t / (1.0 - t)) * (1.0 - t) ** -2, 0.0, 1.0, budget)
+    return _adapt(f, a, b, budget)
 
 
 def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) -> float:
@@ -194,6 +145,9 @@ def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) 
     res.require_converged("feynman_combine")
     return res.value
 
+
+# The free-resolvent functions below are references: perturbation does their
+# p-integrals in closed form, and the tests check those forms against them.
 
 # x = 2pk / (2m Lambda + p^2 + k^2) below which artanh(x)/x - 1 is summed
 # from its series.  The 19 terms kept are exact to rounding up to here (the

@@ -14,6 +14,7 @@ from anomaly_forge.perturbation import (
     compute_w2,
     geometric_grid,
     sample_w,
+    second_order_kernel,
     w2_closed_form,
 )
 from anomaly_forge.potentials import (
@@ -88,6 +89,16 @@ class TestComputeW1:
         with pytest.raises(ValueError):
             compute_w1(coulomb(1.0), ATOMIC, -1.0)
 
+    @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+           st.floats(0.5, 3.0), st.floats(1.0, 100.0))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_covariance(self, hbar, m, e2, Z, lam):
+        # w1 = Z e^2 sqrt(m) / hbar * Lambda^-3/2 * w1(atomic units, Z = 1, Lambda = 1)
+        units = UnitSystem(hbar=hbar, m=m, e2=e2)
+        ref = compute_w1(coulomb(1.0), ATOMIC, 1.0)
+        want = Z * e2 * math.sqrt(m) / hbar * lam**-1.5 * ref
+        assert compute_w1(coulomb(Z), units, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
+
 
 class TestComputeW2:
     @pytest.mark.parametrize("Z", [1.0, 2.0, 3.0])
@@ -132,7 +143,54 @@ class TestComputeW2:
     def test_unit_scaling(self, hbar, m, e2, Z, lam):
         units = UnitSystem(hbar=hbar, m=m, e2=e2)
         got = compute_w2(coulomb(Z), units, lam)
-        assert got == pytest.approx(w2_closed_form(Z, units, lam), rel=1e-7, abs=0.0)
+        assert got == pytest.approx(w2_closed_form(Z, units, lam), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("Z, kappa, lam", [(3.0, 2.0, 1.0), (1.0, 0.5, 10.0),
+                                               (1.0, 0.5, 77.0)])
+    def test_yukawa_closed_form(self, Z, kappa, lam):
+        # with U(s t) = 4 pi Z e^2 hbar^2 / (s^2 (t^2 + mu^2)), s = sqrt(2 m Lambda),
+        # mu = hbar kappa / s, the k-integral is -pi/16 times
+        # int_0^inf t^4 / ((t^2+mu^2)^2 (t^2+4)) dt = pi (mu+4) / (4 (mu+2)^2),
+        # summed from its residues at t = i mu (double) and t = 2i
+        s = math.sqrt(2.0 * lam)
+        mu = kappa / s
+        t_integral = math.pi * (mu + 4.0) / (4.0 * (mu + 2.0) ** 2)
+        want = (16.0 * math.pi**2 / (2.0 * math.pi) ** 6 * s**2 / lam**3
+                * (4.0 * math.pi * Z) ** 2 * (-math.pi / 16.0) * t_integral)
+        got = compute_w2(yukawa(Z, kappa), ATOMIC, lam)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestSecondOrderKernel:
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 0.7, 3.0, 30.0])
+    def test_against_mpmath(self, t):
+        # 30-digit p-integral of the angle-averaged log form, in units 2m = Lambda = 1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            mt = mpmath.mpf(t)
+
+            def f(p):
+                avg = mpmath.log((1 + (p + mt) ** 2) / (1 + (p - mt) ** 2)) / (4 * p * mt)
+                return p * p * (avg - 1 / (1 + p * p)) / (1 + p * p) ** 2
+
+            # break points around the log's peak at p = t, which is one wide
+            pts = sorted({0, 1, mt, mt + 1, 2 * mt + 2} | ({mt - 1} if t > 2 else set()))
+            ref = mpmath.quad(f, [mpmath.mpf(x) for x in pts] + [mpmath.inf])
+            assert second_order_kernel(t) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+    def test_against_bracket_quadrature(self):
+        # the p-integral of the cancellation-free resolvent bracket, which the
+        # kernel replaces; m = 1/2 and Lambda = 1 make the momenta the scaled ones
+        units = UnitSystem(m=0.5)
+        budget = QuadratureBudget(abs_tol=1e-15, rel_tol=1e-12)
+        ts = np.array([1e-2, 0.5, 2.0, 10.0])
+        for t in ts:
+            res = integrate_adaptive(
+                lambda p: p * p * resolvent_bracket(p, t, 1.0, units) / (1.0 + p * p) ** 2,
+                (0.0, math.inf), budget).require_converged("kernel reference")
+            assert second_order_kernel(t) == pytest.approx(res.value, rel=1e-10)
+        assert np.array_equal(second_order_kernel(ts),
+                              [second_order_kernel(float(t)) for t in ts])
 
 
 class TestClosedForm:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anomaly_forge import perturbation
 from anomaly_forge.errors import MixedSignError
-from anomaly_forge.perturbation import Source, TraceSamples, _w1_result, _w2_result
+from anomaly_forge.perturbation import Source, TraceSamples, _w2_result
 from anomaly_forge.potentials import coulomb, yukawa
 from anomaly_forge.quadrature import (
     _SERIES_SWITCH,
@@ -16,7 +16,6 @@ from anomaly_forge.quadrature import (
     _XK,
     QuadratureBudget,
     _panel_1d,
-    _panel_2d,
     angle_averaged_resolvent,
     feynman_combine,
     fit_power_law,
@@ -55,20 +54,9 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(closed, abs=1e-10)
         assert oracle == pytest.approx(closed, abs=1e-7)
 
-    def test_2d_rectangle(self):
-        res = integrate_adaptive(lambda x, y: x * y * y, ((0.0, 2.0), (0.0, 1.0)))
-        assert res.value == pytest.approx(2.0 / 3.0, abs=1e-10)
-
-    def test_2d_semi_infinite(self):
-        res = integrate_adaptive(lambda x, y: np.exp(-x - 2 * y),
-                                 ((0.0, math.inf), (0.0, math.inf)))
-        assert res.value == pytest.approx(0.5, abs=1e-9)
-
     @pytest.mark.parametrize("f, domain", [
         (lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x), (0.0, 1.0)),
-        (lambda x, y: np.sin(20.0 * x * y) ** 2 / (1e-2 + x * x + y * y),
-         ((0.0, 1.0), (0.0, 1.0))),
-    ], ids=["1d", "2d"])
+    ], ids=["1d"])
     def test_unconverged_flag(self, f, domain):
         budget = QuadratureBudget(abs_tol=1e-300, rel_tol=1e-16, max_evals=1000)
         full = integrate_adaptive(f, domain)
@@ -113,25 +101,13 @@ class TestVectorisedPanels:
         assert set(shapes) == {(15,)}
         assert len(shapes) * 15 == res.evals
 
-    def test_2d_panel_gets_broadcast_pair(self):
-        shapes = []
-
-        def f(x, y):
-            shapes.append((x.shape, y.shape))
-            return np.exp(-x - 2 * y) * np.cos(x * y)
-
-        res = integrate_adaptive(f, ((0.0, math.inf), (0.0, 1.0)))
-        assert set(shapes) == {((15, 1), (1, 15))}
-        assert len(shapes) * 225 == res.evals
-
     def test_panels_match_node_loop(self):
-        # the node-by-node panels they replace, as the reference.  With only
+        # the node-by-node panel it replaces, as the reference.  With only
         # + - * / in the integrand the node values and the Kronrod sum are
         # the same; the Gauss sum of a strided view may round differently
         # from that of a copy, so the error estimate gets 4 ulp of the value
         f1 = lambda x: x * x / (1.0 + x)
-        f2 = lambda x, y: x * y * y / (1.0 + x + 3.0 * y)
-        a, b, ay, by = 0.3, 1.7, 0.1, 2.5
+        a, b = 0.3, 1.7
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         fv = np.array([f1(c + h * x) for x in _XK])
         ik = h * float(fv @ _WK)
@@ -139,35 +115,28 @@ class TestVectorisedPanels:
         val, err = _panel_1d(f1, a, b)
         assert val == ik
         assert err == pytest.approx(abs(ik - ig), rel=0.0, abs=4e-16 * abs(ik))
-        cy, hy = 0.5 * (ay + by), 0.5 * (by - ay)
-        fv = np.array([[f2(c + h * x, cy + hy * y) for y in _XK] for x in _XK])
-        ik = h * hy * float(_WK @ fv @ _WK)
-        ig = h * hy * float(_WG @ fv[np.ix_(range(1, 15, 2), range(1, 15, 2))] @ _WG)
-        val, err = _panel_2d(f2, a, b, ay, by)
-        assert val == ik
-        assert err == pytest.approx(abs(ik - ig), rel=0.0, abs=4e-16 * abs(ik))
 
-    @pytest.mark.parametrize("run, nodes, evals", [
-        (lambda: _w2_result(coulomb(1.0), ATOMIC, 10.0, None), 225, 12_375),
-        (lambda: _w2_result(yukawa(1.0, 0.5), ATOMIC, 10.0, None), 225, 16_875),
-        (lambda: _w1_result(coulomb(1.0), ATOMIC, 1.0, None), 15, 105),
-    ], ids=["w2-coulomb", "w2-yukawa", "w1-coulomb"])
-    def test_production_integrands_one_call_per_panel(self, monkeypatch, run, nodes, evals):
-        # the evaluation counts are those of the node-by-node integrator
+    @pytest.mark.parametrize("run, evals", [
+        (lambda: _w2_result(coulomb(1.0), ATOMIC, 10.0, None), 45),
+        (lambda: _w2_result(yukawa(1.0, 0.5), ATOMIC, 10.0, None), 105),
+    ], ids=["w2-coulomb", "w2-yukawa"])
+    def test_production_integrands_one_call_per_panel(self, monkeypatch, run, evals):
+        # the w2 k-integral at its default budget: 15-node panels, one
+        # integrand call each
         calls = []
 
         def counting(f, domain, budget=None):
-            def g(*args):
-                calls.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
-                return f(*args)
+            def g(x):
+                calls.append(np.shape(x))
+                return f(x)
             return integrate_adaptive(g, domain, budget)
 
         monkeypatch.setattr(perturbation, "integrate_adaptive", counting)
         res = run()
         assert res.converged
         assert res.evals == evals
-        assert len(calls) * nodes == evals
-        assert set(calls) == {(15, 15) if nodes == 225 else (15,)}
+        assert len(calls) * 15 == evals
+        assert set(calls) == {(15,)}
 
 
 class TestFeynman:
