@@ -23,6 +23,11 @@ so the whole evaluation is closed-form up to the ratio itself.  Screened
 families use O(N) pivot-recursion resolvent traces of the symmetric
 tridiagonal radial grid operator: Tr (Lambda + H)^-1 per channel, without
 eigenvalues.
+
+Only this module needs scipy, and importing scipy.special alone takes
+several times a whole perturbative CLI run, so scipy is imported on first
+use, not with the package.  ``ive`` and ``eigvalsh_tridiagonal`` stay
+module-level functions so that callers can still replace them by name.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
-from scipy.special import ive, zeta
 
 from .errors import TailDivergentError, UnconvergedError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
@@ -59,6 +61,18 @@ class OracleConfig:
         radii = self.richardson_levels
         if len(radii) < 2 or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
             raise ValueError("richardson_levels needs >= 2 strictly increasing radii")
+
+
+def ive(v, z):
+    """scipy.special.ive, imported on the first call."""
+    from scipy.special import ive as scipy_ive
+    return scipy_ive(v, z)
+
+
+def eigvalsh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigvalsh_tridiagonal, imported on the first call."""
+    from scipy.linalg import eigvalsh_tridiagonal as scipy_eigvalsh_tridiagonal
+    return scipy_eigvalsh_tridiagonal(d, e, **kwargs)
 
 
 def _grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
@@ -205,6 +219,26 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
 # Grid path for screened families
 # ---------------------------------------------------------------------------
 
+def _turning_point(spec: PotentialSpec, units: UnitSystem, factor: float,
+                   lam: float) -> float | None:
+    """The radius r0 with lam + f U(r0) = 0, or None where lam + f U > 0 everywhere.
+
+    With g = -f sign Z e^2, the region lam + f U < 0 is the core r < r0 and
+    needs g > 0.  Yukawa: g exp(-kappa r0) / r0 = lam, so kappa r0 is the
+    principal Lambert W of g kappa / lam.  Cutoff Coulomb: U is flat inside
+    r_cut, so a core exists only if g / r_cut > lam, and then r0 = g / lam.
+    """
+    g = -factor * spec.sign * spec.Z * units.e2
+    if not g > 0.0:
+        return None
+    if spec.family is Family.YUKAWA:
+        from scipy.special import lambertw
+        return float(lambertw(g * spec.kappa / lam).real) / spec.kappa
+    if spec.family is Family.CUTOFF_COULOMB:
+        return g / lam if g / spec.r_cut > lam else None
+    raise AssertionError(f"no screened turning point for {spec.family.value}")
+
+
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
                           lam: float, r_box: float) -> float:
     """(2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1].
@@ -225,9 +259,14 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
                         -r * r * u / (sqrt_lam + root))
 
     knots = [0.0]
-    probe = 1e-12 * r_box
-    if lam + factor * evaluate(spec, units, probe) < 0.0:
-        r0 = brentq(lambda r: lam + factor * evaluate(spec, units, r), probe, r_box)
+    r0 = _turning_point(spec, units, factor, lam)
+    if r0 is not None:
+        if r0 > r_box:
+            raise ValueError(
+                f"the classically forbidden core reaches the box wall: at Lambda = "
+                f"{lam:g} the turning point r0 = {r0:g} lies beyond the box radius "
+                f"R = {r_box:g}; raise Lambda or enlarge the box"
+            )
         knots += [r0, min(10.0 * r0, r_box)]
     if spec.family is Family.CUTOFF_COULOMB and spec.r_cut < r_box:
         knots.append(spec.r_cut)
@@ -316,6 +355,7 @@ def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[fl
             f"channel terms decay like nu^-{q:.2f}; the tail sum does not converge"
         )
     # sum over nu = ell_max + 3/2, ell_max + 5/2, ...: a Hurwitz zeta
+    from scipy.special import zeta
     tail = amp * float(zeta(q, ell_max + 1.5))
     return tail, abs(tail) * 0.3
 

@@ -113,6 +113,21 @@ class TestAnomalyCommand:
         assert "a_e_reduced=0.0625" in out
 
 
+    @pytest.mark.parametrize("potential, lambda_min", [
+        ("yukawa:Z=50,kappa=0.01", "0.05"),
+        ("cutoff-coulomb:Z=50,rcut=0.5", "0.5"),
+    ])
+    def test_core_past_the_wall_exits_2(self, capsys, potential, lambda_min):
+        # the classically forbidden core at the lowest Lambda is wider than
+        # the smallest oracle box (R = 20)
+        code, _, err = run_cli(capsys, "anomaly", "--method", "oracle",
+                               "--potential", potential, "--lambda-min", lambda_min,
+                               "--lambda-max", "1", "--points", "4")
+        assert code == 2
+        assert "box radius R = 20" in err
+        assert f"Lambda = {float(lambda_min):g}" in err
+
+
 class TestEmitReport:
     def test_divergent_has_no_value_line(self):
         samples = sample_w(coulomb(1.0), ATOMIC, geometric_grid(10.0, 1000.0, 8),

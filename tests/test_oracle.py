@@ -24,6 +24,7 @@ from anomaly_forge.spectral_oracle import (
     _COUPLING_FACTORS,
     _grid_channel_levels,
     _grid_traces,
+    _turning_point,
     bessel_channel_sums,
     oracle_trace,
 )
@@ -410,6 +411,75 @@ class TestClassicalDifference:
             knots.insert(1, mpmath.findroot(inside, (1e-4, 1e-3), solver="illinois"))
         exact = 2 * mpmath.sqrt(2) * mpmath.quad(integrand, knots)
         assert got == pytest.approx(float(exact), abs=1e-12)
+
+
+def _brentq_turning_point(spec, units, factor, lam):
+    """The root of lam + f U by bracketing, where lam + f U < 0 just off the origin."""
+    def inside(r):
+        return lam + factor * evaluate(spec, units, r)
+
+    probe = 1e-12
+    if not inside(probe) < 0.0:
+        return None
+    hi = 1.0
+    while inside(hi) < 0.0:
+        hi *= 2.0
+    return brentq(inside, probe, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
+_TURNING_SPECS = [
+    yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False), yukawa(0.05, 1.0),
+    yukawa(3.0, 2.0, attractive=False),
+    cutoff_coulomb(1.0, 0.5), cutoff_coulomb(1.0, 0.5, attractive=False),
+    cutoff_coulomb(3.0, 2.0),
+]
+# with Z = 1, r_cut = 0.5 the core exists below g / r_cut = 2 |f|: these
+# Lambda lie below it for every nonzero factor, between, and above it
+_TURNING_LAMS = (0.3, 1.5, 4.0, 40.0)
+
+
+def _spec_id(spec):
+    return f"{spec.family.value}-{'att' if spec.attractive else 'rep'}"
+
+
+class TestTurningPoint:
+    @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("factor", _COUPLING_FACTORS)
+    def test_against_brentq(self, spec, factor):
+        for lam in _TURNING_LAMS:
+            ref = _brentq_turning_point(spec, ATOMIC, factor, lam)
+            got = _turning_point(spec, ATOMIC, factor, lam)
+            if ref is None:
+                assert got is None, lam
+            else:
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0), lam
+
+    def test_cutoff_core_edge(self):
+        # the core exists only while g / r_cut > Lambda
+        spec = cutoff_coulomb(1.0, 0.5)
+        assert _turning_point(spec, ATOMIC, 1.0, 1.999) == pytest.approx(1.0 / 1.999)
+        assert _turning_point(spec, ATOMIC, 1.0, 2.001) is None
+        assert _turning_point(spec, ATOMIC, 0.5, 0.999) == pytest.approx(0.5 / 0.999)
+        assert _turning_point(spec, ATOMIC, 0.5, 1.001) is None
+        assert _turning_point(spec, ATOMIC, -1.0, 0.001) is None
+
+    @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
+    def test_classical_difference_matches_brentq_knots(self, monkeypatch, spec):
+        r_box = 12.0
+        got = {(f, lam): _classical_difference(spec, ATOMIC, f, lam, r_box)
+               for f in _COUPLING_FACTORS for lam in _TURNING_LAMS}
+        monkeypatch.setattr(spectral_oracle, "_turning_point", _brentq_turning_point)
+        for (f, lam), value in got.items():
+            ref = _classical_difference(spec, ATOMIC, f, lam, r_box)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (f, lam)
+
+    def test_core_edge_at_the_wall(self):
+        # cutoff Coulomb, g = 1: r0 = 1 / Lambda sits just inside, then just
+        # outside a box of radius 20
+        spec = cutoff_coulomb(1.0, 0.5)
+        assert math.isfinite(_classical_difference(spec, ATOMIC, 1.0, 1.0 / 19.5, 20.0))
+        with pytest.raises(ValueError, match="r0 = 20.5 lies beyond"):
+            _classical_difference(spec, ATOMIC, 1.0, 1.0 / 20.5, 20.0)
 
 
 class TestTailFit:
