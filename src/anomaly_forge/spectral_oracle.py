@@ -110,35 +110,55 @@ def _bessel_ratio_cf(nu: np.ndarray, x: float) -> np.ndarray:
     nu >= x/2 whatever x is, and, measured for x up to 1e6, at most
     6.2 sqrt(x) + 12 at nu = 0; past 8 sqrt(x) + 32 terms the fraction is
     reported as unconverged.
+
+    Each order's value is taken at the term where its Lentz factor first
+    reaches 1, so it never depends on the other orders of the call.  Retired
+    lanes keep iterating, harmlessly, until at least half of the working
+    lanes are retired; only then do the live lanes move to the front of the
+    working arrays, in place.  So the copies happen O(log n) times, not on
+    every term, and the working set never grows past its first size.
     """
     max_terms = 32 + int(8.0 * math.sqrt(x))
     step = 2.0 / x
     out = np.empty_like(nu)
-    idx = np.arange(nu.size)
-    b0 = nu * step                # b_j = b0 + j step on the active lanes
+    idx = np.arange(nu.size)      # output slot of each working lane
+    live = np.ones(nu.size, dtype=bool)
+    n_live = nu.size
+    b0 = nu * step                # b_j = b0 + j step on the working lanes
     g = b0 + step                 # b_1 + 1/(b_2 + ...), refined term by term
     c = g.copy()
     d = np.zeros_like(g)
+    b = np.empty_like(g)          # b_j, then the Lentz factor
     j = 1
-    while idx.size:
+    while n_live:
         j += 1
         if j > max_terms:
             raise UnconvergedError(
-                f"Bessel-ratio continued fraction at x = {x:g}: {idx.size} "
+                f"Bessel-ratio continued fraction at x = {x:g}: {n_live} "
                 f"orders unconverged after {max_terms} terms"
             )
-        b = b0 + j * step
+        np.add(b0, j * step, out=b)
         d += b
         np.reciprocal(d, out=d)
         np.reciprocal(c, out=c)
         c += b
-        delta = c * d
+        delta = np.multiply(c, d, out=b)
         g *= delta
-        done = np.abs(delta - 1.0) <= _EPS
-        if done.any():
+        delta -= 1.0
+        done = np.abs(delta, out=delta) <= _EPS
+        done &= live
+        n_done = np.count_nonzero(done)
+        if n_done:
             out[idx[done]] = 1.0 / g[done]
-            keep = ~done
-            idx, b0, g, c, d = idx[keep], b0[keep], g[keep], c[keep], d[keep]
+            live ^= done
+            n_live -= n_done
+            if 2 * n_live <= idx.size:
+                # move the live lanes to the front of each array, in place
+                work = (idx, b0, g, c, d)
+                for a in work:
+                    a[:n_live] = a[live]
+                idx, b0, g, c, d, b = (a[:n_live] for a in work + (b,))
+                live = np.ones(n_live, dtype=bool)
     return out
 
 
@@ -157,6 +177,14 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     orders take ive(nu + 1, x) / ive(nu, x), except where ive(nu, x)
     underflows (orders above about sqrt(1290 x), so only for x above about
     5000); those take the continued fraction too.
+
+    Every order is worked out on its own, so one call on many orders returns
+    what one call per order would, bit for bit; callers batch all the orders
+    of a box into one call.  The low orders make one ive call over the
+    distinct values among them and their "+1" orders: on a unit ladder
+    (nu, nu + 1, ...) ive(nu + 1, x) is the numerator for nu and the
+    denominator for nu + 1, and a repeated order is evaluated once.
+    Orders are matched by exact value, so any coincidence is safe.
     """
     nu = np.asarray(nu, dtype=float)
     if not (math.isfinite(x) and x > 0.0):
@@ -166,8 +194,13 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     ratio = np.empty_like(nu)
     cf = np.array(nu >= 0.5 * x)   # an array also for a 0-d nu
     low = ~cf
-    den = ive(nu[low], x)
-    num = ive(nu[low] + 1.0, x)
+    low_nu = nu[low]
+    # One ive value per distinct order: on a unit ladder the numerator
+    # ive(nu + 1) of one order is the denominator of the next.
+    orders, where = np.unique(np.concatenate([low_nu, low_nu + 1.0]),
+                              return_inverse=True)
+    scaled = ive(orders, x)[where]
+    den, num = scaled[:low_nu.size], scaled[low_nu.size:]
     ok = np.isfinite(den) & (den > 1e-280)
     cf[low] = ~ok
     ratio[~cf] = num[ok] / den[ok]
@@ -183,16 +216,25 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
     exact Bessel-ratio form with effective orders sqrt((l+1/2)^2 + beta2);
     the classical phase-space difference is closed-form; the coupling-linear
     box artifact is removed through the measured linear response at zero
-    coupling.
+    coupling, a central difference in the order with step h.
+
+    All four order sets -- nu_q, the free orders nu_l and nu_l +- h -- go
+    through one ``bessel_channel_sums`` call; the nu_l sets are unit ladders
+    that share their ive values.  The call covers one (Lambda, R); one call
+    per Lambda grid and both radii, with an x per order, measured slower and
+    larger.
     """
     hbar, m = units.hbar, units.m
     x = math.sqrt(2.0 * m * lam) * r_box / hbar
     n_ch = int(math.ceil(6.0 * x)) + 200
     nu_l = np.arange(n_ch, dtype=float) + 0.5
     nu_q = np.sqrt(nu_l * nu_l + beta2)
+    h = 0.25
+    # one Bessel-ratio pass per box: quantum, free and the free orders +-h
+    s_q, s_l, s_p, s_m = np.split(
+        bessel_channel_sums(np.concatenate([nu_q, nu_l, nu_l + h, nu_l - h]), x), 4)
     deg = 2.0 * nu_l
-    quantum = float(np.sum(deg * (bessel_channel_sums(nu_q, x)
-                                  - bessel_channel_sums(nu_l, x))))
+    quantum = float(np.sum(deg * (s_q - s_l)))
 
     beta = math.sqrt(beta2)
     j = float(n_ch)
@@ -205,8 +247,7 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
 
     classical = classical_free_subtracted(j)
 
-    h = 0.25
-    qp = (bessel_channel_sums(nu_l + h, x) - bessel_channel_sums(nu_l - h, x)) / (2.0 * h)
+    qp = (s_p - s_m) / (2.0 * h)
     c_of = lambda nu: 0.5 * (math.sqrt(x * x + nu * nu) - nu)
     linear_response = float(np.sum(qp)) - (c_of(j) - c_of(0.0))
 

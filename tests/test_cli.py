@@ -64,6 +64,32 @@ class TestTraceCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_case_a_oracle_digits_pinned(self, capsys):
+        """The case-A oracle's trace at 2 m alpha / hbar^2 = 100, to all 17 digits.
+
+        Reorganising the Bessel-ratio work (batching, shared ive values,
+        continued-fraction lane bookkeeping) must leave these bytes alone.
+        ROADMAP item 3's bias fix (an exact nu-derivative for the linear
+        response, a 1/R radius term) will move them on purpose; any such
+        update is recorded in CHANGES.md with the old and new values.
+        """
+        code, out, _ = run_cli(capsys, "trace", "--method", "oracle",
+                               "--potential", "inverse-square:alpha=50",
+                               "--lambda-min", "5", "--lambda-max", "50", "--points", "8")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["lambda", "w", "err", "source"]
+        assert [(r[1], r[2]) for r in rows[1:]] == [
+            ("-0.082692798963681938", "0.0051761313557776665"),
+            ("-0.05956049839587562", "0.0026765543658806368"),
+            ("-0.042902157469501975", "0.0013819927656792872"),
+            ("-0.030901017510174544", "0.00071268426636996742"),
+            ("-0.022254640818493071", "0.00036710731189018597"),
+            ("-0.016025854306375639", "0.0001888817871133772"),
+            ("-0.011539316262787844", "9.7060016358590476e-05"),
+            ("-0.008308118554854596", "4.9805923014344672e-05"),
+        ]
+
     def test_bad_window_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "trace", "--potential", "coulomb:Z=1",
                              "--lambda-min", "50", "--lambda-max", "10")

@@ -243,24 +243,63 @@ class TestBesselRatioRoutes:
         assert got == pytest.approx(self._reference(nus, x), rel=3e-13, abs=0)
 
     def test_routing_and_ive_work(self, monkeypatch):
-        # criterion 3's case-A fixture: ive sees only orders below x/2 (each
-        # call pair is ive(nu, x), ive(nu + 1, x)), and under 10% of the
-        # 164 624 elements it took when every order went through it
+        # criterion 3's case-A fixture: one ive call per box; every order whose
+        # ratio comes from ive is below x/2, and ive sees only those orders and
+        # the orders one above them, each once (a unit ladder shares them).
+        # Under 5% of the 164 624 elements it took when every order went
+        # through it, and 11 558 in 128 calls before the ladders were shared.
         calls = []
 
-        def recording(nu, x):
-            calls.append((np.array(nu, dtype=float, ndmin=1), x))
+        def recording_sums(nu, x):
+            calls.append({"nu": np.asarray(nu, dtype=float), "x": x, "ive": [], "cf": []})
+            return sums(nu, x)
+
+        def recording_ive(nu, x):
+            calls[-1]["ive"].append(np.array(nu, dtype=float, ndmin=1))
             return ive(nu, x)
 
-        ive = spectral_oracle.ive
-        monkeypatch.setattr(spectral_oracle, "ive", recording)
-        oracle_trace(inverse_square(ALPHA_100), ATOMIC, np.geomspace(5.0, 50.0, 8))
-        assert calls and len(calls) % 2 == 0
-        for (den, x), (num, x_num) in zip(calls[0::2], calls[1::2]):
-            assert x_num == x
-            assert np.array_equal(num, den + 1.0)
-            assert np.all(den < 0.5 * x)
-        assert sum(nu.size for nu, _ in calls) < 16_462
+        def recording_cf(nu, x):
+            calls[-1]["cf"].append(np.array(nu, dtype=float))
+            return cf(nu, x)
+
+        sums, ive, cf = (spectral_oracle.bessel_channel_sums, spectral_oracle.ive,
+                         spectral_oracle._bessel_ratio_cf)
+        monkeypatch.setattr(spectral_oracle, "bessel_channel_sums", recording_sums)
+        monkeypatch.setattr(spectral_oracle, "ive", recording_ive)
+        monkeypatch.setattr(spectral_oracle, "_bessel_ratio_cf", recording_cf)
+        lams = np.geomspace(5.0, 50.0, 8)
+        oracle_trace(inverse_square(ALPHA_100), ATOMIC, lams)
+        assert len(calls) == lams.size * len(OracleConfig().richardson_levels)
+        for call in calls:
+            (orders,) = call["ive"]
+            via_ive = np.setdiff1d(call["nu"], np.concatenate(call["cf"]))
+            assert via_ive.size and np.all(via_ive < 0.5 * call["x"])
+            assert np.all(np.isin(orders, via_ive) | np.isin(orders, via_ive + 1.0))
+            assert np.all(np.isin(via_ive, orders) & np.isin(via_ive + 1.0, orders))
+            assert np.unique(orders).size == orders.size
+        assert sum(call["ive"][0].size for call in calls) < 8_000
+
+    @pytest.mark.parametrize("x", [0.5, 5.0, 63.0, 800.0])
+    def test_batching_invariance(self, x):
+        # one call on a mixed array equals one call per order, bit for bit:
+        # shared ive values and continued-fraction lanes that retire lazily
+        # must not let an order's value depend on its neighbours.  At
+        # x = 0.5 only the order just below x/2 reaches ive.
+        half = 0.5 * x
+        across = half + 0.125 + np.arange(-3.0, 5.0)
+        nus = np.concatenate([
+            np.arange(12.0) + 0.5,                  # unit ladder from the bottom
+            np.sqrt(np.arange(6.0) ** 2 + 7.3),     # no ladder
+            [3.5],                                  # duplicate of a ladder order
+            [2.75], [3.75, 0.3],                    # a "+1" across a segment boundary
+            across[across >= 0.0],                  # unit ladder across x/2
+            [half - 1e-9, half, 2.0 * x, 6.0 * x + 200.0],
+        ])
+        batch = bessel_channel_sums(nus, x)
+        single = np.array([bessel_channel_sums(np.array([nu]), x)[0] for nu in nus])
+        assert np.array_equal(batch, single)
+        empty = bessel_channel_sums(np.array([]), x)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
     @pytest.mark.parametrize("nu, x", [
         ([1.0, math.nan], 10.0),
