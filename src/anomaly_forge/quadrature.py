@@ -4,9 +4,11 @@ The integrator is a plain one-dimensional Gauss-Kronrod 15(7) panel
 scheme with greedy bisection of the worst panel.  A semi-infinite interval
 is compactified with the algebraic change of variables x = a + t/(1-t),
 applied before any panels are formed, so every evaluation stays at
-interior nodes.  Integrands are array functions: each panel calls the
-integrand once with its 15 nodes.  Evaluation order is deterministic,
-making repeated runs bit-identical.
+interior nodes.  Integrands are array functions, called once per round of
+bisection with the 15 nodes of every new panel as rows of one array; a
+batch of intervals shares the rounds, so one call serves every live
+integral.  Evaluation order is deterministic, making repeated runs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -75,66 +77,109 @@ class QuadratureResult(NamedTuple):
         return self
 
 
-def _panel_1d(g, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = g(c + h * _XK)
-    ik = h * float(fv @ _WK)
-    ig = h * float(fv[1::2] @ _WG)
-    return ik, abs(ik - ig)
+def _panels(g, lo, hi, rows):
+    """Kronrod values and Kronrod-Gauss error estimates of the panels
+    [lo[i], hi[i]], from one integrand call on their nodes, shape (k, 15).
+
+    Each panel's sums are taken row by row as 15- and 7-term dot products:
+    one matrix product over all rows rounds differently.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    fv = g(c[:, None] + h[:, None] * _XK, rows)
+    vals, errs = [], []
+    for hk, row in zip(h.tolist(), fv):
+        ik = hk * float(row @ _WK)
+        ig = hk * float(row[1::2] @ _WG)
+        vals.append(ik)
+        errs.append(abs(ik - ig))
+    return vals, errs
 
 
-def _adapt(g, a, b, budget: QuadratureBudget) -> QuadratureResult:
-    """Greedy bisection of the worst panel of [a, b] until the error sum
-    meets tolerance."""
-    val, err = _panel_1d(g, a, b)
-    evals = 15
-    heap = [(-err, 0, a, b, val, err)]
-    seq = 1
-    total_val, total_err = val, err
-    while True:
-        if seq % 64 == 0:  # resync running sums against float drift
-            total_val = math.fsum(item[4] for item in heap)
-            total_err = math.fsum(item[5] for item in heap)
-        tol = max(budget.abs_tol, budget.rel_tol * abs(total_val))
-        if total_err <= tol:
+def integrate_batch(g: Callable, lower, upper,
+                    budget: QuadratureBudget | None = None) -> list[QuadratureResult]:
+    """Adaptively integrate over each finite interval [lower[j], upper[j]].
+
+    ``g(x, rows)`` takes panel nodes of shape (k, 15) and ``rows``, the
+    interval index of each node row, so per-interval parameters are gathered
+    by row.  Each integral runs greedy bisection of its worst panel until its
+    error sum meets tolerance or the next bisection would pass
+    ``budget.max_evals``.  A round takes one bisection step of every live
+    integral, then evaluates all the new panels in one integrand call.  The
+    steps of an integral never depend on the others, so each result is what
+    a batch of one returns, bit for bit.
+    """
+    if budget is None:
+        budget = QuadratureBudget()
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = lower.size
+    if n == 0:
+        return []
+    results: list[QuadratureResult | None] = [None] * n
+    vals, errs = _panels(g, lower, upper, np.arange(n))
+    # heap entries (-error, seq, a, b, value): the worst panel pops first,
+    # ties in creation order; a finished integral's heap is released
+    heaps = [[(-e, 0, a, b, v)]
+             for a, b, v, e in zip(lower.tolist(), upper.tolist(), vals, errs)]
+    seq = [1] * n
+    total_val, total_err = vals, errs
+    evals = [15] * n
+    live = list(range(n))
+    while live:
+        lo, hi, owners = [], [], []
+        for j in live:
+            heap = heaps[j]
+            if seq[j] % 64 == 0:  # resync running sums against float drift
+                total_val[j] = math.fsum(item[4] for item in heap)
+                total_err[j] = math.fsum(-item[0] for item in heap)
+            tol = max(budget.abs_tol, budget.rel_tol * abs(total_val[j]))
+            converged = total_err[j] <= tol
+            if converged or evals[j] + 30 > budget.max_evals:
+                results[j] = QuadratureResult(math.fsum(item[4] for item in heap),
+                                              math.fsum(-item[0] for item in heap),
+                                              evals[j], converged)
+                heaps[j] = None
+                continue
+            nerr, _, pa, pb, pval = heapq.heappop(heap)
+            perr = -nerr
+            total_val[j] -= pval
+            total_err[j] -= perr
+            mid = 0.5 * (pa + pb)
+            lo += (pa, mid)
+            hi += (mid, pb)
+            owners += (j, j)
+            evals[j] += 30
+        if not owners:
             break
-        if evals + 30 > budget.max_evals:
-            return QuadratureResult(math.fsum(item[4] for item in heap),
-                                    math.fsum(item[5] for item in heap),
-                                    evals, False)
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        total_val -= pval
-        total_err -= perr
-        mid = 0.5 * (pa + pb)
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _panel_1d(g, lo, hi)
-            heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-            seq += 1
-            total_val += v
-            total_err += e
-        evals += 30
-    return QuadratureResult(math.fsum(item[4] for item in heap),
-                            math.fsum(item[5] for item in heap), evals, True)
+        vals, errs = _panels(g, np.array(lo), np.array(hi), np.array(owners))
+        for j, a, b, v, e in zip(owners, lo, hi, vals, errs):
+            heapq.heappush(heaps[j], (-e, seq[j], a, b, v))
+            seq[j] += 1
+            total_val[j] += v
+            total_err[j] += e
+        live = owners[::2]
+    return results
 
 
 def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = None) -> QuadratureResult:
     """Adaptively integrate ``f`` over the interval ``domain = (a, b)``.
 
-    ``a`` must be finite; ``b`` may be ``math.inf``.  ``f`` takes a panel's
-    15 nodes as a numpy array of shape (15,) and returns the values there;
+    ``a`` must be finite; ``b`` may be ``math.inf``.  ``f`` takes panel
+    nodes as a numpy array of shape (k, 15) and returns the values there;
     ``evals`` counts nodes.  Returns value and error estimate; if the
     evaluation cap is hit first, the result is flagged unconverged but still
-    carries the best value.
+    carries the best value.  This is ``integrate_batch`` on one interval.
     """
-    if budget is None:
-        budget = QuadratureBudget()
     a, b = float(domain[0]), float(domain[1])
     if math.isinf(a):
         raise ValueError("lower integration limits must be finite")
     if math.isinf(b):
-        return _adapt(lambda t: f(a + t / (1.0 - t)) * (1.0 - t) ** -2, 0.0, 1.0, budget)
-    return _adapt(f, a, b, budget)
+        g = lambda t, rows, a=a: f(a + t / (1.0 - t)) * (1.0 - t) ** -2
+        a, b = 0.0, 1.0
+    else:
+        g = lambda x, rows: f(x)
+    return integrate_batch(g, [a], [b], budget)[0]
 
 
 def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) -> float:

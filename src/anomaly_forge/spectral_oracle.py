@@ -40,7 +40,10 @@ import numpy as np
 from .errors import TailDivergentError, UnconvergedError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
 from .potentials import Family, PotentialSpec, evaluate
-from .quadrature import QuadratureBudget, integrate_adaptive
+from .quadrature import QuadratureBudget, integrate_batch
+# Not called here: bench/tracing.py wraps spectral_oracle.integrate_adaptive
+# by name, so the name stays importable for its --trace runs.
+from .quadrature import integrate_adaptive  # noqa: F401
 from .units import UnitSystem
 
 
@@ -280,74 +283,109 @@ def _turning_point(spec: PotentialSpec, units: UnitSystem, factor: float,
     raise AssertionError(f"no screened turning point for {spec.family.value}")
 
 
-def _classical_difference(spec: PotentialSpec, units: UnitSystem, factor: float,
-                          lam: float, r_box: float) -> float:
+def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
+                          radii) -> np.ndarray:
     """(2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1].
 
     The radial momentum integral is closed-form; the principal value over
     the region where lam + f U < 0 contributes zero, leaving
-    (2 m sqrt(2m)/hbar^3) int r^2 [sqrt(lam) - sqrt(max(lam + f U, 0))] dr.
+    (2 m sqrt(2m)/hbar^3) int r^2 [sqrt(lam) - sqrt(max(lam + f U, 0))] dr
+    over r < R.  Returns shape (len(radii), len(factors), len(lams)).
+
+    Each box's integral is split at the knots 0, r0, min(10 r0, R), r_cut
+    and R.  All the segments go through one ``integrate_batch`` call; a
+    segment that several radii share, such as [0, r0] and [r0, 10 r0], is
+    integrated once.
     """
     hbar, m = units.hbar, units.m
-    sqrt_lam = math.sqrt(lam)
+    turning = {(f, lam): _turning_point(spec, units, f, lam) for f in factors for lam in lams}
+    segments = {}     # (factor, lam, a, b) -> batch member
+    plans = []        # per (R, f, lam): batch members of its segments, in order
+    for r_box in radii:
+        for factor in factors:
+            for lam in lams:
+                knots = [0.0]
+                r0 = turning[factor, lam]
+                if r0 is not None:
+                    if r0 > r_box:
+                        raise ValueError(
+                            f"the classically forbidden core reaches the box wall: at "
+                            f"Lambda = {lam:g} the turning point r0 = {r0:g} lies beyond "
+                            f"the box radius R = {r_box:g}; raise Lambda or enlarge the box"
+                        )
+                    knots += [r0, min(10.0 * r0, r_box)]
+                if spec.family is Family.CUTOFF_COULOMB and spec.r_cut < r_box:
+                    knots.append(spec.r_cut)
+                knots = sorted(set(knots + [r_box]))
+                plans.append([segments.setdefault((factor, lam, a, b), len(segments))
+                              for a, b in zip(knots[:-1], knots[1:]) if b > a])
+    factor_of, lam_of, lower, upper = np.array(list(segments), dtype=float).reshape(-1, 4).T
+    sqrt_lam = np.sqrt(lam_of)
 
-    def integrand(r):
+    def integrand(r, rows):
         # sqrt(lam) - sqrt(lam + u) without the cancellation at |u| << lam
-        u = factor * evaluate(spec, units, r)
-        inside = lam + u
+        u = factor_of[rows, None] * evaluate(spec, units, r)
+        inside = lam_of[rows, None] + u
         root = np.sqrt(np.maximum(inside, 0.0))
-        return np.where(inside <= 0.0, r * r * sqrt_lam,
-                        -r * r * u / (sqrt_lam + root))
+        s = sqrt_lam[rows, None]
+        return np.where(inside <= 0.0, r * r * s, -r * r * u / (s + root))
 
-    knots = [0.0]
-    r0 = _turning_point(spec, units, factor, lam)
-    if r0 is not None:
-        if r0 > r_box:
-            raise ValueError(
-                f"the classically forbidden core reaches the box wall: at Lambda = "
-                f"{lam:g} the turning point r0 = {r0:g} lies beyond the box radius "
-                f"R = {r_box:g}; raise Lambda or enlarge the box"
-            )
-        knots += [r0, min(10.0 * r0, r_box)]
-    if spec.family is Family.CUTOFF_COULOMB and spec.r_cut < r_box:
-        knots.append(spec.r_cut)
-    knots = sorted(set(knots + [r_box]))
     budget = QuadratureBudget(abs_tol=1e-15, rel_tol=1e-11, max_evals=300_000)
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b > a:
-            res = integrate_adaptive(integrand, (a, b), budget)
-            total += res.require_converged("classical phase-space difference").value
-    return 2.0 * m * math.sqrt(2.0 * m) / hbar**3 * total
+    results = integrate_batch(integrand, lower, upper, budget)
+    pref = 2.0 * m * math.sqrt(2.0 * m) / hbar**3
+    out = []
+    for plan in plans:
+        total = 0.0
+        for k in plan:
+            total += results[k].require_converged("classical phase-space difference").value
+        out.append(pref * total)
+    return np.array(out).reshape(len(radii), len(factors), len(lams))
 
 
 _COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)
 
 
-def _grid_traces(spec, units, lams, r_box, n_points, ell_max):
-    """Tr (lam + H)^-1 of every channel on one grid, without eigenvalues.
+def _grid_traces(spec, units, lams, grids, ell_max):
+    """Tr (lam + H)^-1 of every channel on each grid, without eigenvalues.
 
-    Returns an array of shape (len(_COUPLING_FACTORS), ell_max + 1, len(lams)),
-    H being the Dirichlet tridiagonal radial operator of ``_grid_channel_levels``
-    with the potential scaled by the coupling factor.  For the symmetric
-    tridiagonal lam + H = L D L^T with diagonal a_i and off-diagonal b, the
-    pivots are d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
-    = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.  One pass
-    over the radial index serves all (factor, ell, lam) lanes; each row's
-    diagonal is built inside the loop, so memory stays O(lanes), not O(N lanes).
+    ``grids`` is a sequence of (r_box, n_points).  Returns one array per
+    grid, in the order given, of shape
+    (len(_COUPLING_FACTORS), ell_max + 1, len(lams)), H being the Dirichlet
+    tridiagonal radial operator of ``_grid_channel_levels`` with the
+    potential scaled by the coupling factor.  For the symmetric tridiagonal
+    lam + H = L D L^T with diagonal a_i and off-diagonal b, the pivots are
+    d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
+    = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.
+
+    One pass over the radial index serves all (grid, factor, ell, lam)
+    lanes.  Grids run in order of decreasing N, so the grids still in their
+    rows are always a leading block of lanes, and a grid's lanes drop out
+    once its N - 1 rows end.  Each row's diagonal is built inside the loop
+    from per-grid tables of 1/r^2 and U, so memory stays O(lanes + grids N),
+    not O(N lanes).  Every lane does the arithmetic of a one-grid pass.
     """
+    if not grids:
+        return []
     hbar, m = units.hbar, units.m
-    h = r_box / n_points
-    r = h * np.arange(1, n_points)
-    kin = hbar * hbar / (m * h * h)
+    order = sorted(range(len(grids)), key=lambda k: -grids[k][1])
+    n_rows = [grids[k][1] - 1 for k in order]
+    # per-grid kinetic scale and per-row tables of 1/r^2 and U; lanes are
+    # laid out as (grid, factor, lam, ell), so that ell runs innermost
+    kin = np.empty((len(order), 1, 1, 1))
+    inv_r2 = np.ones((n_rows[0],) + kin.shape)
+    pot = np.zeros((n_rows[0],) + kin.shape)
+    for slot, k in enumerate(order):
+        r_box, n_points = grids[k]
+        h = r_box / n_points
+        r = h * np.arange(1, n_points)
+        kin[slot] = hbar * hbar / (m * h * h)
+        pot[:n_points - 1, slot, 0, 0, 0] = evaluate(spec, units, r)
+        inv_r2[:n_points - 1, slot, 0, 0, 0] = 1.0 / (r * r)
     b2 = 0.25 * kin * kin
-    pot = evaluate(spec, units, r)
-    inv_r2 = 1.0 / (r * r)
-    # lanes broadcast as (factor, ell, lam)
+    shift = kin + np.asarray(lams, dtype=float)[:, None]
     factor = np.array(_COUPLING_FACTORS)[:, None, None]
-    ell = np.arange(ell_max + 1, dtype=float)[:, None]
+    ell = np.arange(ell_max + 1, dtype=float)
     cent = hbar * hbar * ell * (ell + 1.0) / (2.0 * m)
-    shift = kin + np.asarray(lams, dtype=float)
     d = shift + cent * inv_r2[0] + factor * pot[0]
     dp = np.ones_like(d)
     trace = 1.0 / d
@@ -355,15 +393,31 @@ def _grid_traces(spec, units, lams, r_box, n_points, ell_max):
     # running sum over N rows buries in rounding; compensated (Kahan)
     # summation keeps each trace to a few ulps.
     carry = np.zeros_like(d)
-    for i in range(1, n_points - 1):
-        g = b2 / d
-        dp = 1.0 + g * dp / d
-        d = shift + cent * inv_r2[i] + factor * pot[i] - g
-        term = dp / d - carry
-        total = trace + term
-        carry = (total - trace) - term
-        trace = total
-    return trace
+    # The row update works in place in two spare buffers: with a fresh
+    # array per operation the sweep ran about 10% slower.
+    g, total = np.empty_like(d), np.empty_like(d)
+    out = [None] * len(grids)
+    live = len(order)
+    for i in range(1, n_rows[0]):
+        while n_rows[live - 1] <= i:   # the last live grid has no row i
+            live -= 1
+            out[order[live]] = trace[live].transpose(0, 2, 1)
+            d, dp, trace, carry, g, total = (a[:live] for a in (d, dp, trace, carry, g, total))
+        np.divide(b2[:live], d, out=g)    # g = b^2 / d
+        dp *= g                           # d' = 1 + g d' / d
+        dp /= d
+        dp += 1.0
+        np.add(shift[:live] + cent * inv_r2[i, :live], factor * pot[i, :live], out=d)
+        d -= g
+        term = np.divide(dp, d, out=g)    # g is spent: it takes the Kahan term
+        term -= carry
+        np.add(trace, term, out=total)
+        np.subtract(total, trace, out=carry)
+        carry -= term
+        trace, total = total, trace
+    for slot in range(live):
+        out[order[slot]] = trace[slot].transpose(0, 2, 1)
+    return out
 
 
 def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[float, float]:
@@ -401,24 +455,24 @@ def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[fl
     return tail, abs(tail) * 0.3
 
 
-def _grid_w_once(spec, units, lams, r_box, n_points, ell_max, tail_floor,
-                 classical):
+def _grid_w_once(traces, tail_floor, classical):
     """Coupling-even w(lam) for each lam from one grid's channel traces.
 
-    The even projection [W(+U) + W(-U)]/2 cancels the coupling-linear wall
+    ``traces`` is that grid's array from ``_grid_traces``.  The even
+    projection [W(+U) + W(-U)]/2 cancels the coupling-linear wall
     and grid artifacts to all odd orders; the discarded genuine odd content
     (third order and beyond, the linear term being identically zero in
     infinite space) is estimated from half-coupling runs and returned as an
     error component.  ``classical`` maps coupling factor -> per-lam values
     of the phase-space difference (grid independent, so computed once).
     """
-    traces = _grid_traces(spec, units, lams, r_box, n_points, ell_max)
+    ell_max = traces.shape[1] - 1
     free = traces[_COUPLING_FACTORS.index(0.0)]
     deg = 2.0 * np.arange(ell_max + 1)[:, None] + 1.0
     # channel terms (2 ell + 1) [Tr_f - Tr_0], shape (factor, ell, lam)
     channel_terms = deg * (traces - free)
     values, tail_errs, odd_resids = [], [], []
-    for i in range(len(lams)):
+    for i in range(traces.shape[-1]):
         t_p1, t_m1, t_ph, t_mh, _ = channel_terms[:, :, i]   # _COUPLING_FACTORS order
         c_p1, c_m1 = classical[1.0][i], classical[-1.0][i]
         c_ph, c_mh = classical[0.5][i], classical[-0.5][i]
@@ -459,9 +513,12 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                  config: OracleConfig | None = None) -> TraceSamples:
     """Nonperturbative reduced trace difference over a Lambda grid.
 
-    Builds the box channel traces once per grid for the whole Lambda grid.
-    The returned samples carry combined extrapolation, tail and
-    discretization error estimates.
+    Screened families take the box channel traces of every grid -- fine and
+    coarse step at each radius in ``config.richardson_levels`` -- from one
+    pivot sweep of ``_grid_traces``, and the classical phase-space
+    differences of every radius, coupling factor and Lambda from one batch
+    of adaptive quadratures.  The returned samples carry combined
+    extrapolation, tail and discretization error estimates.
     """
     if config is None:
         config = OracleConfig()
@@ -492,23 +549,23 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                             Source.ORACLE, spec, units)
 
     # screened families: grid channel traces, coarse/fine step Richardson,
-    # radius spread as the box error component
-    r_ref = config.richardson_levels[0]
+    # radius spread as the box error component; one classical batch and one
+    # pivot sweep over every grid
+    radii = config.richardson_levels
+    grids = []
+    for r_box in radii:
+        n_fine = int(round(config.grid_points * r_box / radii[0]))
+        grids += [(r_box, n_fine), (r_box, max(n_fine // 2, 200))]
+    factors = [f for f in _COUPLING_FACTORS if f != 0.0]
+    classical = _classical_difference(spec, units, factors, lams, radii)
+    traces = _grid_traces(spec, units, lams, grids, config.ell_max)
     tail_floor = 1e-16
     vals_by_radius = []
     errs_by_radius = []
-    for r_box in config.richardson_levels:
-        n_fine = int(round(config.grid_points * r_box / r_ref))
-        n_coarse = max(n_fine // 2, 200)
-        classical = {
-            f: np.array([_classical_difference(spec, units, f, lam, r_box)
-                         for lam in lams])
-            for f in _COUPLING_FACTORS if f != 0.0
-        }
-        w_fine, tail_err, odd_resid = _grid_w_once(spec, units, lams, r_box, n_fine,
-                                                   config.ell_max, tail_floor, classical)
-        w_coarse, _, _ = _grid_w_once(spec, units, lams, r_box, n_coarse,
-                                      config.ell_max, tail_floor, classical)
+    for k in range(len(radii)):
+        by_factor = dict(zip(factors, classical[k]))
+        w_fine, tail_err, odd_resid = _grid_w_once(traces[2 * k], tail_floor, by_factor)
+        w_coarse, _, _ = _grid_w_once(traces[2 * k + 1], tail_floor, by_factor)
         w_h = (4.0 * w_fine - w_coarse) / 3.0
         h_err = np.abs(w_fine - w_coarse) / 3.0
         vals_by_radius.append(w_h)

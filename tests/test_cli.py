@@ -90,6 +90,26 @@ class TestTraceCommand:
             ("-0.008308118554854596", "4.9805923014344672e-05"),
         ]
 
+    def test_screened_oracle_digits_pinned(self, capsys):
+        """The weak-Yukawa box oracle's trace, to all 17 digits.
+
+        Batching the classical quadratures and sweeping every grid in one
+        pivot recursion must leave these bytes alone; any change to them is
+        recorded in CHANGES.md with the old and new values.
+        """
+        code, out, _ = run_cli(capsys, "trace", "--method", "oracle",
+                               "--potential", "yukawa:Z=0.05,kappa=1",
+                               "--lambda-min", "10", "--lambda-max", "100", "--points", "4")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["lambda", "w", "err", "source"]
+        assert [(r[1], r[2]) for r in rows[1:]] == [
+            ("-2.6650667963915672e-06", "2.3161081301243056e-07"),
+            ("-6.0292047816773935e-07", "4.1369645945370523e-08"),
+            ("-1.3414307878965221e-07", "8.5910288687512968e-09"),
+            ("-2.9192758089798067e-08", "2.8271831806157179e-09"),
+        ]
+
     def test_bad_window_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "trace", "--potential", "coulomb:Z=1",
                              "--lambda-min", "50", "--lambda-max", "10")

@@ -111,7 +111,7 @@ class TestGridTraces:
         # zero potential, ell = 0: the grid levels are kin (1 - cos(k pi/N)),
         # k = 1 .. N-1, in every coupling-factor lane
         r_box, lams = 8.0, [0.5, 10.0, 100.0, 3000.0]
-        traces = _grid_traces(inverse_square(0.0), ATOMIC, lams, r_box, n_points, 10)
+        (traces,) = _grid_traces(inverse_square(0.0), ATOMIC, lams, [(r_box, n_points)], 10)
         kin = (n_points / r_box) ** 2
         k = np.arange(1, n_points)
         levels = kin * (1.0 - np.cos(k * math.pi / n_points))
@@ -129,7 +129,7 @@ class TestGridTraces:
         # indefinite cases some levels lie below -Lambda, so lam + H has
         # negative pivots and the recursion runs through them unguarded
         r_box, n_points, ell_max = 8.0, 500, 12
-        traces = _grid_traces(spec, ATOMIC, lams, r_box, n_points, ell_max)
+        (traces,) = _grid_traces(spec, ATOMIC, lams, [(r_box, n_points)], ell_max)
         below = 0
         for i, factor in enumerate(_COUPLING_FACTORS):
             for ell in range(ell_max + 1):
@@ -140,6 +140,22 @@ class TestGridTraces:
                     exact = float(np.sum(1.0 / (lam + levels)))
                     assert traces[i, ell, j] == pytest.approx(exact, rel=1e-9)
         assert (below > 0) == indefinite
+
+    @pytest.mark.parametrize("spec, lams", [
+        (yukawa(0.05, 1.0), [10.0, 37.5, 100.0]),
+        (yukawa(3.0, 0.5), [0.5, 4.0]),
+    ], ids=["weak-yukawa", "strong-yukawa"])
+    def test_multi_grid_sweep_equals_one_grid_calls(self, spec, lams):
+        # unequal R and N, a tie in N, and grids not sorted by N: every grid's
+        # lanes must come out as a one-grid pass computes them, bit for bit
+        grids = [(8.0, 300), (12.0, 450), (6.0, 300), (10.0, 200), (9.0, 451)]
+        swept = _grid_traces(spec, ATOMIC, lams, grids, 12)
+        assert len(swept) == len(grids)
+        for grid, traces in zip(grids, swept):
+            (alone,) = _grid_traces(spec, ATOMIC, lams, [grid], 12)
+            assert traces.shape == (len(_COUPLING_FACTORS), 13, len(lams))
+            assert np.array_equal(traces, alone), grid
+        assert _grid_traces(spec, ATOMIC, lams, [], 12) == []
 
     def test_no_eigensolve_in_production(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -425,14 +441,15 @@ class TestClassicalDifference:
         results = []
 
         def recording(*args, **kwargs):
-            res = integrate_adaptive(*args, **kwargs)
-            results.append(res)
-            return res
+            batch = integrate_batch(*args, **kwargs)
+            results.extend(batch)
+            return batch
 
-        integrate_adaptive = spectral_oracle.integrate_adaptive
-        monkeypatch.setattr(spectral_oracle, "integrate_adaptive", recording)
+        integrate_batch = spectral_oracle.integrate_batch
+        monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
         lam, r_box = 100.0, 12.0
-        got = _classical_difference(yukawa(0.05, 1.0), ATOMIC, factor, lam, r_box)
+        (((got,),),) = _classical_difference(yukawa(0.05, 1.0), ATOMIC, [factor], [lam], [r_box])
+        assert results
         assert all(res.converged for res in results)
         assert sum(res.evals for res in results) < 5000
 
@@ -450,6 +467,37 @@ class TestClassicalDifference:
             knots.insert(1, mpmath.findroot(inside, (1e-4, 1e-3), solver="illinois"))
         exact = 2 * mpmath.sqrt(2) * mpmath.quad(integrand, knots)
         assert got == pytest.approx(float(exact), abs=1e-12)
+
+
+    @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), cutoff_coulomb(1.0, 0.5)],
+                             ids=["yukawa", "cutoff-coulomb"])
+    def test_batch_equals_single_calls(self, spec):
+        # one call over (radii x factors x Lambda) returns what one call per
+        # element does, bit for bit, shared segments included
+        radii, factors, lams = (12.0, 20.0), (1.0, -1.0, 0.5), (1.5, 4.0, 40.0)
+        batch = _classical_difference(spec, ATOMIC, factors, lams, radii)
+        assert batch.shape == (2, 3, 3)
+        for i, r_box in enumerate(radii):
+            for j, f in enumerate(factors):
+                for k, lam in enumerate(lams):
+                    alone = _classical_difference(spec, ATOMIC, [f], [lam], [r_box])
+                    assert np.array_equal(batch[i, j, k], alone[0, 0, 0]), (r_box, f, lam)
+
+    def test_shared_segments_integrated_once(self, monkeypatch):
+        # with the core inside both boxes, [0, r0] and [r0, 10 r0] are the
+        # same integrals at R = 12 and R = 20: four batch members, not six
+        members = []
+
+        def recording(f, lower, upper, budget=None):
+            members.extend(zip(lower, upper))
+            return integrate_batch(f, lower, upper, budget)
+
+        integrate_batch = spectral_oracle.integrate_batch
+        monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
+        spec, lam = yukawa(1.0, 0.5), 4.0
+        r0 = _turning_point(spec, ATOMIC, 1.0, lam)
+        _classical_difference(spec, ATOMIC, [1.0], [lam], [12.0, 20.0])
+        assert members == [(0.0, r0), (r0, 10.0 * r0), (10.0 * r0, 12.0), (10.0 * r0, 20.0)]
 
 
 def _brentq_turning_point(spec, units, factor, lam):
@@ -505,20 +553,21 @@ class TestTurningPoint:
     @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
     def test_classical_difference_matches_brentq_knots(self, monkeypatch, spec):
         r_box = 12.0
-        got = {(f, lam): _classical_difference(spec, ATOMIC, f, lam, r_box)
-               for f in _COUPLING_FACTORS for lam in _TURNING_LAMS}
+        (got,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box])
         monkeypatch.setattr(spectral_oracle, "_turning_point", _brentq_turning_point)
-        for (f, lam), value in got.items():
-            ref = _classical_difference(spec, ATOMIC, f, lam, r_box)
-            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (f, lam)
+        (ref,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box])
+        for i, f in enumerate(_COUPLING_FACTORS):
+            for j, lam in enumerate(_TURNING_LAMS):
+                assert got[i, j] == pytest.approx(ref[i, j], rel=1e-12, abs=0.0), (f, lam)
 
     def test_core_edge_at_the_wall(self):
         # cutoff Coulomb, g = 1: r0 = 1 / Lambda sits just inside, then just
         # outside a box of radius 20
         spec = cutoff_coulomb(1.0, 0.5)
-        assert math.isfinite(_classical_difference(spec, ATOMIC, 1.0, 1.0 / 19.5, 20.0))
+        (((inside,),),) = _classical_difference(spec, ATOMIC, [1.0], [1.0 / 19.5], [20.0])
+        assert math.isfinite(inside)
         with pytest.raises(ValueError, match="r0 = 20.5 lies beyond"):
-            _classical_difference(spec, ATOMIC, 1.0, 1.0 / 20.5, 20.0)
+            _classical_difference(spec, ATOMIC, [1.0], [1.0 / 20.5], [20.0])
 
 
 class TestTailFit:

@@ -15,11 +15,12 @@ from anomaly_forge.quadrature import (
     _WK,
     _XK,
     QuadratureBudget,
-    _panel_1d,
+    _panels,
     angle_averaged_resolvent,
     feynman_combine,
     fit_power_law,
     integrate_adaptive,
+    integrate_batch,
     resolvent_bracket,
     small_k_curvature,
 )
@@ -83,6 +84,8 @@ class TestIntegrateAdaptive:
         (lambda x: np.cos(10.0 * x), (0.0, 1.0), math.sin(10.0) / 10.0),
         (lambda x: 1.0 / (1.0 + x) ** 3, (0.0, math.inf), 0.5),
         (lambda x: x ** 4 * np.exp(-x), (0.0, math.inf), 24.0),
+        (lambda x: np.exp(-x), (1.0, math.inf), math.exp(-1.0)),
+        (lambda x: 1.0 / (1.0 + x * x), (-0.5, math.inf), math.pi / 2.0 + math.atan(0.5)),
     ])
     def test_error_estimate_bounds_truth(self, f, domain, exact):
         res = integrate_adaptive(f, domain)
@@ -91,6 +94,8 @@ class TestIntegrateAdaptive:
 
 class TestVectorisedPanels:
     def test_1d_panel_gets_node_array(self):
+        # one call per round of bisection: the first panel's 15 nodes, then
+        # both children of the bisected panel as two rows
         shapes = []
 
         def f(x):
@@ -98,8 +103,9 @@ class TestVectorisedPanels:
             return np.exp(-x)
 
         res = integrate_adaptive(f, (0.0, math.inf))
-        assert set(shapes) == {(15,)}
-        assert len(shapes) * 15 == res.evals
+        assert shapes[0] == (1, 15)
+        assert set(shapes[1:]) == {(2, 15)}
+        assert sum(rows for rows, _ in shapes) * 15 == res.evals
 
     def test_panels_match_node_loop(self):
         # the node-by-node panel it replaces, as the reference.  With only
@@ -112,7 +118,8 @@ class TestVectorisedPanels:
         fv = np.array([f1(c + h * x) for x in _XK])
         ik = h * float(fv @ _WK)
         ig = h * float(fv[np.arange(1, 15, 2)] @ _WG)
-        val, err = _panel_1d(f1, a, b)
+        (val,), (err,) = _panels(lambda x, rows: f1(x), np.array([a]), np.array([b]),
+                                 np.zeros(1, dtype=int))
         assert val == ik
         assert err == pytest.approx(abs(ik - ig), rel=0.0, abs=4e-16 * abs(ik))
 
@@ -120,9 +127,9 @@ class TestVectorisedPanels:
         (lambda: _w2_result(coulomb(1.0), ATOMIC, 10.0, None), 45),
         (lambda: _w2_result(yukawa(1.0, 0.5), ATOMIC, 10.0, None), 105),
     ], ids=["w2-coulomb", "w2-yukawa"])
-    def test_production_integrands_one_call_per_panel(self, monkeypatch, run, evals):
+    def test_production_integrands_one_call_per_round(self, monkeypatch, run, evals):
         # the w2 k-integral at its default budget: 15-node panels, one
-        # integrand call each
+        # integrand call for the first panel and one per bisection round
         calls = []
 
         def counting(f, domain, budget=None):
@@ -135,8 +142,60 @@ class TestVectorisedPanels:
         res = run()
         assert res.converged
         assert res.evals == evals
-        assert len(calls) * 15 == evals
-        assert set(calls) == {(15,)}
+        assert calls == [(1, 15)] + [(2, 15)] * ((evals - 15) // 30)
+
+
+# Batch members of TestIntegrateBatch: each integrand takes the nodes of
+# one interval; ``_rowwise`` gathers a batch's rows to them.
+_EASY = lambda x: x * x
+_PEAKED = lambda x: 1e-4 / (1e-8 + (x - 0.3) ** 2)           # needs hundreds of panels
+_OSCILLATING = lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x)  # the unconverged-flag case
+_SMOOTH = lambda x: np.exp(-x) * np.cos(3.0 * x)
+
+
+def _rowwise(members):
+    def g(x, rows):
+        out = np.empty_like(x)
+        for j, f in enumerate(members):
+            sel = rows == j
+            out[sel] = f(x[sel])
+        return out
+    return g
+
+
+class TestIntegrateBatch:
+    def _check_invariance(self, members, intervals, budget):
+        lower, upper = zip(*intervals)
+        batch = integrate_batch(_rowwise(members), lower, upper, budget)
+        single = [integrate_adaptive(f, dom, budget) for f, dom in zip(members, intervals)]
+        assert len(batch) == len(single)
+        for got, ref in zip(batch, single):
+            # value, error, evals and converged, bit for bit
+            assert tuple(got) == tuple(ref)
+            assert got.value.hex() == ref.value.hex() and got.error.hex() == ref.error.hex()
+        return batch
+
+    def test_mixed_easy_and_hard_rows(self):
+        members = [_EASY, _PEAKED, _SMOOTH, _EASY, _PEAKED]
+        intervals = [(0.0, 1.0), (0.0, 1.0), (0.0, 4.0), (2.0, 3.5), (0.1, 0.9)]
+        batch = self._check_invariance(members, intervals, None)
+        assert all(res.converged for res in batch)
+        # the members finish in different rounds
+        assert batch[0].evals < 100 < batch[1].evals
+
+    def test_member_out_of_budget(self):
+        budget = QuadratureBudget(abs_tol=1e-14, rel_tol=1e-13, max_evals=1000)
+        members = [_EASY, _OSCILLATING, _SMOOTH]
+        intervals = [(0.0, 1.0), (0.0, 1.0), (0.0, 4.0)]
+        batch = self._check_invariance(members, intervals, budget)
+        assert [res.converged for res in batch] == [True, False, True]
+        assert batch[1].evals <= budget.max_evals < batch[1].evals + 30
+
+    def test_empty_batch(self):
+        def never(x, rows):
+            raise AssertionError("an empty batch evaluated the integrand")
+
+        assert integrate_batch(never, [], []) == []
 
 
 class TestFeynman:
