@@ -28,12 +28,8 @@ from .quadrature import (
     PowerLawFit,
     QuadratureBudget,
     QuadratureResult,
-    angle_averaged_resolvent,
-    feynman_combine,
     fit_power_law,
     integrate_adaptive,
-    resolvent_bracket,
-    small_k_curvature,
 )
 from .perturbation import (
     Order,
@@ -43,7 +39,6 @@ from .perturbation import (
     compute_w2,
     geometric_grid,
     sample_w,
-    second_order_kernel,
     w2_closed_form,
 )
 from .spectral_oracle import OracleConfig, bessel_channel_sums, oracle_trace
@@ -78,12 +73,8 @@ __all__ = [
     "PowerLawFit",
     "QuadratureBudget",
     "QuadratureResult",
-    "angle_averaged_resolvent",
-    "feynman_combine",
     "fit_power_law",
     "integrate_adaptive",
-    "resolvent_bracket",
-    "small_k_curvature",
     "Order",
     "Source",
     "TraceSamples",
@@ -91,7 +82,6 @@ __all__ = [
     "compute_w2",
     "geometric_grid",
     "sample_w",
-    "second_order_kernel",
     "w2_closed_form",
     "OracleConfig",
     "bessel_channel_sums",

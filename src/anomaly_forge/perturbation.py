@@ -18,7 +18,25 @@ J = d/dt [t K_log] is rational and even in p, so J is half the real-line
 integral, closed in the upper half plane: the residues at p = i (double)
 and p = +-t + i give J = -pi (t^2-4) / (4 (t^2+4)^2).  Integrating from
 t = 0, t K_log = pi t / (4 (t^2+4)), and K(t) = -pi t^2 / (16 (t^2+4)).
-What is left of w2 is one 1D quadrature over t.
+
+Write the transform as U(s t) = A f(t) / (s t)^2, with A = 4 pi Z e^2 hbar^2
+and s = sqrt(2 m Lambda).  What is left of w2 is
+16 pi^2 (2 pi hbar)^-6 s^6 / Lambda^3 * int_0^inf t^2 U(s t)^2 K(t) dt
+= -pi^3 A^2 s^2 / ((2 pi hbar)^6 Lambda^3) * int_0^inf f^2 / (t^2+4) dt,
+and the t-integral is again closed in the upper half plane:
+
+* Coulomb, f = 1: pi/4 from the pole at t = 2i, so w2 = -Z^2 e^2/(8 a0 Lambda^2).
+* Yukawa, f = t^2/(t^2+mu^2) with mu = hbar kappa / s: the double pole at
+  t = i mu and the pole at t = 2i give pi (mu+4) / (4 (mu+2)^2).
+* Cutoff Coulomb, f = sin(a t)/(a t) with a = r_cut s / hbar: split
+  1/(t^2 (t^2+4)) = (1/t^2 - 1/(t^2+4))/4 and sin^2 = (1 - cos 2at)/2; then
+  int sin^2(a t)/t^2 = pi a/2 and int cos(2at)/(t^2+4) = pi e^(-4a)/4 from
+  the pole at t = 2i, so the t-integral is (pi/4) 2 phi(4a) with
+  phi(y) = (e^-y - 1 + y)/y^2.
+
+Each family is thus the Coulomb value times (mu+4)/(mu+2)^2 or 2 phi(4a).
+For large Lambda, 2 phi(4a) -> 1/(2a), so cutoff Coulomb falls like
+Lambda^-5/2.
 """
 
 from __future__ import annotations
@@ -28,8 +46,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotRepresentableError
-from .potentials import Family, PotentialSpec, coulomb_tail_coefficient, fourier_transform_at
-from .quadrature import QuadratureBudget, QuadratureResult, integrate_adaptive
+from .potentials import Family, PotentialSpec, coulomb_tail_coefficient
+# Not called here: bench/tracing.py wraps perturbation.integrate_adaptive
+# by name, so the name stays importable for its --trace runs.
+from .quadrature import integrate_adaptive  # noqa: F401
 from .units import UnitSystem
 
 
@@ -75,79 +95,69 @@ class TraceSamples:
         return len(self.lambdas)
 
 
-def _w1_result(spec: PotentialSpec, units: UnitSystem, lam: float) -> QuadratureResult:
-    if not (lam > 0.0):
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    c_tail = coulomb_tail_coefficient(spec, units)
-    value = (c_tail * 4.0 * math.pi / (2.0 * math.pi * units.hbar) ** 3
-             * math.sqrt(2.0 * units.m) * (math.pi / 48.0) * lam**-1.5)
-    return QuadratureResult(value, 0.0, 0, True)
-
-
 def compute_w1(spec: PotentialSpec, units: UnitSystem, lam: float) -> float:
     """Reduced first-order trace difference w1(Lambda), in closed form.
 
     The delta-localized first-order term
     -(2 pi hbar)^-3 * C * int d^3p c2(p, Lambda) / (Lambda + p^2/2m),
     with C the Coulomb tail coefficient and c2 the small-k curvature of the
-    angle-averaged resolvent (``quadrature.small_k_curvature``).  In scaled
-    momenta the p-integral is -pi/48 (see the module docstring), so
+    angle-averaged resolvent, -1/(2m E^2) + p^2/(3 m^2 E^3) with
+    E = Lambda + p^2/2m.  In scaled momenta the p-integral is -pi/48 (see
+    the module docstring), so
     w1 = C 4 pi / (2 pi hbar)^3 * sqrt(2m) * (pi/48) * Lambda^-3/2.
     Exactly zero for screened tails, where C vanishes.
     """
-    return _w1_result(spec, units, lam).value
-
-
-_W2_FAMILIES = (Family.COULOMB, Family.YUKAWA)
-
-
-def second_order_kernel(t):
-    """K(t) = -pi t^2 / (16 (t^2 + 4)), the p-integral of the second-order
-    bracket at scaled momentum transfer t (module docstring).  Accepts arrays."""
-    return -math.pi * t * t / (16.0 * (t * t + 4.0))
-
-
-def _w2_result(spec: PotentialSpec, units: UnitSystem, lam: float,
-               budget: QuadratureBudget | None) -> QuadratureResult:
     if not (lam > 0.0):
         raise ValueError(f"Lambda must be positive, got {lam}")
-    if spec.family not in _W2_FAMILIES:
-        raise NotRepresentableError(
-            f"second-order kernel needs a closed-form nonsingular transform; "
-            f"family {spec.family.value!r} is not supported"
-        )
-    if spec.Z == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    scale = math.sqrt(2.0 * units.m * lam)
-    pref = 16.0 * math.pi**2 / (2.0 * math.pi * units.hbar) ** 6 * scale**6 / lam**3
-
-    def integrand(t):
-        u_k = fourier_transform_at(spec, units, scale * t)
-        return pref * t * t * u_k * u_k * second_order_kernel(t)
-
-    if budget is None:
-        # the absolute floor is set in units of Z^2 e^2 / (a0 Lambda^2), the
-        # scale of w2 for every supported family, so that when the quadrature
-        # stops does not depend on the unit system
-        w_unit = spec.Z**2 * units.e2 / (units.a0 * lam * lam)
-        budget = QuadratureBudget(abs_tol=1e-14 * w_unit, rel_tol=1e-7, max_evals=2_000_000)
-    res = integrate_adaptive(integrand, (0.0, math.inf), budget)
-    return res.require_converged("compute_w2")
+    c_tail = coulomb_tail_coefficient(spec, units)
+    return (c_tail * 4.0 * math.pi / (2.0 * math.pi * units.hbar) ** 3
+            * math.sqrt(2.0 * units.m) * (math.pi / 48.0) * lam**-1.5)
 
 
-def compute_w2(spec: PotentialSpec, units: UnitSystem, lam: float,
-               budget: QuadratureBudget | None = None) -> float:
-    """Reduced second-order trace difference w2(Lambda).
+# y below which phi(y) = (e^-y - 1 + y)/y^2 is summed from its series
+# sum_{n>=0} (-y)^n/(n+2)!.  The 17 terms kept are exact to rounding up to
+# here (the first omitted term is below 2^-53 of the sum); the expm1 form,
+# whose relative error grows like 1e-16 / y, is used only above it.
+_PHI_SWITCH = 1.0
+_PHI_COEFFS = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(16, -1, -1))
+
+
+def _phi(y: float) -> float:
+    """phi(y) = (e^-y - 1 + y) / y^2 for y >= 0, without cancellation at small y."""
+    if y < _PHI_SWITCH:
+        acc = 0.0
+        for c in _PHI_COEFFS:
+            acc = acc * y + c
+        return acc
+    return (math.expm1(-y) + y) / y / y
+
+
+def compute_w2(spec: PotentialSpec, units: UnitSystem, lam: float) -> float:
+    """Reduced second-order trace difference w2(Lambda), in closed form.
 
     The integral (2 pi hbar)^-6 int d^3p d^3k |U(k)|^2 *
     [<(Lambda+(p+k)^2/2m)^-1>_angles - (Lambda+p^2/2m)^-1] (Lambda+p^2/2m)^-2
-    with the p-integral done by residues (``second_order_kernel``) leaves
-    16 pi^2 (2 pi hbar)^-6 s^6 / Lambda^3 * int_0^inf t^2 U(s t)^2 K(t) dt,
-    s = sqrt(2 m Lambda), a 1D quadrature for any supported transform.
-    Supported for families with a nonsingular closed-form transform
-    (Coulomb, Yukawa); raises NotRepresentableError otherwise.
+    is summed by residues (module docstring).  It is the bare-Coulomb value
+    ``w2_closed_form`` times a family factor: 1 for Coulomb,
+    (mu+4)/(mu+2)^2 with mu = hbar kappa / sqrt(2 m Lambda) for Yukawa, and
+    2 phi(4a) with a = r_cut sqrt(2 m Lambda) / hbar for cutoff Coulomb.
+    Raises NotRepresentableError for inverse-square, which has no
+    pointwise transform.
     """
-    return _w2_result(spec, units, lam, budget).value
+    w2 = w2_closed_form(spec.Z, units, lam)
+    fam = spec.family
+    if fam is Family.COULOMB:
+        return w2
+    s = math.sqrt(2.0 * units.m * lam)
+    if fam is Family.YUKAWA:
+        mu = units.hbar * spec.kappa / s
+        return w2 * (mu + 4.0) / (mu + 2.0) ** 2
+    if fam is Family.CUTOFF_COULOMB:
+        return w2 * 2.0 * _phi(4.0 * spec.r_cut * s / units.hbar)
+    raise NotRepresentableError(
+        "second order needs a pointwise Fourier transform; "
+        f"family {fam.value!r} has none"
+    )
 
 
 def w2_closed_form(Z: float, units: UnitSystem, lam: float) -> float:
@@ -157,35 +167,25 @@ def w2_closed_form(Z: float, units: UnitSystem, lam: float) -> float:
     return -(Z * Z) * units.e2 / (8.0 * lam * lam * units.a0)
 
 
-def sample_w(spec: PotentialSpec, units: UnitSystem, lambda_grid, order: Order,
-             budget: QuadratureBudget | None = None) -> TraceSamples:
+def sample_w(spec: PotentialSpec, units: UnitSystem, lambda_grid, order: Order) -> TraceSamples:
     """Map the perturbative trace difference over a Lambda grid.
 
-    ``order`` selects first order, second order, or their sum.  Each point
-    carries the w2 quadrature's error estimate (``budget`` applies to it);
-    the first order is a closed form with error 0.
+    ``order`` selects first order, second order, or their sum.  Both orders
+    are closed forms, so every point carries error 0.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("lambda_grid must not be empty")
-    vals, errs = [], []
-    for lam in grid:
-        if order is Order.FIRST:
-            res = _w1_result(spec, units, lam)
-            v, e = res.value, res.error
-        elif order is Order.SECOND:
-            res = _w2_result(spec, units, lam, budget)
-            v, e = res.value, res.error
-        else:
-            r1 = _w1_result(spec, units, lam)
-            r2 = _w2_result(spec, units, lam, budget)
-            v, e = r1.value + r2.value, r1.error + r2.error
-        vals.append(v)
-        errs.append(e)
+    if order is Order.FIRST:
+        vals = [compute_w1(spec, units, lam) for lam in grid]
+    elif order is Order.SECOND:
+        vals = [compute_w2(spec, units, lam) for lam in grid]
+    else:
+        vals = [compute_w1(spec, units, lam) + compute_w2(spec, units, lam) for lam in grid]
     source = {Order.FIRST: Source.FIRST_ORDER,
               Order.SECOND: Source.SECOND_ORDER,
               Order.SUM: Source.COMBINED}[order]
-    return TraceSamples(tuple(grid), tuple(vals), tuple(errs), source, spec, units)
+    return TraceSamples(tuple(grid), tuple(vals), (0.0,) * len(grid), source, spec, units)
 
 
 def geometric_grid(lam_min: float, lam_max: float, points: int) -> tuple:

@@ -1,4 +1,4 @@
-"""Adaptive quadrature, the angle-averaged free resolvent, and power-law fits.
+"""Adaptive quadrature and power-law fits.
 
 The integrator is a plain one-dimensional Gauss-Kronrod 15(7) panel
 scheme with greedy bisection of the worst panel.  A semi-infinite interval
@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import MixedSignError, UnconvergedError
-from .units import UnitSystem
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
 # (Gauss nodes sit at the odd Kronrod indices, taken as ``[1::2]``).
@@ -130,9 +129,6 @@ def integrate_batch(g: Callable, lower, upper,
         lo, hi, owners = [], [], []
         for j in live:
             heap = heaps[j]
-            if seq[j] % 64 == 0:  # resync running sums against float drift
-                total_val[j] = math.fsum(item[4] for item in heap)
-                total_err[j] = math.fsum(-item[0] for item in heap)
             tol = max(budget.abs_tol, budget.rel_tol * abs(total_val[j]))
             converged = total_err[j] <= tol
             if converged or evals[j] + 30 > budget.max_evals:
@@ -180,91 +176,6 @@ def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = No
     else:
         g = lambda x, rows: f(x)
     return integrate_batch(g, [a], [b], budget)[0]
-
-
-def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) -> float:
-    """Evaluate int_0^1 dx [a x + b (1-x)]^-2 numerically; equals 1/(a b)."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"feynman_combine requires positive arguments, got ({a}, {b})")
-    res = integrate_adaptive(lambda x: (a * x + b * (1.0 - x)) ** -2, (0.0, 1.0), budget)
-    res.require_converged("feynman_combine")
-    return res.value
-
-
-# The free-resolvent functions below are references: perturbation does their
-# p-integrals in closed form, and the tests check those forms against them.
-
-# x = 2pk / (2m Lambda + p^2 + k^2) below which artanh(x)/x - 1 is summed
-# from its series.  The 19 terms kept are exact to rounding up to here (the
-# first omitted term is below 2^-53 of the sum); the log form, whose
-# relative error grows like 1e-15 / x^2, is used only above it.
-_SERIES_SWITCH = 0.4
-_SERIES_COEFFS = tuple(1.0 / (2 * n + 1) for n in range(19, 0, -1))
-
-
-def _angle_excess(p, k, lam, m):
-    """Return (a, S) with a = Lambda + (p^2+k^2)/2m, S = artanh(x)/x - 1, x = pk/(m a).
-
-    The angle average of (Lambda + (p+k)^2/2m)^-1 is (1 + S)/a.  S is summed
-    from sum_{n>=1} x^2n/(2n+1) for x below ``_SERIES_SWITCH`` and otherwise
-    taken from artanh(x) = log1p(2b/(a-b))/2, b = pk/m, with a - b computed
-    as Lambda + (p-k)^2/2m, so neither branch cancels.  Works elementwise on
-    broadcastable arrays.
-    """
-    a = lam + (p * p + k * k) / (2.0 * m)
-    b = p * k / m
-    x = b / a
-    x2 = x * x
-    series = _SERIES_COEFFS[0] * x2
-    for c in _SERIES_COEFFS[1:]:
-        series += c
-        series *= x2
-    a_minus_b = lam + (p - k) ** 2 / (2.0 * m)
-    # the log form is discarded below the switch; the clamp keeps x = 0 finite
-    log_form = np.log1p(2.0 * b / a_minus_b) / (2.0 * np.maximum(x, _SERIES_SWITCH)) - 1.0
-    return a, np.where(x < _SERIES_SWITCH, series, log_form)
-
-
-def angle_averaged_resolvent(p, k, lam: float, units: UnitSystem):
-    """Angular average of (Lambda + (p+k)^2/2m)^-1 over the relative angle.
-
-    Closed form (m/2pk) * ln[(Lambda+(p+k)^2/2m)/(Lambda+(p-k)^2/2m)]
-    = (1 + S)/a in the terms of ``_angle_excess``, which is exact at p = 0
-    or k = 0 and has no cancellation threshold.  Accepts arrays.
-    """
-    if not (lam > 0.0):
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    if not (np.all(p >= 0.0) and np.all(k >= 0.0)):
-        raise ValueError("momenta must be nonnegative")
-    a, excess = _angle_excess(p, k, lam, units.m)
-    return ((1.0 + excess) / a)[()]
-
-
-def resolvent_bracket(p, k, lam: float, units: UnitSystem):
-    """angle_averaged_resolvent minus the k=0 resolvent, stable at small k.
-
-    The difference vanishes like k^2.  With 1/a - 1/E = -k^2/(2m a E) taken
-    in closed form it is -k^2/(2m a E) + S/a, E = Lambda + p^2/2m, and S from
-    ``_angle_excess``; each term is computed without cancellation.  Accepts
-    arrays.
-    """
-    m = units.m
-    e_free = lam + p * p / (2.0 * m)
-    a, excess = _angle_excess(p, k, lam, m)
-    return (-k * k / (2.0 * m * a * e_free) + excess / a)[()]
-
-
-def small_k_curvature(p, lam: float, units: UnitSystem):
-    """lim_{k->0} k^-2 [angle_averaged_resolvent(p,k) - (Lambda+p^2/2m)^-1].
-
-    Closed form -1/(2m E^2) + p^2/(3 m^2 E^3) with E = Lambda + p^2/2m,
-    re-derived from the log formula's k^2 series.
-    """
-    if not (lam > 0.0):
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    m = units.m
-    e = lam + p * p / (2.0 * m)
-    return -1.0 / (2.0 * m * e * e) + p * p / (3.0 * m * m * e**3)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,136 @@
+"""Numerical references that the closed forms of ``anomaly_forge`` are tested against.
+
+The library computes both perturbative orders as formulas (see the
+``perturbation`` module docstring).  The functions here are the slower
+routes those formulas replace, kept so that tests can check each closed
+form against an independent evaluation:
+
+* ``feynman_combine``: the Feynman-parameter integral behind 1/(a b);
+* ``angle_averaged_resolvent``, ``resolvent_bracket``, ``small_k_curvature``:
+  the angle-averaged free resolvent, its small-k bracket and the bracket's
+  k^2 coefficient, the integrands of the first and second orders;
+* ``second_order_kernel``: the bracket's p-integral K(t), summed by residues;
+* ``w2_k_quadrature``: w2 as the 1D adaptive k-quadrature over K(t), for
+  any family with a pointwise transform.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from anomaly_forge.potentials import PotentialSpec, fourier_transform_at
+from anomaly_forge.quadrature import QuadratureBudget, integrate_adaptive
+from anomaly_forge.units import UnitSystem
+
+
+def feynman_combine(a: float, b: float, budget: QuadratureBudget | None = None) -> float:
+    """Evaluate int_0^1 dx [a x + b (1-x)]^-2 numerically; equals 1/(a b)."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"feynman_combine requires positive arguments, got ({a}, {b})")
+    res = integrate_adaptive(lambda x: (a * x + b * (1.0 - x)) ** -2, (0.0, 1.0), budget)
+    res.require_converged("feynman_combine")
+    return res.value
+
+
+# x = 2pk / (2m Lambda + p^2 + k^2) below which artanh(x)/x - 1 is summed
+# from its series.  The 19 terms kept are exact to rounding up to here (the
+# first omitted term is below 2^-53 of the sum); the log form, whose
+# relative error grows like 1e-15 / x^2, is used only above it.
+_SERIES_SWITCH = 0.4
+_SERIES_COEFFS = tuple(1.0 / (2 * n + 1) for n in range(19, 0, -1))
+
+
+def _angle_excess(p, k, lam, m):
+    """Return (a, S) with a = Lambda + (p^2+k^2)/2m, S = artanh(x)/x - 1, x = pk/(m a).
+
+    The angle average of (Lambda + (p+k)^2/2m)^-1 is (1 + S)/a.  S is summed
+    from sum_{n>=1} x^2n/(2n+1) for x below ``_SERIES_SWITCH`` and otherwise
+    taken from artanh(x) = log1p(2b/(a-b))/2, b = pk/m, with a - b computed
+    as Lambda + (p-k)^2/2m, so neither branch cancels.  Works elementwise on
+    broadcastable arrays.
+    """
+    a = lam + (p * p + k * k) / (2.0 * m)
+    b = p * k / m
+    x = b / a
+    x2 = x * x
+    series = _SERIES_COEFFS[0] * x2
+    for c in _SERIES_COEFFS[1:]:
+        series += c
+        series *= x2
+    a_minus_b = lam + (p - k) ** 2 / (2.0 * m)
+    # the log form is discarded below the switch; the clamp keeps x = 0 finite
+    log_form = np.log1p(2.0 * b / a_minus_b) / (2.0 * np.maximum(x, _SERIES_SWITCH)) - 1.0
+    return a, np.where(x < _SERIES_SWITCH, series, log_form)
+
+
+def angle_averaged_resolvent(p, k, lam: float, units: UnitSystem):
+    """Angular average of (Lambda + (p+k)^2/2m)^-1 over the relative angle.
+
+    Closed form (m/2pk) * ln[(Lambda+(p+k)^2/2m)/(Lambda+(p-k)^2/2m)]
+    = (1 + S)/a in the terms of ``_angle_excess``, which is exact at p = 0
+    or k = 0 and has no cancellation threshold.  Accepts arrays.
+    """
+    if not (lam > 0.0):
+        raise ValueError(f"Lambda must be positive, got {lam}")
+    if not (np.all(p >= 0.0) and np.all(k >= 0.0)):
+        raise ValueError("momenta must be nonnegative")
+    a, excess = _angle_excess(p, k, lam, units.m)
+    return ((1.0 + excess) / a)[()]
+
+
+def resolvent_bracket(p, k, lam: float, units: UnitSystem):
+    """angle_averaged_resolvent minus the k=0 resolvent, stable at small k.
+
+    The difference vanishes like k^2.  With 1/a - 1/E = -k^2/(2m a E) taken
+    in closed form it is -k^2/(2m a E) + S/a, E = Lambda + p^2/2m, and S from
+    ``_angle_excess``; each term is computed without cancellation.  Accepts
+    arrays.
+    """
+    m = units.m
+    e_free = lam + p * p / (2.0 * m)
+    a, excess = _angle_excess(p, k, lam, m)
+    return (-k * k / (2.0 * m * a * e_free) + excess / a)[()]
+
+
+def small_k_curvature(p, lam: float, units: UnitSystem):
+    """lim_{k->0} k^-2 [angle_averaged_resolvent(p,k) - (Lambda+p^2/2m)^-1].
+
+    Closed form -1/(2m E^2) + p^2/(3 m^2 E^3) with E = Lambda + p^2/2m,
+    re-derived from the log formula's k^2 series.
+    """
+    if not (lam > 0.0):
+        raise ValueError(f"Lambda must be positive, got {lam}")
+    m = units.m
+    e = lam + p * p / (2.0 * m)
+    return -1.0 / (2.0 * m * e * e) + p * p / (3.0 * m * m * e**3)
+
+
+def second_order_kernel(t):
+    """K(t) = -pi t^2 / (16 (t^2 + 4)), the p-integral of the second-order
+    bracket at scaled momentum transfer t (``perturbation`` module
+    docstring).  Accepts arrays."""
+    return -math.pi * t * t / (16.0 * (t * t + 4.0))
+
+
+def w2_k_quadrature(spec: PotentialSpec, units: UnitSystem, lam: float) -> float:
+    """w2 as 16 pi^2 (2 pi hbar)^-6 s^6 / Lambda^3 * int_0^inf t^2 U(s t)^2 K(t) dt.
+
+    s = sqrt(2 m Lambda); the t-integral is one adaptive quadrature over
+    ``fourier_transform_at``, so it serves every family with a pointwise
+    transform.  The absolute floor is set in units of Z^2 e^2/(a0 Lambda^2),
+    the scale of w2, so that when the quadrature stops does not depend on
+    the unit system.
+    """
+    scale = math.sqrt(2.0 * units.m * lam)
+    pref = 16.0 * math.pi**2 / (2.0 * math.pi * units.hbar) ** 6 * scale**6 / lam**3
+
+    def integrand(t):
+        u_k = fourier_transform_at(spec, units, scale * t)
+        return pref * t * t * u_k * u_k * second_order_kernel(t)
+
+    w_unit = spec.Z**2 * units.e2 / (units.a0 * lam * lam)
+    budget = QuadratureBudget(abs_tol=1e-16 * w_unit, rel_tol=1e-12, max_evals=2_000_000)
+    res = integrate_adaptive(integrand, (0.0, math.inf), budget)
+    return res.require_converged("w2 k-quadrature").value

