@@ -21,6 +21,7 @@ from anomaly_forge.quadrature import (
 )
 from anomaly_forge.spectral_oracle import _classical_difference
 from anomaly_forge.units import ATOMIC, UnitSystem
+import references
 from references import (
     _SERIES_SWITCH,
     angle_averaged_resolvent,
@@ -126,12 +127,37 @@ class TestVectorisedPanels:
         assert val == ik
         assert err == pytest.approx(abs(ik - ig), rel=0.0, abs=4e-16 * abs(ik))
 
+    @pytest.mark.parametrize("spec, evals", [
+        (coulomb(1.0), 135),
+        (yukawa(1.0, 0.5), 255),
+    ], ids=["w2-coulomb", "w2-yukawa"])
+    def test_production_integrands_one_call_per_round(self, monkeypatch, spec, evals):
+        # the w2 k-integral that the closed form of compute_w2 replaced, as
+        # kept in references.w2_k_quadrature: 15-node panels, one integrand
+        # call for the first panel and one per bisection round
+        calls, results = [], []
+
+        def counting(f, domain, budget=None):
+            def g(x):
+                calls.append(np.shape(x))
+                return f(x)
+            res = integrate_adaptive(g, domain, budget)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(references, "integrate_adaptive", counting)
+        references.w2_k_quadrature(spec, ATOMIC, 10.0)
+        (res,) = results
+        assert res.converged
+        assert res.evals == evals
+        assert calls == [(1, 15)] + [(2, 15)] * ((evals - 15) // 30)
+
     @pytest.mark.parametrize("spec, members, n_calls, evals", [
         (yukawa(1.0, 0.5), 30, 19, 6990),
         (cutoff_coulomb(1.0, 0.5), 29, 18, 2715),
     ], ids=["classical-yukawa", "classical-cutoff-coulomb"])
-    def test_production_integrands_one_call_per_round(self, monkeypatch, spec, members,
-                                                      n_calls, evals):
+    def test_classical_batch_one_call_per_round(self, monkeypatch, spec, members, n_calls,
+                                                 evals):
         # the screened oracle's classical phase-space batch: one integrand
         # call for the first panel of every member, then one per bisection
         # round with both children of each live member's worst panel
