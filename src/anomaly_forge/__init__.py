@@ -45,7 +45,6 @@ from .spectral_oracle import OracleConfig, bessel_channel_sums, oracle_trace
 from .anomaly import (
     AnomalyResult,
     Status,
-    classify_divergence_first_order,
     delta_ae_case_b_closed_form,
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
@@ -88,7 +87,6 @@ __all__ = [
     "oracle_trace",
     "AnomalyResult",
     "Status",
-    "classify_divergence_first_order",
     "delta_ae_case_b_closed_form",
     "delta_an_case_a_closed_form",
     "delta_an_case_a_exact",

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPowerLawError
-from .perturbation import Order, TraceSamples, sample_w
-from .potentials import CaseLabel, PotentialSpec, classify, coulomb_tail_coefficient
-from .quadrature import PowerLawFit, fit_power_law
+from .perturbation import TraceSamples
+from .potentials import CaseLabel, classify
+from .quadrature import PowerLawFit
 from .units import UnitSystem
 
 #: treat |value| below this (reduced, atomic-like units) as numerically zero
@@ -66,14 +66,12 @@ class AnomalyResult:
     growth_amplitude_e: float | None = None
 
     def __post_init__(self):
-        if self.status_n is Status.DIVERGENT and self.a_n is not None:
-            raise ValueError("divergent number channel must not report a value")
-        if self.status_e is Status.DIVERGENT and self.a_e is not None:
-            raise ValueError("divergent energy channel must not report a value")
-        if self.status_n is Status.ZERO and not abs(self.a_n) < max(self.a_n_err, ZERO_TOLERANCE):
-            raise ValueError("zero-status number value exceeds its uncertainty")
-        if self.status_e is Status.ZERO and not abs(self.a_e) < max(self.a_e_err, ZERO_TOLERANCE):
-            raise ValueError("zero-status energy value exceeds its uncertainty")
+        for name, value, err, status in (("number", self.a_n, self.a_n_err, self.status_n),
+                                         ("energy", self.a_e, self.a_e_err, self.status_e)):
+            if status is Status.DIVERGENT and value is not None:
+                raise ValueError(f"divergent {name} channel must not report a value")
+            if status is Status.ZERO and _status_for(value, err) is not Status.ZERO:
+                raise ValueError(f"zero-status {name} value exceeds its uncertainty")
 
 
 def _status_for(value: float, err: float) -> Status:
@@ -82,70 +80,58 @@ def _status_for(value: float, err: float) -> Status:
     return Status.FINITE
 
 
-def zero_result(case_label: CaseLabel, fit: PowerLawFit | None = None) -> AnomalyResult:
-    return AnomalyResult(0.0, 0.0, Status.ZERO, Status.ZERO, 0.0, 0.0, case_label, fit)
+def zero_result(case_label: CaseLabel) -> AnomalyResult:
+    """Both channels zero with no fit, for samples that vanish within their errors."""
+    return AnomalyResult(0.0, 0.0, Status.ZERO, Status.ZERO, 0.0, 0.0, case_label, None)
 
 
-def extract_anomalies(samples: TraceSamples, fit: PowerLawFit, units: UnitSystem, *,
-                      residual_max: float = RESIDUAL_MAX,
-                      exponent_tol: float = EXPONENT_TOLERANCE) -> AnomalyResult:
+def _channel(gamma: float, power: float, snapped: float, err: float, amplitude: float,
+             vanishes: bool = False) -> tuple:
+    """One limit lim amplitude Lambda^(power - gamma) on the fit.
+
+    Returns (value, err, status, growth exponent, growth amplitude).  A gamma
+    within EXPONENT_TOLERANCE of ``power`` snaps to it and the limit is
+    ``snapped`` +- ``err``; a faster decay, or an amplitude that ``vanishes``
+    identically on the snapped fit, gives zero; otherwise the channel grows
+    like Lambda^(power - gamma).
+    """
+    if abs(gamma - power) <= EXPONENT_TOLERANCE:
+        return snapped, err, _status_for(snapped, err), None, None
+    if gamma > power or vanishes:
+        return 0.0, 0.0, Status.ZERO, None, None
+    return None, 0.0, Status.DIVERGENT, power - gamma, amplitude
+
+
+def extract_anomalies(samples: TraceSamples, fit: PowerLawFit) -> AnomalyResult:
     """Apply the two limit operators to a fitted power law.
 
-    Requires the fit to actually describe the samples (residual below
-    ``residual_max``); otherwise the large-Lambda limits are meaningless
-    and NotPowerLawError is raised.
+    ``fit`` is ``fit_power_law(samples)``; the case label comes from
+    ``samples.spec``.  The number channel is 2 c gamma Lambda^(1-gamma) and
+    the energy channel 2 c (1-gamma) Lambda^(2-gamma), each snapped to its
+    critical exponent within EXPONENT_TOLERANCE.  Requires the fit to
+    actually describe the samples (residual at most RESIDUAL_MAX);
+    otherwise the large-Lambda limits are meaningless and NotPowerLawError
+    is raised.
     """
-    if fit.residual > residual_max:
+    if fit.residual > RESIDUAL_MAX:
         raise NotPowerLawError(
-            f"fit residual {fit.residual:.3g} exceeds {residual_max:.3g}; "
+            f"fit residual {fit.residual:.3g} exceeds {RESIDUAL_MAX:.3g}; "
             "samples are not a single power law"
         )
-    case_label = classify(samples.spec).case_label
     c = fit.amplitude
     gamma = fit.gamma
-    lam_mid = math.sqrt(fit.lambda_range[0] * fit.lambda_range[1])
-    log_mid = abs(math.log(lam_mid))
-    sigma_c = fit.amplitude_err
-    sigma_g = fit.gamma_err
-
-    # number channel: 2 c gamma Lambda^(1-gamma)
-    a_n = a_n_err = None
-    status_n = growth_n = amp_n = None
-    if abs(gamma - 1.0) <= exponent_tol:
-        val = 2.0 * c
-        err = 2.0 * math.hypot(sigma_c, abs(c) * sigma_g * log_mid)
-        status_n = _status_for(val, err)
-        a_n, a_n_err = val, err
-    elif gamma > 1.0:
-        a_n, a_n_err, status_n = 0.0, 0.0, Status.ZERO
-    else:
-        status_n = Status.DIVERGENT
-        growth_n = 1.0 - gamma
-        amp_n = 2.0 * c * gamma
-
-    # energy channel: 2 c (1-gamma) Lambda^(2-gamma)
-    a_e = a_e_err = None
-    status_e = growth_e = amp_e = None
-    if abs(gamma - 2.0) <= exponent_tol:
-        val = -2.0 * c
-        err = 2.0 * math.hypot(sigma_c, abs(c) * sigma_g * log_mid)
-        status_e = _status_for(val, err)
-        a_e, a_e_err = val, err
-    elif gamma > 2.0:
-        a_e, a_e_err, status_e = 0.0, 0.0, Status.ZERO
-    elif abs(gamma - 1.0) <= exponent_tol:
-        # the (1-gamma) coefficient vanishes identically on the snapped fit
-        a_e, a_e_err, status_e = 0.0, 0.0, Status.ZERO
-    else:
-        status_e = Status.DIVERGENT
-        growth_e = 2.0 - gamma
-        amp_e = 2.0 * c * (1.0 - gamma)
-
+    log_mid = abs(math.log(math.sqrt(fit.lambda_range[0] * fit.lambda_range[1])))
+    err = 2.0 * math.hypot(fit.amplitude_err, abs(c) * fit.gamma_err * log_mid)
+    a_n, a_n_err, status_n, growth_n, amp_n = _channel(
+        gamma, 1.0, 2.0 * c, err, 2.0 * c * gamma)
+    # on a fit snapped to gamma = 1 the energy channel's (1-gamma) vanishes
+    a_e, a_e_err, status_e, growth_e, amp_e = _channel(
+        gamma, 2.0, -2.0 * c, err, 2.0 * c * (1.0 - gamma),
+        vanishes=abs(gamma - 1.0) <= EXPONENT_TOLERANCE)
     return AnomalyResult(
         a_n=a_n, a_e=a_e, status_n=status_n, status_e=status_e,
-        a_n_err=a_n_err if a_n_err is not None else 0.0,
-        a_e_err=a_e_err if a_e_err is not None else 0.0,
-        case_label=case_label, fit=fit,
+        a_n_err=a_n_err, a_e_err=a_e_err,
+        case_label=classify(samples.spec).case_label, fit=fit,
         growth_exponent_n=growth_n, growth_exponent_e=growth_e,
         growth_amplitude_n=amp_n, growth_amplitude_e=amp_e,
     )
@@ -234,19 +220,3 @@ def delta_ae_case_b_closed_form(Z: float, units: UnitSystem) -> float:
         raise ValueError("Z must be nonnegative")
     return Z * Z * units.e2 / (4.0 * units.a0)
 
-
-def classify_divergence_first_order(spec: PotentialSpec, units: UnitSystem,
-                                    lambda_grid) -> AnomalyResult:
-    """First-order anomaly classification.
-
-    Screened tails have an identically vanishing first order, so both
-    channels are Zero.  An unscreened Coulomb tail decays as
-    Lambda^(-3/2): the number channel limit vanishes while the energy
-    channel grows like Lambda^(1/2) and is reported Divergent with its
-    fitted growth exponent.
-    """
-    if coulomb_tail_coefficient(spec, units) == 0.0:
-        return zero_result(classify(spec).case_label)
-    samples = sample_w(spec, units, lambda_grid, Order.FIRST)
-    fit = fit_power_law(samples)
-    return extract_anomalies(samples, fit, units)

@@ -7,15 +7,15 @@ trace       sample the trace difference over a Lambda grid, emit CSV
 anomaly     trace + power-law fit + limit extraction, emit a report
 reproduce   run one named verification scenario and print pass/fail
 
-Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors,
-3 unconverged quadrature or non-power-law samples.
+Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors
+(non-finite parameters, units or samples included), 3 unconverged quadrature
+or non-power-law samples.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import potentials
 from .anomaly import (
@@ -27,14 +27,7 @@ from .anomaly import (
     extract_anomalies,
     zero_result,
 )
-from .errors import (
-    MixedSignError,
-    NotPowerLawError,
-    NotRepresentableError,
-    TailDivergentError,
-    UnconvergedError,
-    UnsupportedPotentialError,
-)
+from .errors import MixedSignError, NotPowerLawError, TailDivergentError, UnconvergedError
 from .perturbation import Order, TraceSamples, geometric_grid, sample_w
 from .potentials import LargeXTail, classify, parse_potential
 from .quadrature import fit_power_law
@@ -47,31 +40,6 @@ _TARGETS = ("eq7", "case-b-energy", "w1-scaling", "w2-closed-form")
 
 class _ArgumentError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One validated CLI invocation."""
-
-    command: str
-    potential: str | None = None
-    units: UnitSystem = UnitSystem()
-    lambda_min: float = 10.0
-    lambda_max: float = 100.0
-    points: int = 12
-    method: str = "perturbative-2"
-    fmt: str = "keyvalue"
-    out: str | None = None
-    target: str | None = None
-    Z: float = 1.0
-
-    def __post_init__(self):
-        if not (self.lambda_min < self.lambda_max):
-            raise _ArgumentError("--lambda-min must be below --lambda-max")
-        if self.command in ("trace", "anomaly") and self.points < 4:
-            raise _ArgumentError("--points must be at least 4 for fit-consuming commands")
-        if self.method not in _METHOD_CHOICES:
-            raise _ArgumentError(f"unknown method {self.method!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,31 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from(args) -> Scenario:
-    units = UnitSystem(hbar=args.hbar, m=args.mass, e2=args.e2) \
-        if hasattr(args, "hbar") else UnitSystem()
-    return Scenario(
-        command=args.command,
-        potential=getattr(args, "potential", None),
-        units=units,
-        lambda_min=getattr(args, "lambda_min", 10.0),
-        lambda_max=getattr(args, "lambda_max", 100.0),
-        points=getattr(args, "points", 12),
-        method=getattr(args, "method", "perturbative-2"),
-        fmt=getattr(args, "format", "keyvalue"),
-        out=getattr(args, "out", None),
-        target=getattr(args, "target", None),
-        Z=getattr(args, "Z", 1.0),
-    )
-
-
-def _samples_for(scenario: Scenario, spec) -> TraceSamples:
-    grid = geometric_grid(scenario.lambda_min, scenario.lambda_max, scenario.points)
-    if scenario.method == "perturbative-1":
-        return sample_w(spec, scenario.units, grid, Order.FIRST)
-    if scenario.method == "perturbative-2":
-        return sample_w(spec, scenario.units, grid, Order.SECOND)
-    return oracle_trace(spec, scenario.units, grid)
+def _samples_for(args, units: UnitSystem, spec) -> TraceSamples:
+    grid = geometric_grid(args.lambda_min, args.lambda_max, args.points)
+    if args.method == "perturbative-1":
+        return sample_w(spec, units, grid, Order.FIRST)
+    if args.method == "perturbative-2":
+        return sample_w(spec, units, grid, Order.SECOND)
+    return oracle_trace(spec, units, grid)
 
 
 def _emit(text: str, out_path) -> None:
@@ -164,7 +114,7 @@ def _samples_csv(samples: TraceSamples) -> str:
 def _report_fields(result: AnomalyResult) -> list[tuple[str, str]]:
     fields = [("case", result.case_label.value)]
 
-    def channel(prefix, value, err, status, growth):
+    def channel(prefix, value, status, growth):
         if status is Status.DIVERGENT:
             fields.append((f"{prefix}_reduced", "n/a (divergent)"))
             fields.append((f"{prefix}_status",
@@ -176,8 +126,8 @@ def _report_fields(result: AnomalyResult) -> list[tuple[str, str]]:
             fields.append((f"{prefix}_reduced", f"{value:.4f}"))
             fields.append((f"{prefix}_status", "finite"))
 
-    channel("a_n", result.a_n, result.a_n_err, result.status_n, result.growth_exponent_n)
-    channel("a_e", result.a_e, result.a_e_err, result.status_e, result.growth_exponent_e)
+    channel("a_n", result.a_n, result.status_n, result.growth_exponent_n)
+    channel("a_e", result.a_e, result.status_e, result.growth_exponent_e)
     if result.fit is not None:
         fields.append(("gamma", f"{result.fit.gamma:.4f}"))
         fields.append(("gamma_err", f"{result.fit.gamma_err:.2e}"))
@@ -201,18 +151,18 @@ def emit_report(result: AnomalyResult, fmt: str) -> str:
     raise _ArgumentError(f"unknown format {fmt!r}")
 
 
-def _cmd_classify(scenario: Scenario) -> int:
-    spec = parse_potential(scenario.potential)
+def _cmd_classify(args) -> int:
+    spec = parse_potential(args.potential)
     sc = classify(spec)
     tail = "Coulomb tail" if sc.large_x_tail is LargeXTail.COULOMB_TAIL else "screened tail"
     print(f"case {sc.case_label.value}, {tail}")
     return 0
 
 
-def _cmd_trace(scenario: Scenario) -> int:
-    spec = parse_potential(scenario.potential)
-    samples = _samples_for(scenario, spec)
-    _emit(_samples_csv(samples), scenario.out)
+def _cmd_trace(args, units: UnitSystem) -> int:
+    spec = parse_potential(args.potential)
+    samples = _samples_for(args, units, spec)
+    _emit(_samples_csv(samples), args.out)
     return 0
 
 
@@ -220,15 +170,14 @@ def _all_below_tolerance(samples: TraceSamples) -> bool:
     return all(abs(w) <= max(e, 1e-15) for w, e in zip(samples.values, samples.errors))
 
 
-def _cmd_anomaly(scenario: Scenario) -> int:
-    spec = parse_potential(scenario.potential)
-    samples = _samples_for(scenario, spec)
+def _cmd_anomaly(args, units: UnitSystem) -> int:
+    spec = parse_potential(args.potential)
+    samples = _samples_for(args, units, spec)
     if _all_below_tolerance(samples):
         result = zero_result(classify(spec).case_label)
     else:
-        fit = fit_power_law(samples)
-        result = extract_anomalies(samples, fit, scenario.units)
-    _emit(emit_report(result, scenario.fmt), scenario.out)
+        result = extract_anomalies(samples, fit_power_law(samples))
+    _emit(emit_report(result, args.format), args.out)
     return 0
 
 
@@ -240,35 +189,32 @@ def _check(label, computed, expected, rel_tol) -> bool:
     return ok
 
 
-def _cmd_reproduce(scenario: Scenario) -> int:
-    units = scenario.units
-    z = scenario.Z
+def _cmd_reproduce(args, units: UnitSystem) -> int:
+    z = args.Z
     ok = True
-    if scenario.target == "w2-closed-form":
+    if args.target == "w2-closed-form":
         from .perturbation import compute_w2, w2_closed_form
         spec = potentials.coulomb(z)
         for lam in (10.0, 40.0):
             ok &= _check(f"w2(Z={z:g}, Lambda={lam:g})",
                          compute_w2(spec, units, lam),
                          w2_closed_form(z, units, lam), 1e-3)
-    elif scenario.target == "case-b-energy":
+    elif args.target == "case-b-energy":
         spec = potentials.coulomb(z)
         samples = sample_w(spec, units, geometric_grid(10.0, 100.0, 12), Order.SECOND)
-        fit = fit_power_law(samples)
-        result = extract_anomalies(samples, fit, units)
+        result = extract_anomalies(samples, fit_power_law(samples))
         ok &= _check(f"energy anomaly (Z={z:g})", result.a_e,
                      delta_ae_case_b_closed_form(z, units), 1e-2)
-    elif scenario.target == "w1-scaling":
+    elif args.target == "w1-scaling":
         spec = potentials.coulomb(z)
         samples = sample_w(spec, units, geometric_grid(10.0, 1000.0, 10), Order.FIRST)
         fit = fit_power_law(samples)
         ok &= _check("first-order decay exponent", fit.gamma, 1.5, 0.05 / 1.5)
-    elif scenario.target == "eq7":
+    elif args.target == "eq7":
         alpha = 50.0 * units.hbar**2 / units.m
         spec = potentials.inverse_square(alpha)
         samples = oracle_trace(spec, units, geometric_grid(5.0, 50.0, 8))
-        fit = fit_power_law(samples)
-        result = extract_anomalies(samples, fit, units)
+        result = extract_anomalies(samples, fit_power_law(samples))
         ok &= _check("number anomaly (2 m alpha/hbar^2 = 100)", result.a_n,
                      delta_an_case_a_exact(alpha, units), 0.10)
         published = delta_an_case_a_closed_form(alpha, units)
@@ -284,18 +230,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        scenario = _scenario_from(args)
-        if scenario.command == "classify":
-            return _cmd_classify(scenario)
-        if scenario.command == "trace":
-            return _cmd_trace(scenario)
-        if scenario.command == "anomaly":
-            return _cmd_anomaly(scenario)
-        return _cmd_reproduce(scenario)
+        if args.command == "classify":
+            return _cmd_classify(args)
+        units = UnitSystem(hbar=args.hbar, m=args.mass, e2=args.e2)
+        if args.command == "reproduce":
+            return _cmd_reproduce(args, units)
+        if not (args.lambda_min < args.lambda_max):
+            raise _ArgumentError("--lambda-min must be below --lambda-max")
+        if args.points < 4:
+            raise _ArgumentError("--points must be at least 4 for fit-consuming commands")
+        if args.command == "trace":
+            return _cmd_trace(args, units)
+        return _cmd_anomaly(args, units)
     except (UnconvergedError, NotPowerLawError, MixedSignError, TailDivergentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NotRepresentableError, UnsupportedPotentialError, _ArgumentError, ValueError) as exc:
+    except ValueError as exc:   # argument, spec, unit and representability errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

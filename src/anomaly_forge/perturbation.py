@@ -56,14 +56,12 @@ from .units import UnitSystem
 class Source(enum.Enum):
     FIRST_ORDER = "first-order"
     SECOND_ORDER = "second-order"
-    COMBINED = "combined"
     ORACLE = "oracle"
 
 
 class Order(enum.Enum):
     FIRST = "first"
     SECOND = "second"
-    SUM = "sum"
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,9 @@ class TraceSamples:
             raise ValueError("Lambda values must be positive")
         if any(e < 0.0 for e in self.errors):
             raise ValueError("errors must be nonnegative")
+        for lam, w, e in zip(lams, self.values, self.errors):
+            if not (math.isfinite(w) and math.isfinite(e)):
+                raise ValueError(f"sample at Lambda = {lam:g} is not finite: w = {w}, err = {e}")
 
     def __len__(self):
         return len(self.lambdas)
@@ -168,23 +169,20 @@ def w2_closed_form(Z: float, units: UnitSystem, lam: float) -> float:
 
 
 def sample_w(spec: PotentialSpec, units: UnitSystem, lambda_grid, order: Order) -> TraceSamples:
-    """Map the perturbative trace difference over a Lambda grid.
+    """Map one perturbative order of the trace difference over a Lambda grid.
 
-    ``order`` selects first order, second order, or their sum.  Both orders
-    are closed forms, so every point carries error 0.
+    ``order`` selects ``compute_w1`` (source first-order) or ``compute_w2``
+    (source second-order).  Both are closed forms, so every point carries
+    error 0.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("lambda_grid must not be empty")
     if order is Order.FIRST:
-        vals = [compute_w1(spec, units, lam) for lam in grid]
-    elif order is Order.SECOND:
-        vals = [compute_w2(spec, units, lam) for lam in grid]
+        w, source = compute_w1, Source.FIRST_ORDER
     else:
-        vals = [compute_w1(spec, units, lam) + compute_w2(spec, units, lam) for lam in grid]
-    source = {Order.FIRST: Source.FIRST_ORDER,
-              Order.SECOND: Source.SECOND_ORDER,
-              Order.SUM: Source.COMBINED}[order]
+        w, source = compute_w2, Source.SECOND_ORDER
+    vals = [w(spec, units, lam) for lam in grid]
     return TraceSamples(tuple(grid), tuple(vals), (0.0,) * len(grid), source, spec, units)
 
 

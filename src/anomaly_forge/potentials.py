@@ -55,6 +55,10 @@ class PotentialSpec:
     attractive: bool = True
 
     def __post_init__(self):
+        for name in ("Z", "alpha", "kappa", "r_cut"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         fam = self.family
         if fam is Family.INVERSE_SQUARE:
             # Repulsive only; attractive 1/r^2 needs self-adjoint extension data.

@@ -8,6 +8,7 @@ always derived, never stored.  The default is atomic units
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,6 +23,8 @@ class UnitSystem:
             v = getattr(self, name)
             if not (v > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {v}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
 
     @property
     def a0(self) -> float:

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 are produced.  Criterion tolerances are fixed here, not configurable.
 """
 
+import contextlib
+import io
 import math
 import time
 
@@ -12,13 +14,12 @@ import pytest
 
 from anomaly_forge.anomaly import (
     Status,
-    classify_divergence_first_order,
     delta_ae_case_b_closed_form,
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
-    zero_result,
 )
+from anomaly_forge.cli import main
 from anomaly_forge.perturbation import (
     Order,
     compute_w2,
@@ -26,7 +27,7 @@ from anomaly_forge.perturbation import (
     sample_w,
     w2_closed_form,
 )
-from anomaly_forge.potentials import coulomb, cutoff_coulomb, inverse_square, yukawa
+from anomaly_forge.potentials import coulomb, inverse_square, yukawa
 from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import OracleConfig, oracle_trace
 from anomaly_forge.units import ATOMIC, UnitSystem
@@ -58,7 +59,7 @@ def case_a_samples():
 @pytest.fixture(scope="module")
 def case_a_result(case_a_samples):
     fit = fit_power_law(case_a_samples)
-    return extract_anomalies(case_a_samples, fit, ATOMIC)
+    return extract_anomalies(case_a_samples, fit)
 
 
 def test_criterion_01_case_b_energy_anomaly():
@@ -67,7 +68,7 @@ def test_criterion_01_case_b_energy_anomaly():
     for z in (1.0, 2.0):
         samples = sample_w(coulomb(z), ATOMIC, geometric_grid(10.0, 100.0, 12),
                            Order.SECOND)
-        result = extract_anomalies(samples, fit_power_law(samples), ATOMIC)
+        result = extract_anomalies(samples, fit_power_law(samples))
         expected = delta_ae_case_b_closed_form(z, ATOMIC)
         ok &= abs(result.a_e - expected) <= 0.01 * expected
         details.append(f"Z={z:g}: {result.a_e:.5f} vs {expected:.5f}")
@@ -143,8 +144,8 @@ def test_criterion_05_case_a_energy_anomaly_vanishes(case_a_result):
 
 
 def test_criterion_06_first_order_divergence():
-    result = classify_divergence_first_order(coulomb(1.0), ATOMIC,
-                                             geometric_grid(10.0, 1000.0, 10))
+    samples = sample_w(coulomb(1.0), ATOMIC, geometric_grid(10.0, 1000.0, 10), Order.FIRST)
+    result = extract_anomalies(samples, fit_power_law(samples))
     ok = (result.status_e is Status.DIVERGENT
           and abs(result.growth_exponent_e - 0.5) <= 0.05
           and result.status_n is Status.ZERO)
@@ -158,13 +159,15 @@ def test_criterion_06_first_order_divergence():
 def test_criterion_07_screened_null_result():
     ok = True
     details = []
-    for spec, name in ((yukawa(1.0, 0.5), "yukawa"),
-                       (cutoff_coulomb(1.0, 1.0), "cutoff-coulomb")):
-        result = classify_divergence_first_order(spec, ATOMIC,
-                                                 geometric_grid(10.0, 1000.0, 8))
-        good = (result.status_n is Status.ZERO and result.status_e is Status.ZERO)
-        ok &= good
-        details.append(f"{name}: ({result.status_n.value}, {result.status_e.value})")
+    for potential in ("yukawa:Z=1,kappa=0.5", "cutoff-coulomb:Z=1,rcut=1"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["anomaly", "--method", "perturbative-1", "--potential", potential,
+                         "--lambda-min", "10", "--lambda-max", "1000", "--points", "8"])
+        fields = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+        ok &= code == 0 and fields["a_n_status"] == fields["a_e_status"] == "zero"
+        details.append(f"{potential}: exit {code}, "
+                       f"({fields.get('a_n_status')}, {fields.get('a_e_status')})")
     assert _report(7, "screened specs: both anomalies zero", ok, "; ".join(details))
 
 
@@ -174,7 +177,7 @@ def test_criterion_08_hbar_scaling():
 
     def a_n_at(units):
         samples = oracle_trace(spec, units, grid)
-        result = extract_anomalies(samples, fit_power_law(samples), units)
+        result = extract_anomalies(samples, fit_power_law(samples))
         return result.a_n
 
     a1 = a_n_at(ATOMIC)
@@ -251,7 +254,7 @@ def test_criterion_10_property_suites():
         samples = TraceSamples(grid, tuple(-2.0 * l**-gamma for l in grid),
                                tuple(0.0 for _ in grid), Source.ORACLE,
                                coulomb(1.0), ATOMIC)
-        r = extract_anomalies(samples, fit_power_law(samples), ATOMIC)
+        r = extract_anomalies(samples, fit_power_law(samples))
         ok_table &= (r.status_n, r.status_e) == expected
     timings["extraction"] = time.time() - t0
 

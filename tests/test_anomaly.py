@@ -5,16 +5,16 @@ import pytest
 from anomaly_forge.anomaly import (
     AnomalyResult,
     Status,
-    classify_divergence_first_order,
     delta_ae_case_b_closed_form,
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
     zero_result,
 )
+from anomaly_forge.cli import main
 from anomaly_forge.errors import NotPowerLawError
 from anomaly_forge.perturbation import Order, Source, TraceSamples, geometric_grid, sample_w
-from anomaly_forge.potentials import CaseLabel, coulomb, cutoff_coulomb, inverse_square, yukawa
+from anomaly_forge.potentials import CaseLabel, coulomb, inverse_square
 from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.units import ATOMIC, UnitSystem
 
@@ -26,7 +26,7 @@ def _synthetic(spec, values_of):
 
 
 def _extract(samples):
-    return extract_anomalies(samples, fit_power_law(samples), ATOMIC)
+    return extract_anomalies(samples, fit_power_law(samples))
 
 
 class TestExtractionAlgebra:
@@ -65,11 +65,18 @@ class TestExtractionAlgebra:
         assert (r.status_n, r.status_e) == (Status.ZERO, Status.ZERO)
 
     def test_truth_table(self):
-        # (gamma -> status_n, status_e) on clean synthetic data
+        # (gamma -> status_n, status_e) on clean synthetic data; gammas within
+        # EXPONENT_TOLERANCE of 1 or 2 snap to it, and near 0 nothing snaps
         table = {
+            0.05: (Status.DIVERGENT, Status.DIVERGENT),
+            0.95: (Status.FINITE, Status.ZERO),
             1.0: (Status.FINITE, Status.ZERO),
+            1.05: (Status.FINITE, Status.ZERO),
+            1.2: (Status.ZERO, Status.DIVERGENT),
             1.5: (Status.ZERO, Status.DIVERGENT),
+            1.95: (Status.ZERO, Status.FINITE),
             2.0: (Status.ZERO, Status.FINITE),
+            2.05: (Status.ZERO, Status.FINITE),
         }
         for gamma, expected in table.items():
             r = _extract(_synthetic(coulomb(1.0), lambda l, g=gamma: -2.0 * l**-g))
@@ -173,32 +180,36 @@ class TestEndToEndCaseB:
     def test_matches_closed_form(self, Z):
         samples = sample_w(coulomb(Z), ATOMIC, geometric_grid(10.0, 100.0, 12),
                            Order.SECOND)
-        fit = fit_power_law(samples)
-        r = extract_anomalies(samples, fit, ATOMIC)
+        r = _extract(samples)
         assert r.status_e is Status.FINITE
         assert r.a_e == pytest.approx(delta_ae_case_b_closed_form(Z, ATOMIC), rel=1e-2)
         assert r.status_n is Status.ZERO
         assert r.case_label is CaseLabel.B
 
 
+def _first_order(Z):
+    return _extract(sample_w(coulomb(Z), ATOMIC, geometric_grid(10.0, 1000.0, 10),
+                             Order.FIRST))
+
+
 class TestFirstOrderClassification:
     def test_coulomb_divergent(self):
-        r = classify_divergence_first_order(coulomb(1.0), ATOMIC,
-                                            geometric_grid(10.0, 1000.0, 10))
+        r = _first_order(1.0)
         assert r.status_e is Status.DIVERGENT
         assert r.growth_exponent_e == pytest.approx(0.5, abs=0.05)
         assert r.status_n is Status.ZERO
 
-    def test_screened_both_zero(self):
-        for spec in (yukawa(1.0, 0.5), cutoff_coulomb(1.0, 1.0)):
-            r = classify_divergence_first_order(spec, ATOMIC,
-                                                geometric_grid(10.0, 1000.0, 10))
-            assert (r.status_n, r.status_e) == (Status.ZERO, Status.ZERO)
+    def test_screened_both_zero(self, capsys):
+        # vanishing samples take the CLI's zero path, which makes no fit
+        for potential in ("yukawa:Z=1,kappa=0.5", "cutoff-coulomb:Z=1,rcut=1"):
+            code = main(["anomaly", "--method", "perturbative-1", "--potential", potential,
+                         "--lambda-min", "10", "--lambda-max", "1000", "--points", "10"])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "a_n_status=zero\n" in out and "a_e_status=zero\n" in out, potential
 
     def test_amplitude_linear_in_Z(self):
-        grid = geometric_grid(10.0, 1000.0, 10)
-        r1 = classify_divergence_first_order(coulomb(1.0), ATOMIC, grid)
-        r2 = classify_divergence_first_order(coulomb(2.0), ATOMIC, grid)
+        r1, r2 = _first_order(1.0), _first_order(2.0)
         assert r2.growth_amplitude_e / r1.growth_amplitude_e == pytest.approx(2.0, rel=0.02)
 
 

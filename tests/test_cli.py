@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from anomaly_forge.anomaly import AnomalyResult, Status, zero_result
+from anomaly_forge.anomaly import AnomalyResult, Status, extract_anomalies, zero_result
 from anomaly_forge.cli import emit_report, main
 from anomaly_forge.perturbation import Order, geometric_grid, sample_w
 from anomaly_forge.potentials import CaseLabel, coulomb
@@ -15,6 +15,94 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# (argv, exit code, stdout, stderr), byte for byte.  The first-order Coulomb
+# gamma_err and fit_residual are rounding noise of an exact power law; they
+# move with any last-bit change in w1 and are pinned all the same.
+_PINNED = {
+    "anomaly-yukawa-keyvalue": (
+        ("anomaly", "--potential", "yukawa:Z=1,kappa=0.5"),
+        0,
+        "case=B\n"
+        "a_n_reduced=0 (below tolerance)\n"
+        "a_n_status=zero\n"
+        "a_e_reduced=0.2194\n"
+        "a_e_status=finite\n"
+        "gamma=1.9765\n"
+        "gamma_err=1.14e-03\n"
+        "fit_residual=2.60e-03\n",
+        ""),
+    "anomaly-yukawa-csv": (
+        ("anomaly", "--potential", "yukawa:Z=1,kappa=0.5", "--format", "csv"),
+        0,
+        "case,a_n_reduced,a_n_status,a_e_reduced,a_e_status,gamma,gamma_err,fit_residual\n"
+        "B,0 (below tolerance),zero,0.2194,finite,1.9765,1.14e-03,2.60e-03\n",
+        ""),
+    "anomaly-coulomb-first-order": (
+        ("anomaly", "--method", "perturbative-1", "--potential", "coulomb:Z=1",
+         "--lambda-min", "10", "--lambda-max", "1000", "--points", "8"),
+        0,
+        "case=B\n"
+        "a_n_reduced=0 (below tolerance)\n"
+        "a_n_status=zero\n"
+        "a_e_reduced=n/a (divergent)\n"
+        "a_e_status=divergent growth_exponent=0.50\n"
+        "gamma=1.5000\n"
+        "gamma_err=9.36e-16\n"
+        "fit_residual=3.45e-15\n",
+        ""),
+    "anomaly-cutoff": (
+        ("anomaly", "--potential", "cutoff-coulomb:Z=1,rcut=1"),
+        0,
+        "case=C\n"
+        "a_n_reduced=0 (below tolerance)\n"
+        "a_n_status=zero\n"
+        "a_e_reduced=0 (below tolerance)\n"
+        "a_e_status=zero\n"
+        "gamma=2.4831\n"
+        "gamma_err=8.81e-04\n"
+        "fit_residual=2.01e-03\n",
+        ""),
+    "classify": (
+        ("classify", "--potential", "coulomb:Z=1"),
+        0, "case B, Coulomb tail\n", ""),
+    "reproduce-w1-scaling": (
+        ("reproduce", "--target", "w1-scaling"),
+        0,
+        "first-order decay exponent: computed +1.5, expected +1.5 (tolerance 3.3%) -> PASS\n",
+        ""),
+    "bad-window": (
+        ("anomaly", "--potential", "coulomb:Z=1", "--lambda-min", "50", "--lambda-max", "10"),
+        2, "", "error: --lambda-min must be below --lambda-max\n"),
+    "too-few-points": (
+        ("anomaly", "--potential", "coulomb:Z=1", "--points", "2"),
+        2, "", "error: --points must be at least 4 for fit-consuming commands\n"),
+    "zero-hbar": (
+        ("anomaly", "--potential", "coulomb:Z=1", "--hbar", "0"),
+        2, "", "error: hbar must be strictly positive, got 0.0\n"),
+    # the unit system is checked before the grid options
+    "zero-hbar-and-too-few-points": (
+        ("anomaly", "--potential", "coulomb:Z=1", "--hbar", "0", "--points", "2"),
+        2, "", "error: hbar must be strictly positive, got 0.0\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", list(_PINNED.values()), ids=list(_PINNED))
+def test_pinned_bytes(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("anomaly", "--potential", "coulomb:Z=inf"), "Z must be finite, got inf"),
+    (("anomaly", "--potential", "coulomb:Z=1", "--hbar", "inf"), "hbar must be finite, got inf"),
+    (("trace", "--potential", "coulomb:Z=1e200", "--points", "4"),
+     "sample at Lambda = 10 is not finite: w = -inf"),
+], ids=["infinite-charge", "infinite-hbar", "overflowing-w"])
+def test_nonfinite_input_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 class TestClassifyCommand:
@@ -187,9 +275,7 @@ class TestEmitReport:
     def test_divergent_has_no_value_line(self):
         samples = sample_w(coulomb(1.0), ATOMIC, geometric_grid(10.0, 1000.0, 8),
                            Order.FIRST)
-        from anomaly_forge.anomaly import extract_anomalies
-        fit = fit_power_law(samples)
-        text = emit_report(extract_anomalies(samples, fit, ATOMIC), "keyvalue")
+        text = emit_report(extract_anomalies(samples, fit_power_law(samples)), "keyvalue")
         assert "a_e_reduced=n/a (divergent)" in text
         assert "growth_exponent=0.50" in text
 

@@ -157,12 +157,18 @@ class TestSpecValidation:
             cutoff_coulomb(1.0, -1.0)
         with pytest.raises(ValueError):
             inverse_square(-5.0)
+        for spec in (lambda: coulomb(math.inf), lambda: yukawa(1.0, math.inf),
+                     lambda: cutoff_coulomb(1.0, math.nan), lambda: inverse_square(math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                spec()
 
     def test_unit_system_positive(self):
         with pytest.raises(ValueError):
             UnitSystem(hbar=0.0)
         with pytest.raises(ValueError):
             UnitSystem(m=-1.0)
+        with pytest.raises(ValueError, match="hbar must be finite"):
+            UnitSystem(hbar=math.inf)
 
     def test_a0_recomputed(self):
         units = UnitSystem(hbar=2.0, m=1.0, e2=1.0)
