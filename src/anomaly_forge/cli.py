@@ -15,6 +15,7 @@ or non-power-law samples.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import potentials
@@ -36,10 +37,6 @@ from .units import UnitSystem
 
 _METHOD_CHOICES = ("perturbative-1", "perturbative-2", "oracle")
 _TARGETS = ("eq7", "case-b-energy", "w1-scaling", "w2-closed-form")
-
-
-class _ArgumentError(ValueError):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,7 +145,7 @@ def emit_report(result: AnomalyResult, fmt: str) -> str:
         head = ",".join(k for k, _ in fields)
         row = ",".join('"' + v + '"' if "," in v else v for _, v in fields)
         return head + "\n" + row + "\n"
-    raise _ArgumentError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _cmd_classify(args) -> int:
@@ -235,10 +232,13 @@ def main(argv=None) -> int:
         units = UnitSystem(hbar=args.hbar, m=args.mass, e2=args.e2)
         if args.command == "reproduce":
             return _cmd_reproduce(args, units)
+        for name, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (args.lambda_min < args.lambda_max):
-            raise _ArgumentError("--lambda-min must be below --lambda-max")
+            raise ValueError("--lambda-min must be below --lambda-max")
         if args.points < 4:
-            raise _ArgumentError("--points must be at least 4 for fit-consuming commands")
+            raise ValueError("--points must be at least 4 for fit-consuming commands")
         if args.command == "trace":
             return _cmd_trace(args, units)
         return _cmd_anomaly(args, units)

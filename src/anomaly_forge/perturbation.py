@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NotRepresentableError
@@ -111,8 +112,22 @@ def compute_w1(spec: PotentialSpec, units: UnitSystem, lam: float) -> float:
     if not (lam > 0.0):
         raise ValueError(f"Lambda must be positive, got {lam}")
     c_tail = coulomb_tail_coefficient(spec, units)
+    if c_tail == 0.0:
+        return 0.0
+    try:
+        scale = lam**-1.5
+    except OverflowError:
+        scale = math.inf
+    _require_normal(lam, "Lambda^-3/2", scale)
     return (c_tail * 4.0 * math.pi / (2.0 * math.pi * units.hbar) ** 3
-            * math.sqrt(2.0 * units.m) * (math.pi / 48.0) * lam**-1.5)
+            * math.sqrt(2.0 * units.m) * (math.pi / 48.0) * scale)
+
+
+def _require_normal(lam: float, power: str, value: float) -> None:
+    """Reject a Lambda whose power in a closed form under- or overflows a normal float."""
+    if not (sys.float_info.min <= value < math.inf):
+        raise ValueError(f"Lambda = {lam:g} is out of range: {power} = {value:g} "
+                         "is not a normal float")
 
 
 # y below which phi(y) = (e^-y - 1 + y)/y^2 is summed from its series
@@ -165,6 +180,7 @@ def w2_closed_form(Z: float, units: UnitSystem, lam: float) -> float:
     """Reduced second-order value for a bare Coulomb kernel: -Z^2 e^2/(8 Lambda^2 a0)."""
     if not (lam > 0.0):
         raise ValueError(f"Lambda must be positive, got {lam}")
+    _require_normal(lam, "Lambda^2", lam * lam)
     return -(Z * Z) * units.e2 / (8.0 * lam * lam * units.a0)
 
 
@@ -188,8 +204,13 @@ def sample_w(spec: PotentialSpec, units: UnitSystem, lambda_grid, order: Order) 
 
 def geometric_grid(lam_min: float, lam_max: float, points: int) -> tuple:
     """Geometric Lambda grid, the default sampling for power-law windows."""
+    if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
+        raise ValueError(f"Lambda bounds must be finite, got {lam_min} and {lam_max}")
     if not (0.0 < lam_min < lam_max):
         raise ValueError("need 0 < lam_min < lam_max")
+    if not math.isfinite(lam_max / lam_min):
+        raise ValueError(f"Lambda window {lam_min:g} to {lam_max:g} is too wide: "
+                         "lam_max / lam_min overflows")
     if points < 2:
         raise ValueError("need at least 2 grid points")
     ratio = (lam_max / lam_min) ** (1.0 / (points - 1))

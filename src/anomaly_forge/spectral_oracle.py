@@ -49,6 +49,15 @@ from .units import UnitSystem
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Box and grid sizes of ``oracle_trace``.
+
+    ``richardson_levels`` is the (small, large) pair of box radii.
+    ``grid_points`` is the fine grid size at the small radius, scaled with
+    the radius at the large one, and ``ell_max`` the last channel summed
+    before the fitted tail.  No code reads ``box_radius``; it stays only
+    because ``bench/workloads.py`` still sets it (ROADMAP item 1).
+    """
+
     box_radius: float = 40.0
     ell_max: int = 60
     grid_points: int = 2400
@@ -62,8 +71,8 @@ class OracleConfig:
         if self.grid_points < 200:
             raise ValueError("grid_points must be at least 200")
         radii = self.richardson_levels
-        if len(radii) < 2 or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
-            raise ValueError("richardson_levels needs >= 2 strictly increasing radii")
+        if len(radii) != 2 or not radii[0] < radii[1]:
+            raise ValueError("richardson_levels must be two strictly increasing radii")
 
 
 def ive(v, z):
@@ -455,70 +464,25 @@ def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[fl
     return tail, abs(tail) * 0.3
 
 
-def _grid_w_once(traces, tail_floor, classical):
-    """Coupling-even w(lam) for each lam from one grid's channel traces.
-
-    ``traces`` is that grid's array from ``_grid_traces``.  The even
-    projection [W(+U) + W(-U)]/2 cancels the coupling-linear wall
-    and grid artifacts to all odd orders; the discarded genuine odd content
-    (third order and beyond, the linear term being identically zero in
-    infinite space) is estimated from half-coupling runs and returned as an
-    error component.  ``classical`` maps coupling factor -> per-lam values
-    of the phase-space difference (grid independent, so computed once).
-    """
-    ell_max = traces.shape[1] - 1
-    free = traces[_COUPLING_FACTORS.index(0.0)]
-    deg = 2.0 * np.arange(ell_max + 1)[:, None] + 1.0
-    # channel terms (2 ell + 1) [Tr_f - Tr_0], shape (factor, ell, lam)
-    channel_terms = deg * (traces - free)
-    values, tail_errs, odd_resids = [], [], []
-    for i in range(traces.shape[-1]):
-        t_p1, t_m1, t_ph, t_mh, _ = channel_terms[:, :, i]   # _COUPLING_FACTORS order
-        c_p1, c_m1 = classical[1.0][i], classical[-1.0][i]
-        c_ph, c_mh = classical[0.5][i], classical[-0.5][i]
-        terms = 0.5 * (t_p1 + t_m1)
-        tail, tail_err = _fit_channel_tail(terms, ell_max, tail_floor)
-        values.append(float(np.sum(terms)) + tail - 0.5 * (c_p1 + c_m1))
-        tail_errs.append(tail_err)
-        # cubic-and-beyond odd content: [W(1)-W(-1)]/2 - [W(1/2)-W(-1/2)]
-        w_odd_full = 0.5 * (float(np.sum(t_p1 - t_m1)) - (c_p1 - c_m1))
-        w_odd_half = float(np.sum(t_ph - t_mh)) - (c_ph - c_mh)
-        odd_resids.append(abs(w_odd_full - w_odd_half) * 4.0 / 3.0)
-    return np.array(values), np.array(tail_errs), np.array(odd_resids)
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
-
-def _richardson_r2(radii, values):
-    """Extrapolate w(R) = w_inf + a/R^2 over increasing radii.
-
-    Returns (w_inf, error estimate from the extrapolation spread).
-    """
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    pair = []
-    for i in range(len(radii) - 1):
-        r1, r2 = radii[i], radii[i + 1]
-        w1, w2 = values[i], values[i + 1]
-        pair.append((r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1))
-    if len(pair) == 1:
-        err = abs(pair[0] - values[-1]) / 3.0
-        return pair[0], err
-    return pair[-1], abs(pair[-1] - pair[-2])
-
 
 def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                  config: OracleConfig | None = None) -> TraceSamples:
     """Nonperturbative reduced trace difference over a Lambda grid.
 
-    Screened families take the box channel traces of every grid -- fine and
-    coarse step at each radius in ``config.richardson_levels`` -- from one
-    pivot sweep of ``_grid_traces``, and the classical phase-space
-    differences of every radius, coupling factor and Lambda from one batch
-    of adaptive quadratures.  The returned samples carry combined
-    extrapolation, tail and discretization error estimates.
+    Every Lambda is evaluated in boxes of both radii of
+    ``config.richardson_levels``.  Inverse-square values are extrapolated
+    as w(R) = w_inf + a/R^2; the error is a third of that step plus the
+    larger channel-tail residual.  Screened families take four grids (fine
+    and coarse step at each radius) from one ``_grid_traces`` sweep and
+    every classical difference from one quadrature batch.  The value is the
+    coupling-even part [W(+U) + W(-U)]/2, which cancels the coupling-linear
+    wall and grid artifacts to all odd orders, with a fitted channel tail
+    and grid-step Richardson, at the larger radius.  Its error sums the
+    tail fit, grid step and odd content (third order and beyond, from the
+    half-coupling runs) of that radius's fine grid, and the radius change.
     """
     if config is None:
         config = OracleConfig()
@@ -534,49 +498,45 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
             "bare Coulomb tail is not representable in a finite box oracle"
         )
 
+    r1, r2 = config.richardson_levels
     if fam is Family.INVERSE_SQUARE:
         beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
         vals, errs = [], []
         for lam in lams:
-            per_radius = [_case_a_w_at_radius(beta2, lam, r, units)
-                          for r in config.richardson_levels]
-            wr = [v for v, _ in per_radius]
-            resid = max(t for _, t in per_radius)
-            w_inf, err = _richardson_r2(config.richardson_levels, wr)
-            vals.append(float(w_inf))
-            errs.append(float(err + resid))
+            (w1, t1), (w2, t2) = (_case_a_w_at_radius(beta2, lam, r, units) for r in (r1, r2))
+            w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
+            vals.append(w_inf)
+            errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))
         return TraceSamples(tuple(lams), tuple(vals), tuple(errs),
                             Source.ORACLE, spec, units)
 
-    # screened families: grid channel traces, coarse/fine step Richardson,
-    # radius spread as the box error component; one classical batch and one
-    # pivot sweep over every grid
-    radii = config.richardson_levels
     grids = []
-    for r_box in radii:
-        n_fine = int(round(config.grid_points * r_box / radii[0]))
+    for r_box in (r1, r2):
+        n_fine = int(round(config.grid_points * r_box / r1))
         grids += [(r_box, n_fine), (r_box, max(n_fine // 2, 200))]
-    factors = [f for f in _COUPLING_FACTORS if f != 0.0]
-    classical = _classical_difference(spec, units, factors, lams, radii)
-    traces = _grid_traces(spec, units, lams, grids, config.ell_max)
-    tail_floor = 1e-16
-    vals_by_radius = []
-    errs_by_radius = []
-    for k in range(len(radii)):
-        by_factor = dict(zip(factors, classical[k]))
-        w_fine, tail_err, odd_resid = _grid_w_once(traces[2 * k], tail_floor, by_factor)
-        w_coarse, _, _ = _grid_w_once(traces[2 * k + 1], tail_floor, by_factor)
-        w_h = (4.0 * w_fine - w_coarse) / 3.0
-        h_err = np.abs(w_fine - w_coarse) / 3.0
-        vals_by_radius.append(w_h)
-        errs_by_radius.append(tail_err + h_err + odd_resid)
-    vals_by_radius = np.array(vals_by_radius)
-    # screened potentials die long before the wall: take the largest box,
-    # use the spread across radii as the box error
-    w_best = vals_by_radius[-1]
-    box_err = np.max(np.abs(np.diff(vals_by_radius, axis=0)), axis=0) if len(
-        vals_by_radius) > 1 else np.zeros_like(w_best)
-    err = errs_by_radius[-1] + box_err
-    return TraceSamples(tuple(lams), tuple(float(v) for v in w_best),
-                        tuple(float(e) for e in err), Source.ORACLE, spec, units)
-
+    # (radius, factor, lam) -> (grid, factor, lam); the free factor 0 has none
+    classical = np.repeat(
+        _classical_difference(spec, units, _COUPLING_FACTORS[:4], lams, (r1, r2)), 2, axis=0)
+    # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
+    # axis, so that it adds in the order of a 1-D np.sum over one channel series
+    traces = np.stack([t.transpose(0, 2, 1)
+                       for t in _grid_traces(spec, units, lams, grids, config.ell_max)])
+    deg = 2.0 * np.arange(config.ell_max + 1) + 1.0
+    # channel terms (2 ell + 1) [Tr_f - Tr_0] of the factors 1, -1, 1/2, -1/2
+    t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * (traces[:, :4] - traces[:, 4:]), 1, 0)
+    c_p1, c_m1, c_ph, c_mh = np.moveaxis(classical, 1, 0)
+    terms = 0.5 * (t_p1 + t_m1)
+    fits = np.array([[_fit_channel_tail(t, config.ell_max, 1e-16) for t in grid_terms]
+                     for grid_terms in terms])     # (grid, lam, [tail, tail error])
+    w = np.sum(terms, axis=-1) + fits[..., 0] - 0.5 * (c_p1 + c_m1)
+    w_h = (4.0 * w[0::2] - w[1::2]) / 3.0
+    # errors on the larger radius's fine grid, grids[2]; the odd content is
+    # the cubic and beyond: [W(1) - W(-1)]/2 - [W(1/2) - W(-1/2)]
+    h_err = np.abs(w[2] - w[3]) / 3.0
+    w_odd_full = 0.5 * (np.sum(t_p1[2] - t_m1[2], axis=-1) - (c_p1[2] - c_m1[2]))
+    w_odd_half = np.sum(t_ph[2] - t_mh[2], axis=-1) - (c_ph[2] - c_mh[2])
+    odd_resid = np.abs(w_odd_full - w_odd_half) * 4.0 / 3.0
+    box_err = np.abs(w_h[1] - w_h[0])
+    err = fits[2, :, 1] + h_err + odd_resid + box_err
+    return TraceSamples(tuple(lams), tuple(w_h[1].tolist()), tuple(err.tolist()),
+                        Source.ORACLE, spec, units)

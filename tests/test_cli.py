@@ -98,11 +98,31 @@ def test_pinned_bytes(capsys, argv, code, out, err):
     (("anomaly", "--potential", "coulomb:Z=1", "--hbar", "inf"), "hbar must be finite, got inf"),
     (("trace", "--potential", "coulomb:Z=1e200", "--points", "4"),
      "sample at Lambda = 10 is not finite: w = -inf"),
-], ids=["infinite-charge", "infinite-hbar", "overflowing-w"])
+    (("anomaly", "--potential", "coulomb:Z=1", "--lambda-max", "inf"),
+     "--lambda-max must be finite, got inf"),
+    (("anomaly", "--potential", "coulomb:Z=1", "--lambda-min", "nan"),
+     "--lambda-min must be finite, got nan"),
+    # the unit system is checked before the Lambda window
+    (("anomaly", "--potential", "coulomb:Z=1", "--hbar", "0", "--lambda-max", "inf"),
+     "hbar must be strictly positive, got 0.0"),
+    (("anomaly", "--potential", "coulomb:Z=1", "--lambda-min", "1e-200", "--lambda-max", "1e-100"),
+     "Lambda = 1e-200 is out of range: Lambda^2 = 0 is not a normal float"),
+    (("anomaly", "--potential", "coulomb:Z=1", "--lambda-min", "1e200", "--lambda-max", "1e300"),
+     "Lambda = 1e+200 is out of range: Lambda^2 = inf is not a normal float"),
+    (("anomaly", "--method", "perturbative-1", "--potential", "coulomb:Z=1",
+      "--lambda-min", "1e-300", "--lambda-max", "1e-290"),
+     "Lambda = 1e-300 is out of range: Lambda^-3/2 = inf is not a normal float"),
+    (("anomaly", "--method", "perturbative-1", "--potential", "coulomb:Z=1",
+      "--lambda-min", "1e-320", "--lambda-max", "1"),
+     "Lambda window 9.99989e-321 to 1 is too wide: lam_max / lam_min overflows"),
+], ids=["infinite-charge", "infinite-hbar", "overflowing-w", "infinite-lambda-max",
+        "nan-lambda-min", "zero-hbar-and-infinite-lambda-max", "underflowing-lambda-squared",
+        "overflowing-lambda-squared", "overflowing-lambda-power", "overflowing-window"])
 def test_nonfinite_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
 
 
 class TestClassifyCommand:

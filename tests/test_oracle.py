@@ -423,6 +423,33 @@ class TestOracleW:
         target = compute_w2(spec, ATOMIC, lam)
         assert w == pytest.approx(target, rel=0.05)
 
+    @pytest.mark.parametrize("attractive, config, pinned", [
+        # the benchmark's reduced box, repulsive coupling
+        (False, OracleConfig(ell_max=30, grid_points=500, richardson_levels=(8.0, 12.0)), [
+            ("-0x1.656a8de2f80b9p-19", "0x1.064d01a9ebbc5p-22"),
+            ("-0x1.747d536b06ab5p-21", "0x1.00db4d633e43fp-24"),
+            ("-0x1.adde9c82cab9bp-23", "0x1.7e8eeb30d29ecp-26"),
+            ("-0x1.a5b2d085dc525p-26", "0x1.43d7f7aa101c2p-27"),
+        ]),
+        # radii whose grids share no step (h = 14/1200 and 18/1543)
+        (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
+            ("-0x1.65a08bf01b68cp-19", "0x1.fb2e6a4affab0p-23"),
+            ("-0x1.75ac0ae0fbbf8p-21", "0x1.c56b6f4a98ee3p-25"),
+            ("-0x1.b3af4f6b29175p-23", "0x1.19afdbf89cebfp-26"),
+            ("-0x1.db8f184bc8be5p-26", "0x1.755f2d46ba372p-28"),
+        ]),
+    ], ids=["repulsive-8-12", "attractive-14-18"])
+    def test_screened_values_pinned(self, attractive, config, pinned):
+        """Screened values and errors, bit for bit.
+
+        Reorganising how the oracle assembles its grids, radii and coupling
+        factors must leave every bit of both alone; any change to them is
+        recorded in CHANGES.md with the old and new values.
+        """
+        spec = yukawa(0.05, 1.0, attractive=attractive)
+        samples = oracle_trace(spec, ATOMIC, (10.0, 20.0, 37.5, 100.0), config)
+        assert [(v.hex(), e.hex()) for v, e in zip(samples.values, samples.errors)] == pinned
+
     def test_coulomb_rejected(self):
         with pytest.raises(UnsupportedPotentialError):
             oracle_trace(coulomb(1.0), ATOMIC, [10.0])
@@ -613,3 +640,5 @@ class TestOracleConfig:
             OracleConfig(richardson_levels=(40.0,))
         with pytest.raises(ValueError):
             OracleConfig(richardson_levels=(40.0, 20.0))
+        with pytest.raises(ValueError):
+            OracleConfig(richardson_levels=(8.0, 12.0, 16.0))

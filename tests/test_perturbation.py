@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,9 @@ class TestComputeW1:
     def test_screened_exact_zero(self):
         assert compute_w1(yukawa(1.0, 0.5), ATOMIC, 7.3) == 0.0
         assert compute_w1(cutoff_coulomb(1.0, 1.0), ATOMIC, 7.3) == 0.0
+        # no power of Lambda is taken, so none can leave the floats
+        for lam in (1e-320, 1e300):
+            assert compute_w1(yukawa(1.0, 0.5), ATOMIC, lam) == 0.0
 
     def test_lambda_scaling(self):
         spec = coulomb(1.0)
@@ -87,6 +91,12 @@ class TestComputeW1:
     def test_positive_lambda_required(self):
         with pytest.raises(ValueError):
             compute_w1(coulomb(1.0), ATOMIC, -1.0)
+
+    @pytest.mark.parametrize("lam, power", [(1e-300, "inf"), (1e-320, "inf"), (1e250, "0")])
+    def test_unrepresentable_lambda_rejected(self, lam, power):
+        message = f"Lambda = {lam:g} is out of range: Lambda^-3/2 = {power} is not a normal float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compute_w1(coulomb(1.0), ATOMIC, lam)
 
     @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.25, 4.0),
            st.floats(0.5, 3.0), st.floats(1.0, 100.0))
@@ -267,6 +277,27 @@ class TestClosedForm:
         assert w2_closed_form(1.0, ATOMIC, 10.0) == pytest.approx(-1.25e-3)
         assert w2_closed_form(1.0, ATOMIC, 40.0) == pytest.approx(-7.8125e-5)
         assert w2_closed_form(0.0, ATOMIC, 17.0) == 0.0
+
+    @pytest.mark.parametrize("lam, square", [(1e-200, "0"), (1e-160, "9.99989e-321"),
+                                             (1e200, "inf")])
+    def test_unrepresentable_lambda_rejected(self, lam, square):
+        # Lambda^2 = 0 would divide by zero, a subnormal Lambda^2 would lose
+        # digits, and Lambda^2 = inf would give w2 = -0.0
+        message = f"Lambda = {lam:g} is out of range: Lambda^2 = {square} is not a normal float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            w2_closed_form(1.0, ATOMIC, lam)
+
+
+class TestGeometricGrid:
+    @pytest.mark.parametrize("lam_min, lam_max, message", [
+        (10.0, math.inf, "Lambda bounds must be finite"),
+        (math.nan, 100.0, "Lambda bounds must be finite"),
+        (100.0, 10.0, "need 0 < lam_min < lam_max"),
+        (1e-300, 1e300, "Lambda window 1e-300 to 1e+300 is too wide"),
+    ])
+    def test_bad_window_rejected(self, lam_min, lam_max, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            geometric_grid(lam_min, lam_max, 5)
 
 
 class TestSampleW:
