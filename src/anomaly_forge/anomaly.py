@@ -25,11 +25,13 @@ import numpy as np
 from .errors import NotPowerLawError
 from .perturbation import TraceSamples
 from .potentials import CaseLabel, classify
-from .quadrature import PowerLawFit
+from .quadrature import PowerLawFit, fit_power_law
 from .units import UnitSystem
 
 #: treat |value| below this (reduced, atomic-like units) as numerically zero
 ZERO_TOLERANCE = 1e-6
+#: samples with |w| <= max(err, VANISHING_FLOOR) at every Lambda vanish
+VANISHING_FLOOR = 1e-15
 #: snap window for identifying the fitted exponent with a limit-critical integer
 EXPONENT_TOLERANCE = 0.1
 #: residual ceiling above which the power-law description is rejected
@@ -80,11 +82,6 @@ def _status_for(value: float, err: float) -> Status:
     return Status.FINITE
 
 
-def zero_result(case_label: CaseLabel) -> AnomalyResult:
-    """Both channels zero with no fit, for samples that vanish within their errors."""
-    return AnomalyResult(0.0, 0.0, Status.ZERO, Status.ZERO, 0.0, 0.0, case_label, None)
-
-
 def _channel(gamma: float, power: float, snapped: float, err: float, amplitude: float,
              vanishes: bool = False) -> tuple:
     """One limit lim amplitude Lambda^(power - gamma) on the fit.
@@ -102,17 +99,22 @@ def _channel(gamma: float, power: float, snapped: float, err: float, amplitude: 
     return None, 0.0, Status.DIVERGENT, power - gamma, amplitude
 
 
-def extract_anomalies(samples: TraceSamples, fit: PowerLawFit) -> AnomalyResult:
-    """Apply the two limit operators to a fitted power law.
+def extract_anomalies(samples: TraceSamples) -> AnomalyResult:
+    """Anomalies of trace samples: the zero test, the fit and both limits.
 
-    ``fit`` is ``fit_power_law(samples)``; the case label comes from
-    ``samples.spec``.  The number channel is 2 c gamma Lambda^(1-gamma) and
-    the energy channel 2 c (1-gamma) Lambda^(2-gamma), each snapped to its
-    critical exponent within EXPONENT_TOLERANCE.  Requires the fit to
-    actually describe the samples (residual at most RESIDUAL_MAX);
-    otherwise the large-Lambda limits are meaningless and NotPowerLawError
-    is raised.
+    Samples that vanish within their errors (|w| <= max(err,
+    VANISHING_FLOOR) at every Lambda) give both channels zero and no fit.
+    Otherwise ``fit_power_law(samples)`` must describe them (residual at
+    most RESIDUAL_MAX; NotPowerLawError if not, MixedSignError for partly
+    zero or sign-changing samples), and the limit operators act on it: the
+    number channel is 2 c gamma Lambda^(1-gamma) and the energy channel
+    2 c (1-gamma) Lambda^(2-gamma), each snapped to its critical exponent
+    within EXPONENT_TOLERANCE.  The case label comes from ``samples.spec``.
     """
+    case_label = classify(samples.spec).case_label
+    if all(abs(w) <= max(e, VANISHING_FLOOR) for w, e in zip(samples.values, samples.errors)):
+        return AnomalyResult(0.0, 0.0, Status.ZERO, Status.ZERO, 0.0, 0.0, case_label, None)
+    fit = fit_power_law(samples)
     if fit.residual > RESIDUAL_MAX:
         raise NotPowerLawError(
             f"fit residual {fit.residual:.3g} exceeds {RESIDUAL_MAX:.3g}; "
@@ -131,7 +133,7 @@ def extract_anomalies(samples: TraceSamples, fit: PowerLawFit) -> AnomalyResult:
     return AnomalyResult(
         a_n=a_n, a_e=a_e, status_n=status_n, status_e=status_e,
         a_n_err=a_n_err, a_e_err=a_e_err,
-        case_label=classify(samples.spec).case_label, fit=fit,
+        case_label=case_label, fit=fit,
         growth_exponent_n=growth_n, growth_exponent_e=growth_e,
         growth_amplitude_n=amp_n, growth_amplitude_e=amp_e,
     )

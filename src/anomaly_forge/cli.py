@@ -4,7 +4,8 @@ Commands
 --------
 classify    print the singularity class of a potential spec
 trace       sample the trace difference over a Lambda grid, emit CSV
-anomaly     trace + power-law fit + limit extraction, emit a report
+anomaly     sample the trace difference, then one ``extract_anomalies`` call
+            (zero test, power-law fit, limits), emit a report
 reproduce   run one named verification scenario and print pass/fail
 
 Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors
@@ -26,7 +27,6 @@ from .anomaly import (
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
-    zero_result,
 )
 from .errors import MixedSignError, NotPowerLawError, TailDivergentError, UnconvergedError
 from .perturbation import Order, TraceSamples, geometric_grid, sample_w
@@ -163,17 +163,9 @@ def _cmd_trace(args, units: UnitSystem) -> int:
     return 0
 
 
-def _all_below_tolerance(samples: TraceSamples) -> bool:
-    return all(abs(w) <= max(e, 1e-15) for w, e in zip(samples.values, samples.errors))
-
-
 def _cmd_anomaly(args, units: UnitSystem) -> int:
     spec = parse_potential(args.potential)
-    samples = _samples_for(args, units, spec)
-    if _all_below_tolerance(samples):
-        result = zero_result(classify(spec).case_label)
-    else:
-        result = extract_anomalies(samples, fit_power_law(samples))
+    result = extract_anomalies(_samples_for(args, units, spec))
     _emit(emit_report(result, args.format), args.out)
     return 0
 
@@ -199,7 +191,7 @@ def _cmd_reproduce(args, units: UnitSystem) -> int:
     elif args.target == "case-b-energy":
         spec = potentials.coulomb(z)
         samples = sample_w(spec, units, geometric_grid(10.0, 100.0, 12), Order.SECOND)
-        result = extract_anomalies(samples, fit_power_law(samples))
+        result = extract_anomalies(samples)
         ok &= _check(f"energy anomaly (Z={z:g})", result.a_e,
                      delta_ae_case_b_closed_form(z, units), 1e-2)
     elif args.target == "w1-scaling":
@@ -210,8 +202,7 @@ def _cmd_reproduce(args, units: UnitSystem) -> int:
     elif args.target == "eq7":
         alpha = 50.0 * units.hbar**2 / units.m
         spec = potentials.inverse_square(alpha)
-        samples = oracle_trace(spec, units, geometric_grid(5.0, 50.0, 8))
-        result = extract_anomalies(samples, fit_power_law(samples))
+        result = extract_anomalies(oracle_trace(spec, units, geometric_grid(5.0, 50.0, 8)))
         ok &= _check("number anomaly (2 m alpha/hbar^2 = 100)", result.a_n,
                      delta_an_case_a_exact(alpha, units), 0.10)
         published = delta_an_case_a_closed_form(alpha, units)

@@ -26,8 +26,9 @@ eigenvalues.
 
 Only this module needs scipy, and importing scipy.special alone takes
 several times a whole perturbative CLI run, so scipy is imported on first
-use, not with the package.  ``ive`` and ``eigvalsh_tridiagonal`` stay
-module-level functions so that callers can still replace them by name.
+use, not with the package.  ``ive`` stays module-level so that callers can
+replace it by name; ``eigvalsh_tridiagonal``, called by no code here, stays
+only because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -85,22 +86,6 @@ def eigvalsh_tridiagonal(d, e, **kwargs):
     """scipy.linalg.eigvalsh_tridiagonal, imported on the first call."""
     from scipy.linalg import eigvalsh_tridiagonal as scipy_eigvalsh_tridiagonal
     return scipy_eigvalsh_tridiagonal(d, e, **kwargs)
-
-
-def _grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
-                         units: UnitSystem) -> np.ndarray:
-    """All eigenvalues of the Dirichlet tridiagonal radial discretization.
-
-    The reference that the trace recursion of ``_grid_traces`` is tested
-    against; the oracle itself never needs the eigenvalues.
-    """
-    hbar, m = units.hbar, units.m
-    h = box_radius / n_points
-    r = h * np.arange(1, n_points)
-    kin = hbar * hbar / (m * h * h)
-    diag = kin + hbar * hbar * ell * (ell + 1) / (2.0 * m * r * r) + vfun(r)
-    off = np.full(n_points - 2, -0.5 * kin)
-    return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +203,12 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     ratio[~cf] = num[ok] / den[ok]
     ratio[cf] = _bessel_ratio_cf(nu[cf], x)
     return 0.5 * x * ratio
+
+
+# Largest case-A box scale x = sqrt(2 m Lambda) R / hbar: past about 2500 the
+# rounding of _case_a_w_at_radius's classical term outgrows the 1/x bias.
+# The smallest is 2 beta: below about 1.0-1.45 beta the bar misses the value.
+_CASE_A_X_MAX = 2000.0
 
 
 def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
@@ -359,9 +350,9 @@ def _grid_traces(spec, units, lams, grids, ell_max):
 
     ``grids`` is a sequence of (r_box, n_points).  Returns one array per
     grid, in the order given, of shape
-    (len(_COUPLING_FACTORS), ell_max + 1, len(lams)), H being the Dirichlet
-    tridiagonal radial operator of ``_grid_channel_levels`` with the
-    potential scaled by the coupling factor.  For the symmetric tridiagonal
+    (len(_COUPLING_FACTORS), len(lams), ell_max + 1).  H is the Dirichlet
+    tridiagonal radial operator on r_i = i r_box / n_points, 0 < i < n_points,
+    with the potential scaled by the coupling factor.  For the symmetric tridiagonal
     lam + H = L D L^T with diagonal a_i and off-diagonal b, the pivots are
     d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
     = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.
@@ -410,7 +401,7 @@ def _grid_traces(spec, units, lams, grids, ell_max):
     for i in range(1, n_rows[0]):
         while n_rows[live - 1] <= i:   # the last live grid has no row i
             live -= 1
-            out[order[live]] = trace[live].transpose(0, 2, 1)
+            out[order[live]] = trace[live]
             d, dp, trace, carry, g, total = (a[:live] for a in (d, dp, trace, carry, g, total))
         np.divide(b2[:live], d, out=g)    # g = b^2 / d
         dp *= g                           # d' = 1 + g d' / d
@@ -425,7 +416,7 @@ def _grid_traces(spec, units, lams, grids, ell_max):
         carry -= term
         trace, total = total, trace
     for slot in range(live):
-        out[order[slot]] = trace[slot].transpose(0, 2, 1)
+        out[order[slot]] = trace[slot]
     return out
 
 
@@ -475,9 +466,11 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     Every Lambda is evaluated in boxes of both radii of
     ``config.richardson_levels``.  Inverse-square values are extrapolated
     as w(R) = w_inf + a/R^2; the error is a third of that step plus the
-    larger channel-tail residual.  Screened families take four grids (fine
-    and coarse step at each radius) from one ``_grid_traces`` sweep and
-    every classical difference from one quadrature batch.  The value is the
+    larger channel-tail residual; every box scale x = sqrt(2 m Lambda) R / hbar
+    of the grid and both radii must lie in [2 beta, 2000] (ValueError
+    otherwise).  Screened families take four grids (fine and coarse step at
+    each radius) from one ``_grid_traces`` sweep and every classical
+    difference from one quadrature batch.  The value is the
     coupling-even part [W(+U) + W(-U)]/2, which cancels the coupling-linear
     wall and grid artifacts to all odd orders, with a fitted channel tail
     and grid-step Richardson, at the larger radius.  Its error sums the
@@ -501,6 +494,15 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     r1, r2 = config.richardson_levels
     if fam is Family.INVERSE_SQUARE:
         beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
+        x_lo = math.sqrt(2.0 * units.m * min(lams)) * r1 / units.hbar
+        x_hi = math.sqrt(2.0 * units.m * max(lams)) * r2 / units.hbar
+        beta = math.sqrt(beta2)
+        if not (2.0 * beta <= x_lo and x_hi <= _CASE_A_X_MAX):
+            lam, r_box, x = (min(lams), r1, x_lo) if x_lo < 2.0 * beta else (max(lams), r2, x_hi)
+            raise ValueError(
+                f"box scale x = sqrt(2 m Lambda) R / hbar = {x:g} at Lambda = {lam:g}, "
+                f"box radius R = {r_box:g}, is outside [2 beta, {_CASE_A_X_MAX:g}] = "
+                f"[{2.0 * beta:g}, {_CASE_A_X_MAX:g}]; move the Lambda window into it")
         vals, errs = [], []
         for lam in lams:
             (w1, t1), (w2, t2) = (_case_a_w_at_radius(beta2, lam, r, units) for r in (r1, r2))
@@ -519,8 +521,7 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         _classical_difference(spec, units, _COUPLING_FACTORS[:4], lams, (r1, r2)), 2, axis=0)
     # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
     # axis, so that it adds in the order of a 1-D np.sum over one channel series
-    traces = np.stack([t.transpose(0, 2, 1)
-                       for t in _grid_traces(spec, units, lams, grids, config.ell_max)])
+    traces = np.stack(_grid_traces(spec, units, lams, grids, config.ell_max))
     deg = 2.0 * np.arange(config.ell_max + 1) + 1.0
     # channel terms (2 ell + 1) [Tr_f - Tr_0] of the factors 1, -1, 1/2, -1/2
     t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * (traces[:, :4] - traces[:, 4:]), 1, 0)

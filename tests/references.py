@@ -12,6 +12,10 @@ form against an independent evaluation:
 * ``second_order_kernel``: the bracket's p-integral K(t), summed by residues;
 * ``w2_k_quadrature``: w2 as the 1D adaptive k-quadrature over K(t), for
   any family with a pointwise transform.
+
+``grid_channel_levels`` is the reference of the screened oracle's grid
+traces: the eigenvalues of the radial grid operator whose resolvent traces
+``spectral_oracle._grid_traces`` takes without eigensolves.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from anomaly_forge.potentials import PotentialSpec, fourier_transform_at
 from anomaly_forge.quadrature import QuadratureBudget, integrate_adaptive
@@ -134,3 +139,19 @@ def w2_k_quadrature(spec: PotentialSpec, units: UnitSystem, lam: float) -> float
     budget = QuadratureBudget(abs_tol=1e-16 * w_unit, rel_tol=1e-12, max_evals=2_000_000)
     res = integrate_adaptive(integrand, (0.0, math.inf), budget)
     return res.require_converged("w2 k-quadrature").value
+
+
+def grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
+                        units: UnitSystem) -> np.ndarray:
+    """All eigenvalues of the Dirichlet tridiagonal radial discretization.
+
+    The grid is r_i = i h, h = box_radius / n_points, i = 1 .. n_points - 1,
+    with potential ``vfun(r)`` in channel ``ell``.
+    """
+    hbar, m = units.hbar, units.m
+    h = box_radius / n_points
+    r = h * np.arange(1, n_points)
+    kin = hbar * hbar / (m * h * h)
+    diag = kin + hbar * hbar * ell * (ell + 1) / (2.0 * m * r * r) + vfun(r)
+    off = np.full(n_points - 2, -0.5 * kin)
+    return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")

@@ -6,7 +6,6 @@ are produced.  Criterion tolerances are fixed here, not configurable.
 
 import contextlib
 import io
-import math
 import time
 
 import numpy as np
@@ -58,8 +57,7 @@ def case_a_samples():
 
 @pytest.fixture(scope="module")
 def case_a_result(case_a_samples):
-    fit = fit_power_law(case_a_samples)
-    return extract_anomalies(case_a_samples, fit)
+    return extract_anomalies(case_a_samples)
 
 
 def test_criterion_01_case_b_energy_anomaly():
@@ -68,7 +66,7 @@ def test_criterion_01_case_b_energy_anomaly():
     for z in (1.0, 2.0):
         samples = sample_w(coulomb(z), ATOMIC, geometric_grid(10.0, 100.0, 12),
                            Order.SECOND)
-        result = extract_anomalies(samples, fit_power_law(samples))
+        result = extract_anomalies(samples)
         expected = delta_ae_case_b_closed_form(z, ATOMIC)
         ok &= abs(result.a_e - expected) <= 0.01 * expected
         details.append(f"Z={z:g}: {result.a_e:.5f} vs {expected:.5f}")
@@ -145,7 +143,7 @@ def test_criterion_05_case_a_energy_anomaly_vanishes(case_a_result):
 
 def test_criterion_06_first_order_divergence():
     samples = sample_w(coulomb(1.0), ATOMIC, geometric_grid(10.0, 1000.0, 10), Order.FIRST)
-    result = extract_anomalies(samples, fit_power_law(samples))
+    result = extract_anomalies(samples)
     ok = (result.status_e is Status.DIVERGENT
           and abs(result.growth_exponent_e - 0.5) <= 0.05
           and result.status_n is Status.ZERO)
@@ -177,7 +175,7 @@ def test_criterion_08_hbar_scaling():
 
     def a_n_at(units):
         samples = oracle_trace(spec, units, grid)
-        result = extract_anomalies(samples, fit_power_law(samples))
+        result = extract_anomalies(samples)
         return result.a_n
 
     a1 = a_n_at(ATOMIC)
@@ -254,7 +252,7 @@ def test_criterion_10_property_suites():
         samples = TraceSamples(grid, tuple(-2.0 * l**-gamma for l in grid),
                                tuple(0.0 for _ in grid), Source.ORACLE,
                                coulomb(1.0), ATOMIC)
-        r = extract_anomalies(samples, fit_power_law(samples))
+        r = extract_anomalies(samples)
         ok_table &= (r.status_n, r.status_e) == expected
     timings["extraction"] = time.time() - t0
 

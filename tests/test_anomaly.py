@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from anomaly_forge.anomaly import (
@@ -9,13 +7,11 @@ from anomaly_forge.anomaly import (
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
-    zero_result,
 )
 from anomaly_forge.cli import main
-from anomaly_forge.errors import NotPowerLawError
+from anomaly_forge.errors import MixedSignError, NotPowerLawError
 from anomaly_forge.perturbation import Order, Source, TraceSamples, geometric_grid, sample_w
-from anomaly_forge.potentials import CaseLabel, coulomb, inverse_square
-from anomaly_forge.quadrature import fit_power_law
+from anomaly_forge.potentials import CaseLabel, coulomb, cutoff_coulomb, inverse_square, yukawa
 from anomaly_forge.units import ATOMIC, UnitSystem
 
 
@@ -25,20 +21,16 @@ def _synthetic(spec, values_of):
     return TraceSamples(grid, vals, tuple(0.0 for _ in grid), Source.ORACLE, spec, ATOMIC)
 
 
-def _extract(samples):
-    return extract_anomalies(samples, fit_power_law(samples))
-
-
 class TestExtractionAlgebra:
     def test_gamma_one(self):
-        r = _extract(_synthetic(inverse_square(1.0), lambda l: 5.0 / l))
+        r = extract_anomalies(_synthetic(inverse_square(1.0), lambda l: 5.0 / l))
         assert r.status_n is Status.FINITE
         assert r.a_n == pytest.approx(10.0, abs=1e-10)
         assert r.status_e is Status.ZERO
         assert r.a_e == 0.0
 
     def test_gamma_two(self):
-        r = _extract(_synthetic(coulomb(1.0), lambda l: -3.0 / l**2))
+        r = extract_anomalies(_synthetic(coulomb(1.0), lambda l: -3.0 / l**2))
         assert r.status_n is Status.ZERO
         assert r.status_e is Status.FINITE
         assert r.a_e == pytest.approx(6.0, abs=1e-10)
@@ -46,7 +38,7 @@ class TestExtractionAlgebra:
     def test_gamma_three_halves(self):
         # between the two critical exponents: number limit vanishes, energy
         # limit diverges like Lambda^(1/2)
-        r = _extract(_synthetic(coulomb(1.0), lambda l: 2.0 * l**-1.5))
+        r = extract_anomalies(_synthetic(coulomb(1.0), lambda l: 2.0 * l**-1.5))
         assert r.status_n is Status.ZERO
         assert r.status_e is Status.DIVERGENT
         assert r.a_e is None
@@ -54,14 +46,14 @@ class TestExtractionAlgebra:
         assert r.growth_amplitude_e == pytest.approx(2.0 * 2.0 * (1.0 - 1.5), rel=1e-9)
 
     def test_gamma_below_one_diverges_both(self):
-        r = _extract(_synthetic(coulomb(1.0), lambda l: 1.0 * l**-0.5))
+        r = extract_anomalies(_synthetic(coulomb(1.0), lambda l: 1.0 * l**-0.5))
         assert r.status_n is Status.DIVERGENT
         assert r.growth_exponent_n == pytest.approx(0.5, abs=1e-9)
         assert r.status_e is Status.DIVERGENT
         assert r.growth_exponent_e == pytest.approx(1.5, abs=1e-9)
 
     def test_gamma_above_two_all_zero(self):
-        r = _extract(_synthetic(coulomb(1.0), lambda l: 4.0 / l**3))
+        r = extract_anomalies(_synthetic(coulomb(1.0), lambda l: 4.0 / l**3))
         assert (r.status_n, r.status_e) == (Status.ZERO, Status.ZERO)
 
     def test_truth_table(self):
@@ -79,7 +71,7 @@ class TestExtractionAlgebra:
             2.05: (Status.ZERO, Status.FINITE),
         }
         for gamma, expected in table.items():
-            r = _extract(_synthetic(coulomb(1.0), lambda l, g=gamma: -2.0 * l**-g))
+            r = extract_anomalies(_synthetic(coulomb(1.0), lambda l, g=gamma: -2.0 * l**-g))
             assert (r.status_n, r.status_e) == expected, f"gamma={gamma}"
 
     def test_residual_gate(self):
@@ -88,10 +80,10 @@ class TestExtractionAlgebra:
         samples = TraceSamples(grid, vals, tuple(0.0 for _ in grid), Source.ORACLE,
                                coulomb(1.0), ATOMIC)
         with pytest.raises(NotPowerLawError):
-            _extract(samples)
+            extract_anomalies(samples)
 
     def test_small_finite_value_reports_zero_status(self):
-        r = _extract(_synthetic(coulomb(1.0), lambda l: 1e-8 / l))
+        r = extract_anomalies(_synthetic(coulomb(1.0), lambda l: 1e-8 / l))
         assert r.status_n is Status.ZERO
 
     def test_divergent_result_has_no_value(self):
@@ -180,7 +172,7 @@ class TestEndToEndCaseB:
     def test_matches_closed_form(self, Z):
         samples = sample_w(coulomb(Z), ATOMIC, geometric_grid(10.0, 100.0, 12),
                            Order.SECOND)
-        r = _extract(samples)
+        r = extract_anomalies(samples)
         assert r.status_e is Status.FINITE
         assert r.a_e == pytest.approx(delta_ae_case_b_closed_form(Z, ATOMIC), rel=1e-2)
         assert r.status_n is Status.ZERO
@@ -188,8 +180,8 @@ class TestEndToEndCaseB:
 
 
 def _first_order(Z):
-    return _extract(sample_w(coulomb(Z), ATOMIC, geometric_grid(10.0, 1000.0, 10),
-                             Order.FIRST))
+    return extract_anomalies(sample_w(coulomb(Z), ATOMIC, geometric_grid(10.0, 1000.0, 10),
+                                      Order.FIRST))
 
 
 class TestFirstOrderClassification:
@@ -200,7 +192,7 @@ class TestFirstOrderClassification:
         assert r.status_n is Status.ZERO
 
     def test_screened_both_zero(self, capsys):
-        # vanishing samples take the CLI's zero path, which makes no fit
+        # vanishing samples give both zeros without a fit
         for potential in ("yukawa:Z=1,kappa=0.5", "cutoff-coulomb:Z=1,rcut=1"):
             code = main(["anomaly", "--method", "perturbative-1", "--potential", potential,
                          "--lambda-min", "10", "--lambda-max", "1000", "--points", "10"])
@@ -214,7 +206,37 @@ class TestFirstOrderClassification:
 
 
 class TestZeroResult:
+    """Samples that vanish within their errors give both channels zero, no fit."""
+
     def test_shape(self):
-        r = zero_result(CaseLabel.C)
+        samples = sample_w(cutoff_coulomb(1.0, 1.0), ATOMIC, geometric_grid(10.0, 1000.0, 10),
+                           Order.FIRST)
+        r = extract_anomalies(samples)
         assert (r.status_n, r.status_e) == (Status.ZERO, Status.ZERO)
         assert r.a_n == 0.0 and r.a_e == 0.0 and r.fit is None
+        assert r.case_label is CaseLabel.C
+
+    def test_screened_first_order_keeps_its_case(self):
+        # the library path the CLI takes: no MixedSignError from a fit of zeros
+        samples = sample_w(yukawa(1.0, 0.5), ATOMIC, geometric_grid(10.0, 1000.0, 10),
+                           Order.FIRST)
+        r = extract_anomalies(samples)
+        assert (r.status_n, r.status_e) == (Status.ZERO, Status.ZERO)
+        assert r.fit is None
+        assert r.case_label is CaseLabel.B
+
+    def test_values_within_their_errors(self):
+        grid = geometric_grid(10.0, 1000.0, 6)
+        vals = tuple(1e-9 * (-1.0) ** i for i in range(len(grid)))
+        samples = TraceSamples(grid, vals, tuple(2e-9 for _ in grid), Source.ORACLE,
+                               coulomb(1.0), ATOMIC)
+        r = extract_anomalies(samples)
+        assert (r.status_n, r.status_e, r.fit) == (Status.ZERO, Status.ZERO, None)
+
+    def test_partly_zero_samples_still_raise(self):
+        grid = geometric_grid(10.0, 1000.0, 6)
+        vals = (0.0,) + tuple(1.0 / l for l in grid[1:])
+        samples = TraceSamples(grid, vals, tuple(0.0 for _ in grid), Source.ORACLE,
+                               coulomb(1.0), ATOMIC)
+        with pytest.raises(MixedSignError):
+            extract_anomalies(samples)

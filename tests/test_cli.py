@@ -3,11 +3,10 @@ import io
 
 import pytest
 
-from anomaly_forge.anomaly import AnomalyResult, Status, extract_anomalies, zero_result
+from anomaly_forge.anomaly import extract_anomalies
 from anomaly_forge.cli import emit_report, main
 from anomaly_forge.perturbation import Order, geometric_grid, sample_w
-from anomaly_forge.potentials import CaseLabel, coulomb
-from anomaly_forge.quadrature import PowerLawFit, fit_power_law
+from anomaly_forge.potentials import coulomb, cutoff_coulomb
 from anomaly_forge.units import ATOMIC
 
 
@@ -290,23 +289,45 @@ class TestAnomalyCommand:
         assert "box radius R = 20" in err
         assert f"Lambda = {float(lambda_min):g}" in err
 
+    @pytest.mark.parametrize("window, lam, r_box, x", [
+        (("0.001", "0.01"), "0.001", "20", "0.894427"),
+        (("1e4", "1e5"), "100000", "40", "17888.5"),
+    ], ids=["small-box", "large-box"])
+    def test_case_a_box_scale_outside_range_exits_2(self, capsys, window, lam, r_box, x):
+        # x = sqrt(2 m Lambda) R / hbar must lie in [2 beta, 2000]; beta = 10
+        code, out, err = run_cli(capsys, "anomaly", "--method", "oracle",
+                                 "--potential", "inverse-square:alpha=50",
+                                 "--lambda-min", window[0], "--lambda-max", window[1],
+                                 "--points", "4")
+        assert code == 2
+        assert out == ""
+        assert f"x = sqrt(2 m Lambda) R / hbar = {x} at Lambda = {lam}" in err
+        assert f"box radius R = {r_box}," in err
+        assert "[2 beta, 2000] = [20, 2000]" in err
+
 
 class TestEmitReport:
     def test_divergent_has_no_value_line(self):
         samples = sample_w(coulomb(1.0), ATOMIC, geometric_grid(10.0, 1000.0, 8),
                            Order.FIRST)
-        text = emit_report(extract_anomalies(samples, fit_power_law(samples)), "keyvalue")
+        text = emit_report(extract_anomalies(samples), "keyvalue")
         assert "a_e_reduced=n/a (divergent)" in text
         assert "growth_exponent=0.50" in text
 
+    @staticmethod
+    def _vanishing():
+        samples = sample_w(cutoff_coulomb(1.0, 1.0), ATOMIC, geometric_grid(10.0, 1000.0, 8),
+                           Order.FIRST)
+        return extract_anomalies(samples)
+
     def test_zero_result_format(self):
-        text = emit_report(zero_result(CaseLabel.C), "keyvalue")
+        text = emit_report(self._vanishing(), "keyvalue")
         assert "case=C" in text
         assert "a_n_reduced=0 (below tolerance)" in text
         assert "gamma=n/a" in text
 
     def test_lf_endings(self):
-        text = emit_report(zero_result(CaseLabel.C), "keyvalue")
+        text = emit_report(self._vanishing(), "keyvalue")
         assert "\r" not in text
         assert text.endswith("\n")
 

@@ -22,13 +22,13 @@ from anomaly_forge.spectral_oracle import (
     _classical_difference,
     _fit_channel_tail,
     _COUPLING_FACTORS,
-    _grid_channel_levels,
     _grid_traces,
     _turning_point,
     bessel_channel_sums,
     oracle_trace,
 )
 from anomaly_forge.units import ATOMIC, UnitSystem
+from references import grid_channel_levels
 
 ALPHA_100 = 50.0  # 2 m alpha / hbar^2 = 100 in atomic units
 
@@ -71,9 +71,9 @@ def channel_sum(nu: float, lam: float, r_box: float) -> float:
 
 class TestChannelSpectrum:
     def test_free_s_wave_box(self):
-        # the grid eigensolve behind the screened oracle: at R = pi the free
+        # the grid operator behind the screened oracle: at R = pi the free
         # s-wave levels are n^2/2, up to the O((k h)^2) grid error
-        levels = _grid_channel_levels(lambda r: 0.0 * r, 0, math.pi, 2400, ATOMIC)
+        levels = grid_channel_levels(lambda r: 0.0 * r, 0, math.pi, 2400, ATOMIC)
         for n, e in enumerate(levels[:6], start=1):
             assert e == pytest.approx(n * n / 2.0, rel=1e-5)
 
@@ -88,7 +88,7 @@ class TestChannelSpectrum:
         # independent oracle: radial shooting with bisection on the energy
         spec = yukawa(1.0, 1.0)
         r_box = 30.0
-        lowest = _grid_channel_levels(lambda r: evaluate(spec, ATOMIC, r), 0, r_box,
+        lowest = grid_channel_levels(lambda r: evaluate(spec, ATOMIC, r), 0, r_box,
                                       6000, ATOMIC)[0]
 
         def u_at_wall(energy):
@@ -117,7 +117,7 @@ class TestGridTraces:
         levels = kin * (1.0 - np.cos(k * math.pi / n_points))
         for j, lam in enumerate(lams):
             exact = float(np.sum(1.0 / (lam + levels)))
-            assert traces[:, 0, j] == pytest.approx(exact, rel=1e-12)
+            assert traces[:, j, 0] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("spec, lams, indefinite", [
         (yukawa(0.05, 1.0), [10.0, 100.0], False),
@@ -133,12 +133,12 @@ class TestGridTraces:
         below = 0
         for i, factor in enumerate(_COUPLING_FACTORS):
             for ell in range(ell_max + 1):
-                levels = _grid_channel_levels(lambda r: factor * evaluate(spec, ATOMIC, r),
+                levels = grid_channel_levels(lambda r: factor * evaluate(spec, ATOMIC, r),
                                               ell, r_box, n_points, ATOMIC)
                 for j, lam in enumerate(lams):
                     below += int(np.sum(levels < -lam))
                     exact = float(np.sum(1.0 / (lam + levels)))
-                    assert traces[i, ell, j] == pytest.approx(exact, rel=1e-9)
+                    assert traces[i, j, ell] == pytest.approx(exact, rel=1e-9)
         assert (below > 0) == indefinite
 
     @pytest.mark.parametrize("spec, lams", [
@@ -153,7 +153,7 @@ class TestGridTraces:
         assert len(swept) == len(grids)
         for grid, traces in zip(grids, swept):
             (alone,) = _grid_traces(spec, ATOMIC, lams, [grid], 12)
-            assert traces.shape == (len(_COUPLING_FACTORS), 13, len(lams))
+            assert traces.shape == (len(_COUPLING_FACTORS), len(lams), 13)
             assert np.array_equal(traces, alone), grid
         assert _grid_traces(spec, ATOMIC, lams, [], 12) == []
 
