@@ -5,6 +5,10 @@ quantum resolvent trace and its classical phase-space counterpart for a
 family of radial potentials, fits its large-Lambda power law, and applies
 the limit operators that turn the fit into particle-number and energy
 anomalies.
+
+The spectral oracle's names (``OracleConfig``, ``bessel_channel_sums``,
+``oracle_trace``) are resolved on first access, so that importing the
+package loads neither numpy nor scipy.
 """
 
 from .units import ATOMIC, UnitSystem
@@ -41,7 +45,6 @@ from .perturbation import (
     sample_w,
     w2_closed_form,
 )
-from .spectral_oracle import OracleConfig, bessel_channel_sums, oracle_trace
 from .anomaly import (
     AnomalyResult,
     Status,
@@ -95,3 +98,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("OracleConfig", "bessel_channel_sums", "oracle_trace")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import spectral_oracle
+        return getattr(spectral_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

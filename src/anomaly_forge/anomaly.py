@@ -20,8 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotPowerLawError
 from .perturbation import TraceSamples
 from .potentials import CaseLabel, classify
@@ -197,15 +195,16 @@ def delta_an_case_a_exact(alpha: float, units: UnitSystem) -> float:
     b4 = b2 * b2
 
     def k(lam):
-        return b4 / (2.0 * (np.sqrt(lam * lam + b2) + lam) ** 2)
+        t = math.sqrt(lam * lam + b2) + lam
+        return b4 / (2.0 * (t * t))
 
     def h(lam):
-        s = np.sqrt(lam * lam + b2)
-        return -b4 * (lam + 2.0 * s) / (6.0 * (s + lam) ** 2)
+        s = math.sqrt(lam * lam + b2)
+        t = s + lam
+        return -b4 * (lam + 2.0 * s) / (6.0 * (t * t))
 
     n_cells = 32 + 2 * math.ceil(beta)
-    n = np.arange(n_cells, dtype=float)
-    cells = k(n + 0.5) - (h(n + 1.0) - h(n))
+    cells = [k(n + 0.5) - (h(n + 1.0) - h(n)) for n in map(float, range(n_cells))]
     lam = float(n_cells)
     s = math.sqrt(lam * lam + b2)
     g1 = -b4 / (s * (s + lam) ** 2)

@@ -32,11 +32,17 @@ from .errors import MixedSignError, NotPowerLawError, TailDivergentError, Unconv
 from .perturbation import Order, TraceSamples, geometric_grid, sample_w
 from .potentials import LargeXTail, classify, parse_potential
 from .quadrature import fit_power_law
-from .spectral_oracle import oracle_trace
 from .units import UnitSystem
 
 _METHOD_CHOICES = ("perturbative-1", "perturbative-2", "oracle")
 _TARGETS = ("eq7", "case-b-energy", "w1-scaling", "w2-closed-form")
+
+
+def oracle_trace(spec, units, lambda_grid, config=None):
+    """``spectral_oracle.oracle_trace``, imported on the first call: the
+    oracle needs numpy and scipy, which no other command loads."""
+    from .spectral_oracle import oracle_trace as spectral_oracle_trace
+    return spectral_oracle_trace(spec, units, lambda_grid, config)
 
 
 def _build_parser() -> argparse.ArgumentParser:

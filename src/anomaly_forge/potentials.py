@@ -10,7 +10,9 @@ Supported families:
 The momentum-space transform follows the convention in which the Coulomb
 potential transforms to 4 pi Z e^2 hbar^2 / k^2.  Transforms are returned
 for the magnitude profile |U|; the attractive/repulsive sign lives on the
-spec itself, so squared transforms are unambiguous.
+spec itself, so squared transforms are unambiguous.  ``evaluate`` and
+``fourier_transform_at`` are array functions that only the spectral oracle
+and the tests call, so they import numpy on the call.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NotRepresentableError
 from .units import UnitSystem
@@ -104,6 +104,8 @@ class SingularityClass:
 
 def evaluate(spec: PotentialSpec, units: UnitSystem, r):
     """Potential energy U(r) at a radius or an array of radii; raises on r <= 0."""
+    import numpy as np
+
     if not np.all(r > 0.0):
         raise ValueError(f"r must be strictly positive, got {r}")
     fam = spec.family
@@ -126,6 +128,8 @@ def fourier_transform_at(spec: PotentialSpec, units: UnitSystem, k):
     and may therefore oscillate in sign at large k; only its square enters
     second-order kernels.  Accepts an array of momenta.
     """
+    import numpy as np
+
     if not np.all(k > 0.0):
         raise ValueError(f"k must be strictly positive, got {k}")
     hbar = units.hbar

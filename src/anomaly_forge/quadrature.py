@@ -9,6 +9,12 @@ bisection with the 15 nodes of every new panel as rows of one array; a
 batch of intervals shares the rounds, so one call serves every live
 integral.  Evaluation order is deterministic, making repeated runs
 bit-identical.
+
+The power-law fit is the closed-form two-parameter least-squares line
+through the log-log samples, summed with ``math.fsum``.  Only the
+integrator needs numpy, and importing numpy takes longer than a whole
+perturbative CLI run, so numpy is imported when an integral first runs,
+not with the module.
 """
 
 from __future__ import annotations
@@ -18,33 +24,31 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import MixedSignError, UnconvergedError
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
 # (Gauss nodes sit at the odd Kronrod indices, taken as ``[1::2]``).
-_XK = np.array([
+_XK = (
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
     -0.207784955007898, 0.0,
     0.207784955007898, 0.405845151377397, 0.586087235467691,
     0.741531185599394, 0.864864423359769, 0.949107912342759,
     0.991455371120813,
-])
-_WK = np.array([
+)
+_WK = (
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
     0.204432940075298, 0.190350578064785, 0.169004726639267,
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
-])
+)
 
 
 @dataclass(frozen=True)
@@ -83,13 +87,16 @@ def _panels(g, lo, hi, rows):
     Each panel's sums are taken row by row as 15- and 7-term dot products:
     one matrix product over all rows rounds differently.
     """
+    import numpy as np
+
+    xk, wk, wg = np.array(_XK), np.array(_WK), np.array(_WG)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fv = g(c[:, None] + h[:, None] * _XK, rows)
+    fv = g(c[:, None] + h[:, None] * xk, rows)
     vals, errs = [], []
     for hk, row in zip(h.tolist(), fv):
-        ik = hk * float(row @ _WK)
-        ig = hk * float(row[1::2] @ _WG)
+        ik = hk * float(row @ wk)
+        ig = hk * float(row[1::2] @ wg)
         vals.append(ik)
         errs.append(abs(ik - ig))
     return vals, errs
@@ -108,6 +115,8 @@ def integrate_batch(g: Callable, lower, upper,
     steps of an integral never depend on the others, so each result is what
     a batch of one returns, bit for bit.
     """
+    import numpy as np
+
     if budget is None:
         budget = QuadratureBudget()
     lower = np.asarray(lower, dtype=float)
@@ -206,33 +215,41 @@ def fit_power_law(samples) -> PowerLawFit:
     ``samples`` is a TraceSamples instance or any object with ``lambdas``
     and ``values`` sequences.  All values must share one sign (a sign
     change raises MixedSignError) and none may vanish.
+
+    The line y = ln c - gamma x through x = ln Lambda, y = ln|W| is the
+    closed-form least-squares fit about the centroid: the slope is
+    Sxy/Sxx over centred sums.  With sigma^2 the residual sum of squares
+    over n - 2 degrees of freedom, the slope's variance is sigma^2/Sxx and
+    the intercept's sigma^2 (1/n + mean(x)^2/Sxx).
     """
-    lams = np.asarray(samples.lambdas, dtype=float)
-    w = np.asarray(samples.values, dtype=float)
-    if lams.size < 4:
-        raise ValueError(f"power-law fit needs >= 4 samples, got {lams.size}")
-    if np.any(w == 0.0):
+    lams = [float(lam) for lam in samples.lambdas]
+    w = [float(v) for v in samples.values]
+    n = len(lams)
+    if n < 4:
+        raise ValueError(f"power-law fit needs >= 4 samples, got {n}")
+    if any(v == 0.0 for v in w):
         raise MixedSignError("samples contain exact zeros; no power law to fit")
-    signs = np.sign(w)
-    if not np.all(signs == signs[0]):
+    if not (all(v > 0.0 for v in w) or all(v < 0.0 for v in w)):
         raise MixedSignError("samples change sign; log-log fit would be meaningless")
-    x = np.log(lams)
-    y = np.log(np.abs(w))
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    ln_c, neg_gamma = coef
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    dof = max(lams.size - 2, 1)
-    sigma2 = float(np.sum(resid**2)) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    amp = float(signs[0] * np.exp(ln_c))
+    x = [math.log(lam) for lam in lams]
+    y = [math.log(abs(v)) for v in w]
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    sxx = math.fsum(a * a for a in dx)
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    ln_c = y_mean - slope * x_mean
+    resid = [yi - (ln_c + slope * xi) for xi, yi in zip(x, y)]
+    rss = math.fsum(r * r for r in resid)
+    sigma2 = rss / (n - 2)
+    amp = math.copysign(math.exp(ln_c), w[0])
     return PowerLawFit(
         amplitude=amp,
-        gamma=float(-neg_gamma),
-        residual=rms,
-        lambda_range=(float(lams[0]), float(lams[-1])),
-        gamma_err=float(np.sqrt(cov[1, 1])),
-        amplitude_err=abs(amp) * float(np.sqrt(cov[0, 0])),
-        n_samples=int(lams.size),
+        gamma=-slope,
+        residual=math.sqrt(rss / n),
+        lambda_range=(lams[0], lams[-1]),
+        gamma_err=math.sqrt(sigma2 / sxx),
+        amplitude_err=abs(amp) * math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx)),
+        n_samples=n,
     )

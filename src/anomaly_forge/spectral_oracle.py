@@ -24,9 +24,12 @@ families use O(N) pivot-recursion resolvent traces of the symmetric
 tridiagonal radial grid operator: Tr (Lambda + H)^-1 per channel, without
 eigenvalues.
 
-Only this module needs scipy, and importing scipy.special alone takes
-several times a whole perturbative CLI run, so scipy is imported on first
-use, not with the package.  ``ive`` stays module-level so that callers can
+The oracle is the only production path that runs numpy (here and in the
+quadrature and potential functions it calls) and scipy.  Importing numpy
+takes longer than a whole perturbative CLI run, and scipy.special several
+times that, so the package imports this module only when one of its names
+is first used (``anomaly_forge.__getattr__``, ``cli.oracle_trace``), and
+scipy is imported on first use within it.  ``ive`` stays module-level so that callers can
 replace it by name; ``eigvalsh_tridiagonal``, called by no code here, stays
 only because the benchmark's tracer wraps it by name.
 """

@@ -16,6 +16,10 @@ form against an independent evaluation:
 ``grid_channel_levels`` is the reference of the screened oracle's grid
 traces: the eigenvalues of the radial grid operator whose resolvent traces
 ``spectral_oracle._grid_traces`` takes without eigensolves.
+
+``fit_power_law_lstsq`` and ``delta_an_case_a_exact_numpy`` are the numpy
+forms that ``quadrature.fit_power_law`` (a closed-form fit in ``math``)
+and ``anomaly.delta_an_case_a_exact`` (scalar cells) replace.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from anomaly_forge.potentials import PotentialSpec, fourier_transform_at
-from anomaly_forge.quadrature import QuadratureBudget, integrate_adaptive
+from anomaly_forge.quadrature import PowerLawFit, QuadratureBudget, integrate_adaptive
 from anomaly_forge.units import UnitSystem
 
 
@@ -155,3 +159,56 @@ def grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
     diag = kin + hbar * hbar * ell * (ell + 1) / (2.0 * m * r * r) + vfun(r)
     off = np.full(n_points - 2, -0.5 * kin)
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+
+
+def fit_power_law_lstsq(samples) -> PowerLawFit:
+    """W ~ c Lambda^-gamma by ``np.linalg.lstsq`` on the design [1, ln Lambda]
+    against ln|W|, with the covariance sigma^2 (D^T D)^-1.  Expects samples
+    of one sign, none zero, at least 4."""
+    lams = np.asarray(samples.lambdas, dtype=float)
+    w = np.asarray(samples.values, dtype=float)
+    signs = np.sign(w)
+    x = np.log(lams)
+    y = np.log(np.abs(w))
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    ln_c, neg_gamma = coef
+    resid = y - design @ coef
+    sigma2 = float(np.sum(resid**2)) / (lams.size - 2)
+    cov = sigma2 * np.linalg.inv(design.T @ design)
+    amp = float(signs[0] * np.exp(ln_c))
+    return PowerLawFit(
+        amplitude=amp,
+        gamma=float(-neg_gamma),
+        residual=float(np.sqrt(np.mean(resid**2))),
+        lambda_range=(float(lams[0]), float(lams[-1])),
+        gamma_err=float(np.sqrt(cov[1, 1])),
+        amplitude_err=abs(amp) * float(np.sqrt(cov[0, 0])),
+        n_samples=int(lams.size),
+    )
+
+
+def delta_an_case_a_exact_numpy(alpha: float, units: UnitSystem) -> float:
+    """``anomaly.delta_an_case_a_exact`` for alpha > 0, with its unit cells
+    evaluated as one numpy array."""
+    beta = math.sqrt(2.0 * units.m * alpha) / units.hbar
+    b2 = beta * beta
+    b4 = b2 * b2
+
+    def k(lam):
+        return b4 / (2.0 * (np.sqrt(lam * lam + b2) + lam) ** 2)
+
+    def h(lam):
+        s = np.sqrt(lam * lam + b2)
+        return -b4 * (lam + 2.0 * s) / (6.0 * (s + lam) ** 2)
+
+    n_cells = 32 + 2 * math.ceil(beta)
+    n = np.arange(n_cells, dtype=float)
+    cells = k(n + 0.5) - (h(n + 1.0) - h(n))
+    lam = float(n_cells)
+    s = math.sqrt(lam * lam + b2)
+    g1 = -b4 / (s * (s + lam) ** 2)
+    g3 = -3.0 * b4 / s**5
+    g5 = 15.0 * b4 * (b2 - 6.0 * lam * lam) / s**9
+    tail = g1 / 24.0 - 7.0 * g3 / 5760.0 + 31.0 * g5 / 967680.0
+    return 2.0 * (math.fsum(cells) + tail)

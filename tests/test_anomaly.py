@@ -13,6 +13,7 @@ from anomaly_forge.errors import MixedSignError, NotPowerLawError
 from anomaly_forge.perturbation import Order, Source, TraceSamples, geometric_grid, sample_w
 from anomaly_forge.potentials import CaseLabel, coulomb, cutoff_coulomb, inverse_square, yukawa
 from anomaly_forge.units import ATOMIC, UnitSystem
+from references import delta_an_case_a_exact_numpy
 
 
 def _synthetic(spec, values_of):
@@ -155,6 +156,15 @@ class TestCaseAExact:
 
     def test_zero_coupling(self):
         assert delta_an_case_a_exact(0.0, ATOMIC) == 0.0
+
+    def test_bit_identical_to_array_cells(self):
+        # beta from 0.3 to 141, through criterion 3's beta = 10
+        betas = [0.3 * 1.1**i for i in range(65)] + [3.0, 10.0, 37.5, 141.0]
+        for units in (ATOMIC, UnitSystem(hbar=0.5, m=2.0)):
+            for beta in betas:
+                alpha = self._alpha(beta, units)
+                assert delta_an_case_a_exact(alpha, units) == delta_an_case_a_exact_numpy(
+                    alpha, units), (beta, units)
 
     def test_depends_on_units_only_through_beta(self):
         reference = delta_an_case_a_exact(self._alpha(10.0), ATOMIC)

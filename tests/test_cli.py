@@ -48,8 +48,8 @@ _PINNED = {
         "a_e_reduced=n/a (divergent)\n"
         "a_e_status=divergent growth_exponent=0.50\n"
         "gamma=1.5000\n"
-        "gamma_err=9.36e-16\n"
-        "fit_residual=3.45e-15\n",
+        "gamma_err=8.50e-17\n"
+        "fit_residual=3.14e-16\n",
         ""),
     "anomaly-cutoff": (
         ("anomaly", "--potential", "cutoff-coulomb:Z=1,rcut=1"),

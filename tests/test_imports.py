@@ -1,4 +1,4 @@
-"""scipy stays out of processes that do not run the spectral oracle."""
+"""numpy and scipy stay out of processes that do not run the spectral oracle."""
 
 import json
 import os
@@ -11,14 +11,14 @@ import pytest
 import anomaly_forge
 
 # Runs in a fresh interpreter: after the import and after each CLI command,
-# print the scipy modules loaded so far, one JSON list per line.
+# print the numpy and scipy modules loaded so far, one JSON list per line.
 _SCRIPT = """
 import contextlib, io, json, sys
 import anomaly_forge, anomaly_forge.cli
 
 def report(code):
     print(json.dumps([code, sorted(k for k in sys.modules
-                                   if k == "scipy" or k.startswith("scipy."))]))
+                                   if k.split(".")[0] in ("numpy", "scipy"))]))
 
 report(0)
 for argv in json.loads(sys.argv[1]):
@@ -28,19 +28,28 @@ for argv in json.loads(sys.argv[1]):
 """
 
 _COMMANDS = {
+    "classify": ["classify", "--potential", "coulomb:Z=1"],
+    # --method perturbative-2 is the default
     "anomaly": ["anomaly", "--potential", "coulomb:Z=1"],
+    "yukawa": ["anomaly", "--potential", "yukawa:Z=1,kappa=0.5"],
+    "cutoff": ["anomaly", "--potential", "cutoff-coulomb:Z=1,rcut=1"],
+    **{f"first-order-{name}": ["anomaly", "--method", "perturbative-1", "--potential", spec]
+       for name, spec in (("coulomb", "coulomb:Z=1"), ("yukawa", "yukawa:Z=1,kappa=0.5"),
+                          ("cutoff", "cutoff-coulomb:Z=1,rcut=1"))},
     "trace": ["trace", "--potential", "coulomb:Z=1"],
     "reproduce": ["reproduce", "--target", "w2-closed-form"],
-    "cutoff": ["anomaly", "--potential", "cutoff-coulomb:Z=1,rcut=1"],
-    # last: loads scipy.special for the rest of the process
+    "reproduce-case-b-energy": ["reproduce", "--target", "case-b-energy"],
+    "reproduce-w1-scaling": ["reproduce", "--target", "w1-scaling"],
+    # last: loads numpy and scipy.special for the rest of the process
     "oracle": ["anomaly", "--method", "oracle", "--potential", "inverse-square:alpha=50",
                "--lambda-min", "5", "--lambda-max", "50", "--points", "4"],
 }
+_WITHOUT_ORACLE = ["import", *(step for step in _COMMANDS if step != "oracle")]
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    """Step name -> (exit code, scipy modules loaded after it)."""
+    """Step name -> (exit code, numpy and scipy modules loaded after it)."""
     src = str(Path(anomaly_forge.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -51,11 +60,22 @@ def loaded():
     return dict(zip(["import", *_COMMANDS], steps))
 
 
-@pytest.mark.parametrize("step", ["import", "anomaly", "trace", "reproduce", "cutoff"])
+def _named(modules, top):
+    return [m for m in modules if m.split(".")[0] == top]
+
+
+@pytest.mark.parametrize("step", _WITHOUT_ORACLE)
 def test_no_scipy_without_the_oracle(loaded, step):
     code, modules = loaded[step]
     assert code == 0
-    assert modules == []
+    assert _named(modules, "scipy") == []
+
+
+@pytest.mark.parametrize("step", _WITHOUT_ORACLE)
+def test_no_numpy_without_the_oracle(loaded, step):
+    code, modules = loaded[step]
+    assert code == 0
+    assert _named(modules, "numpy") == []
 
 
 def test_oracle_loads_only_scipy_special(loaded):
@@ -63,3 +83,27 @@ def test_oracle_loads_only_scipy_special(loaded):
     assert code == 0
     assert "scipy.special" in modules
     assert not any(m.startswith(("scipy.optimize", "scipy.linalg")) for m in modules)
+
+
+def test_oracle_loads_numpy(loaded):
+    code, modules = loaded["oracle"]
+    assert code == 0
+    assert "numpy" in modules
+
+
+class TestPackageNames:
+    """The oracle's names resolve on first access (PEP 562)."""
+
+    def test_every_public_name_resolves(self):
+        for name in anomaly_forge.__all__:
+            assert getattr(anomaly_forge, name) is not None, name
+
+    def test_oracle_names_come_from_spectral_oracle(self):
+        from anomaly_forge import spectral_oracle
+        assert anomaly_forge.oracle_trace is spectral_oracle.oracle_trace
+        assert anomaly_forge.OracleConfig is spectral_oracle.OracleConfig
+        assert anomaly_forge.bessel_channel_sums is spectral_oracle.bessel_channel_sums
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            anomaly_forge.no_such_name

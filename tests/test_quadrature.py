@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import MixedSignError
-from anomaly_forge.perturbation import Source, TraceSamples
-from anomaly_forge.potentials import coulomb, cutoff_coulomb, yukawa
+from anomaly_forge.perturbation import Order, Source, TraceSamples, geometric_grid, sample_w
+from anomaly_forge.potentials import coulomb, cutoff_coulomb, inverse_square, yukawa
 from anomaly_forge.quadrature import (
     _WG,
     _WK,
@@ -24,6 +24,7 @@ from anomaly_forge.units import ATOMIC, UnitSystem
 import references
 from references import (
     _SERIES_SWITCH,
+    fit_power_law_lstsq,
     angle_averaged_resolvent,
     feynman_combine,
     resolvent_bracket,
@@ -367,6 +368,29 @@ class TestFitPowerLaw:
         assert fit.amplitude == pytest.approx(2.0, abs=1e-12)
         assert fit.gamma == pytest.approx(1.0, abs=1e-12)
         assert fit.residual < 1e-10
+
+    def test_exact_power_law_recovers_gamma_to_rounding(self):
+        lams = geometric_grid(10.0, 1000.0, 8)
+        fit = fit_power_law(_samples(lams, [-3.7 * l ** -1.5 for l in lams]))
+        assert abs(fit.gamma - 1.5) <= 1e-14
+        assert fit.amplitude == pytest.approx(-3.7, rel=1e-13)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sample_w(yukawa(1.0, 0.5), ATOMIC, geometric_grid(10.0, 100.0, 12),
+                         Order.SECOND),
+        # criterion 3's case-A grid
+        lambda: spectral_oracle.oracle_trace(inverse_square(50.0), ATOMIC,
+                                             geometric_grid(5.0, 50.0, 8)),
+    ], ids=["perturbative-yukawa", "oracle-case-a"])
+    def test_matches_lstsq_reference(self, make):
+        samples = make()
+        fit, ref = fit_power_law(samples), fit_power_law_lstsq(samples)
+        assert fit.residual > 1e-6   # samples that are not an exact power law
+        assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-12, abs=0.0)
+        assert fit.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0.0)
+        for name in ("gamma_err", "amplitude_err", "residual"):
+            assert getattr(fit, name) == pytest.approx(getattr(ref, name), rel=1e-9, abs=0.0)
+        assert (fit.lambda_range, fit.n_samples) == (ref.lambda_range, ref.n_samples)
 
     def test_negative_amplitude(self):
         fit = fit_power_law(_samples([1, 10, 100, 1000], [-3.0, -3e-2, -3e-4, -3e-6]))
