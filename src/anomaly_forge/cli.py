@@ -9,8 +9,8 @@ anomaly     sample the trace difference, then one ``extract_anomalies`` call
 reproduce   run one named verification scenario and print pass/fail
 
 Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors
-(non-finite parameters, units or samples included), 3 unconverged quadrature
-or non-power-law samples.
+(non-finite parameters, units or samples and an unwritable --out path
+included), 3 unconverged quadrature or non-power-law samples.
 """
 
 from __future__ import annotations
@@ -102,9 +102,12 @@ def _samples_for(args, units: UnitSystem, spec) -> TraceSamples:
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
 
 
 def _samples_csv(samples: TraceSamples) -> str:

@@ -19,10 +19,10 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
-so the whole evaluation is closed-form up to the ratio itself.  Screened
-families use O(N) pivot-recursion resolvent traces of the symmetric
-tridiagonal radial grid operator: Tr (Lambda + H)^-1 per channel, without
-eigenvalues.
+so the whole evaluation is closed-form up to the ratio itself.  Yukawa
+uses O(N) pivot recursions of the tridiagonal radial grid operator, without
+eigenvalues, that sum each channel's difference against the free channel
+row by row.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
 
 The oracle is the only production path that runs numpy (here and in the
 quadrature and potential functions it calls) and scipy.  Importing numpy
@@ -208,10 +208,29 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     return 0.5 * x * ratio
 
 
-# Largest case-A box scale x = sqrt(2 m Lambda) R / hbar: past about 2500 the
-# rounding of _case_a_w_at_radius's classical term outgrows the 1/x bias.
-# The smallest is 2 beta: below about 1.0-1.45 beta the bar misses the value.
+# Largest case-A box scale x = sqrt(2 m Lambda) R / hbar.  The channel list
+# grows like 6x, and no sweep has yet checked the bar against the exact value
+# above this one.  The smallest is 2 beta: below about 1.0-1.45 beta the bar
+# misses the value.
 _CASE_A_X_MAX = 2000.0
+
+
+def _case_a_classical(x: float, j: float, beta2: float) -> float:
+    """The classical term of the orders below j, minus its free value, in positive terms.
+
+    It is [G(j^2) - G(0)] / 3, G(b) = g(x^2 + b) - g(b), g(t) = (t + beta2)^(3/2) - t^(3/2).
+    With U, V = sqrt(x^2 + b + beta2), sqrt(x^2 + b) and u, v = sqrt(b + beta2),
+    sqrt(b): G = x^2 [(u - v)(U v + u V + u v) + (U - V)(U V + U v + u V)] /
+    ((U + u)(V + v)), U - V = beta2/(U + V) and u - v = beta2/(u + v), or u at b = 0.
+    """
+    def big_g(b):
+        big_u, big_v, u, v = (math.sqrt(t) for t in (x * x + b + beta2, x * x + b, b + beta2, b))
+        du, d_big = (beta2 / (u + v) if b else u), beta2 / (big_u + big_v)
+        return x * x * (du * (big_u * v + u * big_v + u * v)
+                        + d_big * (big_u * big_v + big_u * v + u * big_v)) / (
+                            (big_u + u) * (big_v + v))
+
+    return (big_g(j * j) - big_g(0.0)) / 3.0
 
 
 def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
@@ -242,19 +261,11 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
     deg = 2.0 * nu_l
     quantum = float(np.sum(deg * (s_q - s_l)))
 
-    beta = math.sqrt(beta2)
     j = float(n_ch)
-
-    def classical_free_subtracted(j_top):
-        return ((x * x + j_top * j_top + beta2) ** 1.5
-                - (x * x + beta2) ** 1.5
-                - (x * x + j_top * j_top) ** 1.5 + x**3
-                - (j_top * j_top + beta2) ** 1.5 + beta**3 + j_top**3) / 3.0
-
-    classical = classical_free_subtracted(j)
+    classical = _case_a_classical(x, j, beta2)
 
     qp = (s_p - s_m) / (2.0 * h)
-    c_of = lambda nu: 0.5 * (math.sqrt(x * x + nu * nu) - nu)
+    c_of = lambda nu: 0.5 * x * x / (math.sqrt(x * x + nu * nu) + nu)   # (sqrt(x^2+nu^2) - nu)/2
     linear_response = float(np.sum(qp)) - (c_of(j) - c_of(0.0))
 
     w = (quantum - classical - beta2 * linear_response) / lam
@@ -263,27 +274,22 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
 
 
 # ---------------------------------------------------------------------------
-# Grid path for screened families
+# Grid path for Yukawa
 # ---------------------------------------------------------------------------
 
 def _turning_point(spec: PotentialSpec, units: UnitSystem, factor: float,
                    lam: float) -> float | None:
-    """The radius r0 with lam + f U(r0) = 0, or None where lam + f U > 0 everywhere.
+    """The Yukawa radius r0 with lam + f U(r0) = 0, or None where lam + f U > 0 everywhere.
 
     With g = -f sign Z e^2, the region lam + f U < 0 is the core r < r0 and
-    needs g > 0.  Yukawa: g exp(-kappa r0) / r0 = lam, so kappa r0 is the
-    principal Lambert W of g kappa / lam.  Cutoff Coulomb: U is flat inside
-    r_cut, so a core exists only if g / r_cut > lam, and then r0 = g / lam.
+    needs g > 0.  Then g exp(-kappa r0) / r0 = lam, so kappa r0 is the
+    principal Lambert W of g kappa / lam.
     """
     g = -factor * spec.sign * spec.Z * units.e2
     if not g > 0.0:
         return None
-    if spec.family is Family.YUKAWA:
-        from scipy.special import lambertw
-        return float(lambertw(g * spec.kappa / lam).real) / spec.kappa
-    if spec.family is Family.CUTOFF_COULOMB:
-        return g / lam if g / spec.r_cut > lam else None
-    raise AssertionError(f"no screened turning point for {spec.family.value}")
+    from scipy.special import lambertw
+    return float(lambertw(g * spec.kappa / lam).real) / spec.kappa
 
 
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
@@ -295,10 +301,9 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
     (2 m sqrt(2m)/hbar^3) int r^2 [sqrt(lam) - sqrt(max(lam + f U, 0))] dr
     over r < R.  Returns shape (len(radii), len(factors), len(lams)).
 
-    Each box's integral is split at the knots 0, r0, min(10 r0, R), r_cut
-    and R.  All the segments go through one ``integrate_batch`` call; a
-    segment that several radii share, such as [0, r0] and [r0, 10 r0], is
-    integrated once.
+    Each box's integral is split at the knots 0, r0, min(10 r0, R) and R.
+    All the segments go through one ``integrate_batch`` call; a segment that
+    several radii share, such as [0, r0] and [r0, 10 r0], is integrated once.
     """
     hbar, m = units.hbar, units.m
     turning = {(f, lam): _turning_point(spec, units, f, lam) for f in factors for lam in lams}
@@ -307,19 +312,14 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
     for r_box in radii:
         for factor in factors:
             for lam in lams:
-                knots = [0.0]
                 r0 = turning[factor, lam]
-                if r0 is not None:
-                    if r0 > r_box:
-                        raise ValueError(
-                            f"the classically forbidden core reaches the box wall: at "
-                            f"Lambda = {lam:g} the turning point r0 = {r0:g} lies beyond "
-                            f"the box radius R = {r_box:g}; raise Lambda or enlarge the box"
-                        )
-                    knots += [r0, min(10.0 * r0, r_box)]
-                if spec.family is Family.CUTOFF_COULOMB and spec.r_cut < r_box:
-                    knots.append(spec.r_cut)
-                knots = sorted(set(knots + [r_box]))
+                if r0 is not None and r0 > r_box:
+                    raise ValueError(
+                        f"the classically forbidden core reaches the box wall: at "
+                        f"Lambda = {lam:g} the turning point r0 = {r0:g} lies beyond "
+                        f"the box radius R = {r_box:g}; raise Lambda or enlarge the box"
+                    )
+                knots = [0.0, r_box] if r0 is None else [0.0, r0, min(10.0 * r0, r_box), r_box]
                 plans.append([segments.setdefault((factor, lam, a, b), len(segments))
                               for a, b in zip(knots[:-1], knots[1:]) if b > a])
     factor_of, lam_of, lower, upper = np.array(list(segments), dtype=float).reshape(-1, 4).T
@@ -349,16 +349,17 @@ _COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)
 
 
 def _grid_traces(spec, units, lams, grids, ell_max):
-    """Tr (lam + H)^-1 of every channel on each grid, without eigenvalues.
+    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 of every channel on each grid.
 
-    ``grids`` is a sequence of (r_box, n_points).  Returns one array per
-    grid, in the order given, of shape
-    (len(_COUPLING_FACTORS), len(lams), ell_max + 1).  H is the Dirichlet
-    tridiagonal radial operator on r_i = i r_box / n_points, 0 < i < n_points,
-    with the potential scaled by the coupling factor.  For the symmetric tridiagonal
-    lam + H = L D L^T with diagonal a_i and off-diagonal b, the pivots are
-    d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
-    = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.
+    ``grids`` is a sequence of (r_box, n_points).  Returns one array per grid,
+    in the order given, of shape (4, len(lams), ell_max + 1): the difference
+    against the free channel for each nonzero f of ``_COUPLING_FACTORS``.
+    H_f is the Dirichlet tridiagonal radial operator on r_i = i r_box / n_points,
+    0 < i < n_points, with the potential scaled by f.  For the symmetric
+    tridiagonal lam + H = L D L^T with diagonal a_i and off-diagonal b, the
+    pivots are d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
+    = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.  Each row adds
+    a coupled lane's d'_i/d_i minus the free lane's: the sum is the difference.
 
     One pass over the radial index serves all (grid, factor, ell, lam)
     lanes.  Grids run in order of decreasing N, so the grids still in their
@@ -391,35 +392,27 @@ def _grid_traces(spec, units, lams, grids, ell_max):
     cent = hbar * hbar * ell * (ell + 1.0) / (2.0 * m)
     d = shift + cent * inv_r2[0] + factor * pot[0]
     dp = np.ones_like(d)
-    trace = 1.0 / d
-    # The oracle uses small differences of these traces, which a plain
-    # running sum over N rows buries in rounding; compensated (Kahan)
-    # summation keeps each trace to a few ulps.
-    carry = np.zeros_like(d)
-    # The row update works in place in two spare buffers: with a fresh
-    # array per operation the sweep ran about 10% slower.
-    g, total = np.empty_like(d), np.empty_like(d)
+    g = 1.0 / d
+    diff = g[:, :4] - g[:, 4:]
+    # The row update works in place in a spare buffer: with a fresh array
+    # per operation the sweep ran about 10% slower.
     out = [None] * len(grids)
     live = len(order)
     for i in range(1, n_rows[0]):
         while n_rows[live - 1] <= i:   # the last live grid has no row i
             live -= 1
-            out[order[live]] = trace[live]
-            d, dp, trace, carry, g, total = (a[:live] for a in (d, dp, trace, carry, g, total))
+            out[order[live]] = diff[live]
+            d, dp, g, diff = (a[:live] for a in (d, dp, g, diff))
         np.divide(b2[:live], d, out=g)    # g = b^2 / d
         dp *= g                           # d' = 1 + g d' / d
         dp /= d
         dp += 1.0
         np.add(shift[:live] + cent * inv_r2[i, :live], factor * pot[i, :live], out=d)
         d -= g
-        term = np.divide(dp, d, out=g)    # g is spent: it takes the Kahan term
-        term -= carry
-        np.add(trace, term, out=total)
-        np.subtract(total, trace, out=carry)
-        carry -= term
-        trace, total = total, trace
+        np.divide(dp, d, out=g)           # g is spent: it takes d' / d
+        diff += np.subtract(g[:, :4], g[:, 4:], out=g[:, :4])
     for slot in range(live):
-        out[order[slot]] = trace[slot]
+        out[order[slot]] = diff[slot]
     return out
 
 
@@ -471,14 +464,16 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     as w(R) = w_inf + a/R^2; the error is a third of that step plus the
     larger channel-tail residual; every box scale x = sqrt(2 m Lambda) R / hbar
     of the grid and both radii must lie in [2 beta, 2000] (ValueError
-    otherwise).  Screened families take four grids (fine and coarse step at
-    each radius) from one ``_grid_traces`` sweep and every classical
-    difference from one quadrature batch.  The value is the
+    otherwise).  Yukawa takes the channel differences against the free
+    channel on four grids (fine and coarse step at each radius) from one
+    ``_grid_traces`` sweep and every classical difference from one
+    quadrature batch.  The value is the
     coupling-even part [W(+U) + W(-U)]/2, which cancels the coupling-linear
     wall and grid artifacts to all odd orders, with a fitted channel tail
     and grid-step Richardson, at the larger radius.  Its error sums the
     tail fit, grid step and odd content (third order and beyond, from the
     half-coupling runs) of that radius's fine grid, and the radius change.
+    Bare and cutoff Coulomb raise ``UnsupportedPotentialError``.
     """
     if config is None:
         config = OracleConfig()
@@ -489,9 +484,10 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         raise ValueError("Lambda values must be positive")
 
     fam = spec.family
-    if fam is Family.COULOMB:
+    if fam in (Family.COULOMB, Family.CUTOFF_COULOMB):
+        kind = "bare" if fam is Family.COULOMB else "cutoff"
         raise UnsupportedPotentialError(
-            "bare Coulomb tail is not representable in a finite box oracle"
+            f"{kind} Coulomb tail is not representable in a finite box oracle"
         )
 
     r1, r2 = config.richardson_levels
@@ -524,10 +520,10 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         _classical_difference(spec, units, _COUPLING_FACTORS[:4], lams, (r1, r2)), 2, axis=0)
     # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
     # axis, so that it adds in the order of a 1-D np.sum over one channel series
-    traces = np.stack(_grid_traces(spec, units, lams, grids, config.ell_max))
+    diffs = np.stack(_grid_traces(spec, units, lams, grids, config.ell_max))
     deg = 2.0 * np.arange(config.ell_max + 1) + 1.0
     # channel terms (2 ell + 1) [Tr_f - Tr_0] of the factors 1, -1, 1/2, -1/2
-    t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * (traces[:, :4] - traces[:, 4:]), 1, 0)
+    t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * diffs, 1, 0)
     c_p1, c_m1, c_ph, c_mh = np.moveaxis(classical, 1, 0)
     terms = 0.5 * (t_p1 + t_m1)
     fits = np.array([[_fit_channel_tail(t, config.ell_max, 1e-16) for t in grid_terms]

@@ -16,6 +16,8 @@ form against an independent evaluation:
 ``grid_channel_levels`` is the reference of the screened oracle's grid
 traces: the eigenvalues of the radial grid operator whose resolvent traces
 ``spectral_oracle._grid_traces`` takes without eigensolves.
+``grid_trace_differences_longdouble`` runs that sweep's own recursion in
+``np.longdouble``, a reference for its rounding.
 
 ``fit_power_law_lstsq`` and ``delta_an_case_a_exact_numpy`` are the numpy
 forms that ``quadrature.fit_power_law`` (a closed-form fit in ``math``)
@@ -29,7 +31,7 @@ import math
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from anomaly_forge.potentials import PotentialSpec, fourier_transform_at
+from anomaly_forge.potentials import PotentialSpec, evaluate, fourier_transform_at
 from anomaly_forge.quadrature import PowerLawFit, QuadratureBudget, integrate_adaptive
 from anomaly_forge.units import UnitSystem
 
@@ -159,6 +161,40 @@ def grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
     diag = kin + hbar * hbar * ell * (ell + 1) / (2.0 * m * r * r) + vfun(r)
     off = np.full(n_points - 2, -0.5 * kin)
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+
+
+def grid_trace_differences_longdouble(spec: PotentialSpec, lams, box_radius: float,
+                                      n_points: int, ell_max: int, factors,
+                                      units: UnitSystem) -> np.ndarray:
+    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 by the pivot recursion in np.longdouble.
+
+    The grid operator is the one of ``grid_channel_levels``, built from the
+    same double-precision tables of r, U and the kinetic scale as the
+    library's sweep, so only the rounding of the recursion differs.  Returns
+    shape (len(factors), len(lams), ell_max + 1).
+    """
+    ld = np.longdouble
+    h = box_radius / n_points
+    r = h * np.arange(1, n_points)
+    kin = ld(units.hbar * units.hbar / (units.m * h * h))
+    pot = evaluate(spec, units, r).astype(ld)
+    inv_r2 = (1.0 / (r * r)).astype(ld)
+    b2 = kin * kin / 4
+    shift = kin + np.asarray(lams, dtype=ld)[:, None]
+    factor = np.array(list(factors) + [0.0], dtype=ld)[:, None, None]
+    ell = np.arange(ell_max + 1).astype(ld)
+    cent = ld(units.hbar * units.hbar) * ell * (ell + 1) / ld(2.0 * units.m)
+    d = shift + cent * inv_r2[0] + factor * pot[0]
+    dp = np.ones_like(d)
+    term = dp / d
+    diff = term[:-1] - term[-1]
+    for i in range(1, n_points - 1):
+        g = b2 / d
+        dp = 1 + g * dp / d
+        d = shift + cent * inv_r2[i] + factor * pot[i] - g
+        term = dp / d
+        diff += term[:-1] - term[-1]
+    return diff
 
 
 def fit_power_law_lstsq(samples) -> PowerLawFit:

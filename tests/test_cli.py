@@ -177,7 +177,7 @@ class TestTraceCommand:
 
         Reorganising the Bessel-ratio work (batching, shared ive values,
         continued-fraction lane bookkeeping) must leave these bytes alone.
-        ROADMAP item 3's bias fix (an exact nu-derivative for the linear
+        ROADMAP item 4's bias fix (an exact nu-derivative for the linear
         response, a 1/R radius term) will move them on purpose; any such
         update is recorded in CHANGES.md with the old and new values.
         """
@@ -188,14 +188,14 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-0.082692798963681938", "0.0051761313557776665"),
-            ("-0.05956049839587562", "0.0026765543658806368"),
-            ("-0.042902157469501975", "0.0013819927656792872"),
-            ("-0.030901017510174544", "0.00071268426636996742"),
-            ("-0.022254640818493071", "0.00036710731189018597"),
-            ("-0.016025854306375639", "0.0001888817871133772"),
-            ("-0.011539316262787844", "9.7060016358590476e-05"),
-            ("-0.008308118554854596", "4.9805923014344672e-05"),
+            ("-0.082692808324933739", "0.0051761304468062406"),
+            ("-0.05956048223874584", "0.0026765556454573982"),
+            ("-0.042902152955921542", "0.0013819931806868177"),
+            ("-0.030901015035275842", "0.0007126845368858087"),
+            ("-0.022254650235448703", "0.00036710649192802644"),
+            ("-0.016025868045671826", "0.00018888087743326818"),
+            ("-0.011539307746857585", "9.7060533094712548e-05"),
+            ("-0.0083080986838679829", "4.9807668192443345e-05"),
         ]
 
     def test_screened_oracle_digits_pinned(self, capsys):
@@ -212,10 +212,10 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-2.6650667963915672e-06", "2.3161081301243056e-07"),
-            ("-6.0292047816773935e-07", "4.1369645945370523e-08"),
-            ("-1.3414307878965221e-07", "8.5910288687512968e-09"),
-            ("-2.9192758089798067e-08", "2.8271831806157179e-09"),
+            ("-2.665067976006706e-06", "2.3161175343209017e-07"),
+            ("-6.0291856880937206e-07", "4.1369115953894794e-08"),
+            ("-1.3414340253683044e-07", "8.5908485961486259e-09"),
+            ("-2.9193568870174471e-08", "2.8270366534754171e-09"),
         ]
 
     def test_bad_window_exits_2(self, capsys):
@@ -277,7 +277,6 @@ class TestAnomalyCommand:
 
     @pytest.mark.parametrize("potential, lambda_min", [
         ("yukawa:Z=50,kappa=0.01", "0.05"),
-        ("cutoff-coulomb:Z=50,rcut=0.5", "0.5"),
     ])
     def test_core_past_the_wall_exits_2(self, capsys, potential, lambda_min):
         # the classically forbidden core at the lowest Lambda is wider than
@@ -288,6 +287,26 @@ class TestAnomalyCommand:
         assert code == 2
         assert "box radius R = 20" in err
         assert f"Lambda = {float(lambda_min):g}" in err
+
+    @pytest.mark.parametrize("potential", [
+        "cutoff-coulomb:Z=1,rcut=1", "cutoff-coulomb:Z=0.01,rcut=0.1",
+        "cutoff-coulomb:Z=50,rcut=0.5",
+    ])
+    def test_cutoff_coulomb_oracle_exits_2(self, capsys, potential):
+        # a box cannot hold the 1/r tail; the oracle says so before any work
+        code, out, err = run_cli(capsys, "anomaly", "--method", "oracle",
+                                 "--potential", potential, "--lambda-min", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: cutoff Coulomb tail is not representable in a finite box oracle\n"
+
+    @pytest.mark.parametrize("command", ["trace", "anomaly"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, command, "--potential", "coulomb:Z=1",
+                                 "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --out {path}: No such file or directory\n"
+        assert not path.parent.exists()
 
     @pytest.mark.parametrize("window, lam, r_box, x", [
         (("0.001", "0.01"), "0.001", "20", "0.894427"),

@@ -28,7 +28,7 @@ from anomaly_forge.spectral_oracle import (
     oracle_trace,
 )
 from anomaly_forge.units import ATOMIC, UnitSystem
-from references import grid_channel_levels
+from references import grid_channel_levels, grid_trace_differences_longdouble
 
 ALPHA_100 = 50.0  # 2 m alpha / hbar^2 = 100 in atomic units
 
@@ -108,16 +108,23 @@ class TestChannelSpectrum:
 class TestGridTraces:
     @pytest.mark.parametrize("n_points", [200, 500, 1500])
     def test_free_box_closed_form(self, n_points):
-        # zero potential, ell = 0: the grid levels are kin (1 - cos(k pi/N)),
-        # k = 1 .. N-1, in every coupling-factor lane
+        # cutoff Coulomb with r_cut >= R is the constant U = -Z e^2 / r_cut in
+        # the box; at ell = 0 the grid levels are kin (1 - cos(k pi/N)),
+        # k = 1 .. N-1, so each factor's difference is the closed-form sum at
+        # Lambda + f U minus the one at Lambda, written as one sum.  The pivot
+        # recursion's own rounding leaves up to 1.3e-10 of it (N = 1500), with
+        # the difference summed or taken from two compensated totals alike.
         r_box, lams = 8.0, [0.5, 10.0, 100.0, 3000.0]
-        (traces,) = _grid_traces(inverse_square(0.0), ATOMIC, lams, [(r_box, n_points)], 10)
+        spec = cutoff_coulomb(1.0, 10.0)
+        u = float(evaluate(spec, ATOMIC, np.array([r_box]))[0])
+        (diffs,) = _grid_traces(spec, ATOMIC, lams, [(r_box, n_points)], 10)
         kin = (n_points / r_box) ** 2
         k = np.arange(1, n_points)
         levels = kin * (1.0 - np.cos(k * math.pi / n_points))
-        for j, lam in enumerate(lams):
-            exact = float(np.sum(1.0 / (lam + levels)))
-            assert traces[:, j, 0] == pytest.approx(exact, rel=1e-12)
+        for i, factor in enumerate(_COUPLING_FACTORS[:4]):
+            for j, lam in enumerate(lams):
+                exact = float(np.sum(-factor * u / ((lam + factor * u + levels) * (lam + levels))))
+                assert diffs[i, j, 0] == pytest.approx(exact, rel=3e-10), (factor, lam)
 
     @pytest.mark.parametrize("spec, lams, indefinite", [
         (yukawa(0.05, 1.0), [10.0, 100.0], False),
@@ -125,20 +132,22 @@ class TestGridTraces:
         (yukawa(3.0, 0.5), [0.5], True),
     ], ids=["weak-yukawa", "cutoff-coulomb", "strong-yukawa"])
     def test_matches_eigensolve_reference(self, spec, lams, indefinite):
-        # every factor and channel against the eigenvalue sum; in the
-        # indefinite cases some levels lie below -Lambda, so lam + H has
-        # negative pivots and the recursion runs through them unguarded
+        # every factor and channel against the eigenvalue sums, free channel
+        # subtracted; in the indefinite cases some levels lie below -Lambda,
+        # so lam + H has negative pivots and the recursion runs through them
+        # unguarded
         r_box, n_points, ell_max = 8.0, 500, 12
-        (traces,) = _grid_traces(spec, ATOMIC, lams, [(r_box, n_points)], ell_max)
+        (diffs,) = _grid_traces(spec, ATOMIC, lams, [(r_box, n_points)], ell_max)
         below = 0
-        for i, factor in enumerate(_COUPLING_FACTORS):
-            for ell in range(ell_max + 1):
+        for ell in range(ell_max + 1):
+            free = grid_channel_levels(lambda r: 0.0 * r, ell, r_box, n_points, ATOMIC)
+            for i, factor in enumerate(_COUPLING_FACTORS[:4]):
                 levels = grid_channel_levels(lambda r: factor * evaluate(spec, ATOMIC, r),
                                               ell, r_box, n_points, ATOMIC)
                 for j, lam in enumerate(lams):
                     below += int(np.sum(levels < -lam))
-                    exact = float(np.sum(1.0 / (lam + levels)))
-                    assert traces[i, j, ell] == pytest.approx(exact, rel=1e-9)
+                    exact = float(np.sum(1.0 / (lam + levels)) - np.sum(1.0 / (lam + free)))
+                    assert diffs[i, j, ell] == pytest.approx(exact, rel=1e-9)
         assert (below > 0) == indefinite
 
     @pytest.mark.parametrize("spec, lams", [
@@ -151,11 +160,26 @@ class TestGridTraces:
         grids = [(8.0, 300), (12.0, 450), (6.0, 300), (10.0, 200), (9.0, 451)]
         swept = _grid_traces(spec, ATOMIC, lams, grids, 12)
         assert len(swept) == len(grids)
-        for grid, traces in zip(grids, swept):
+        for grid, diffs in zip(grids, swept):
             (alone,) = _grid_traces(spec, ATOMIC, lams, [grid], 12)
-            assert traces.shape == (len(_COUPLING_FACTORS), len(lams), 13)
-            assert np.array_equal(traces, alone), grid
+            assert diffs.shape == (len(_COUPLING_FACTORS) - 1, len(lams), 13)
+            assert np.array_equal(diffs, alone), grid
         assert _grid_traces(spec, ATOMIC, lams, [], 12) == []
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has the precision of a double here")
+    def test_extended_precision_sweep(self):
+        # the benchmark's box (Yukawa Z = 0.05, kappa = 1, R 8 and 12, N 500
+        # at R = 8, ell <= 30): the same recursion in np.longdouble bounds
+        # the rounding of the double sweep; its worst lane measured 6.1e-10
+        spec, lams, ell_max = yukawa(0.05, 1.0), [10.0, 20.0, 37.5, 100.0], 30
+        grids = [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)]
+        swept = _grid_traces(spec, ATOMIC, lams, grids, ell_max)
+        for grid, diffs in zip(grids, swept):
+            ref = grid_trace_differences_longdouble(spec, lams, *grid, ell_max,
+                                                    _COUPLING_FACTORS[:4], ATOMIC)
+            worst = float(np.max(np.abs((diffs - ref) / ref)))
+            assert worst < 1e-9, grid
 
     def test_no_eigensolve_in_production(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -360,11 +384,35 @@ class TestCaseAUnitCovariance:
         ref, ref_inputs = self._run(beta2, ATOMIC, self.LAM)
         got, inputs = self._run(beta2, UnitSystem(hbar=hbar, m=m), self.LAM * hbar * hbar / m)
         # Where beta^2 and every x round alike, nothing else may matter.  A
-        # last-bit change moves Lambda w through the rounding of the eight
-        # (6x)^3-sized powers in _case_a_w_at_radius's classical closed form:
-        # 1.1e-7 absolute for x within 3 ulps, 6e-7 relative at beta^2 = 20.
-        rel = 1e-10 if inputs == ref_inputs else 2e-6
+        # last-bit change in x moves Lambda w through the rounding of the
+        # channel sums: up to 3.7e-9 relative over 340 random points.
+        rel = 1e-10 if inputs == ref_inputs else 3e-8
         assert got == pytest.approx(ref, rel=rel, abs=0)
+
+
+class TestCaseAClassical:
+    # _case_a_w_at_radius's classical term at its own j = ceil(6x) + 200,
+    # against 40-digit mpmath of the eight powers whose sum it is
+
+    @staticmethod
+    def _reference(x, j, beta2):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x, j, b2 = mpmath.mpf(x), mpmath.mpf(j), mpmath.mpf(beta2)
+        p = lambda t: t * mpmath.sqrt(t)
+        return float((p(x * x + j * j + b2) - p(x * x + b2) - p(x * x + j * j) + x**3
+                      - p(j * j + b2) + p(b2) + j**3) / 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(20.0, 2000.0), beta2=st.floats(20.0, 150.0))
+    def test_against_mpmath(self, x, beta2):
+        j = float(math.ceil(6.0 * x) + 200)
+        got = spectral_oracle._case_a_classical(x, j, beta2)
+        assert got == pytest.approx(self._reference(x, j, beta2), rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("x", [20.0, 179.0, 2000.0])
+    def test_free_is_exactly_zero(self, x):
+        assert spectral_oracle._case_a_classical(x, float(math.ceil(6.0 * x) + 200), 0.0) == 0.0
 
 
 class TestOracleW:
@@ -426,17 +474,17 @@ class TestOracleW:
     @pytest.mark.parametrize("attractive, config, pinned", [
         # the benchmark's reduced box, repulsive coupling
         (False, OracleConfig(ell_max=30, grid_points=500, richardson_levels=(8.0, 12.0)), [
-            ("-0x1.656a8de2f80b9p-19", "0x1.064d01a9ebbc5p-22"),
-            ("-0x1.747d536b06ab5p-21", "0x1.00db4d633e43fp-24"),
-            ("-0x1.adde9c82cab9bp-23", "0x1.7e8eeb30d29ecp-26"),
-            ("-0x1.a5b2d085dc525p-26", "0x1.43d7f7aa101c2p-27"),
+            ("-0x1.656a8adc9aa9fp-19", "0x1.064d150ef21f6p-22"),
+            ("-0x1.747d482e11775p-21", "0x1.00dba1b4063adp-24"),
+            ("-0x1.addeaed89c055p-23", "0x1.7e8f286959550p-26"),
+            ("-0x1.a5b2700493385p-26", "0x1.43d8722f0f4d1p-27"),
         ]),
         # radii whose grids share no step (h = 14/1200 and 18/1543)
         (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
-            ("-0x1.65a08bf01b68cp-19", "0x1.fb2e6a4affab0p-23"),
-            ("-0x1.75ac0ae0fbbf8p-21", "0x1.c56b6f4a98ee3p-25"),
-            ("-0x1.b3af4f6b29175p-23", "0x1.19afdbf89cebfp-26"),
-            ("-0x1.db8f184bc8be5p-26", "0x1.755f2d46ba372p-28"),
+            ("-0x1.65a08e8672dedp-19", "0x1.fb2ec858676bap-23"),
+            ("-0x1.75ac00f74f433p-21", "0x1.c56ab43e3ae46p-25"),
+            ("-0x1.b3af63430f7b5p-23", "0x1.19b13984c0213p-26"),
+            ("-0x1.db90cbd0f30d5p-26", "0x1.7565c23f8d2f1p-28"),
         ]),
     ], ids=["repulsive-8-12", "attractive-14-18"])
     def test_screened_values_pinned(self, attractive, config, pinned):
@@ -453,6 +501,16 @@ class TestOracleW:
     def test_coulomb_rejected(self):
         with pytest.raises(UnsupportedPotentialError):
             oracle_trace(coulomb(1.0), ATOMIC, [10.0])
+
+    def test_cutoff_coulomb_rejected_before_any_work(self, monkeypatch):
+        # a box cannot hold the 1/r tail: no sweep and no quadrature runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle worked on a cutoff-Coulomb spec")
+
+        for name in ("_grid_traces", "_classical_difference"):
+            monkeypatch.setattr(spectral_oracle, name, forbidden)
+        with pytest.raises(UnsupportedPotentialError, match="cutoff Coulomb tail"):
+            oracle_trace(cutoff_coulomb(1.0, 1.0), ATOMIC, [10.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -496,8 +554,8 @@ class TestClassicalDifference:
         assert got == pytest.approx(float(exact), abs=1e-12)
 
 
-    @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), cutoff_coulomb(1.0, 0.5)],
-                             ids=["yukawa", "cutoff-coulomb"])
+    @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False)],
+                             ids=["yukawa", "repulsive-yukawa"])
     def test_batch_equals_single_calls(self, spec):
         # one call over (radii x factors x Lambda) returns what one call per
         # element does, bit for bit, shared segments included
@@ -544,11 +602,8 @@ def _brentq_turning_point(spec, units, factor, lam):
 _TURNING_SPECS = [
     yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False), yukawa(0.05, 1.0),
     yukawa(3.0, 2.0, attractive=False),
-    cutoff_coulomb(1.0, 0.5), cutoff_coulomb(1.0, 0.5, attractive=False),
-    cutoff_coulomb(3.0, 2.0),
 ]
-# with Z = 1, r_cut = 0.5 the core exists below g / r_cut = 2 |f|: these
-# Lambda lie below it for every nonzero factor, between, and above it
+# cores from r0 = 1.54 (Lambda = 0.3, g = 1) down to 6.2e-4 (Lambda = 40, g = 0.025)
 _TURNING_LAMS = (0.3, 1.5, 4.0, 40.0)
 
 
@@ -568,15 +623,6 @@ class TestTurningPoint:
             else:
                 assert got == pytest.approx(ref, rel=1e-13, abs=0.0), lam
 
-    def test_cutoff_core_edge(self):
-        # the core exists only while g / r_cut > Lambda
-        spec = cutoff_coulomb(1.0, 0.5)
-        assert _turning_point(spec, ATOMIC, 1.0, 1.999) == pytest.approx(1.0 / 1.999)
-        assert _turning_point(spec, ATOMIC, 1.0, 2.001) is None
-        assert _turning_point(spec, ATOMIC, 0.5, 0.999) == pytest.approx(0.5 / 0.999)
-        assert _turning_point(spec, ATOMIC, 0.5, 1.001) is None
-        assert _turning_point(spec, ATOMIC, -1.0, 0.001) is None
-
     @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
     def test_classical_difference_matches_brentq_knots(self, monkeypatch, spec):
         r_box = 12.0
@@ -588,13 +634,14 @@ class TestTurningPoint:
                 assert got[i, j] == pytest.approx(ref[i, j], rel=1e-12, abs=0.0), (f, lam)
 
     def test_core_edge_at_the_wall(self):
-        # cutoff Coulomb, g = 1: r0 = 1 / Lambda sits just inside, then just
-        # outside a box of radius 20
-        spec = cutoff_coulomb(1.0, 0.5)
-        (((inside,),),) = _classical_difference(spec, ATOMIC, [1.0], [1.0 / 19.5], [20.0])
+        # Yukawa, g = 1: at Lambda = exp(-kappa r0) / r0 the core edge r0
+        # sits just inside, then just outside a box of radius 20
+        spec = yukawa(1.0, 0.1)
+        lam_at = lambda r0: math.exp(-0.1 * r0) / r0
+        (((inside,),),) = _classical_difference(spec, ATOMIC, [1.0], [lam_at(19.5)], [20.0])
         assert math.isfinite(inside)
         with pytest.raises(ValueError, match="r0 = 20.5 lies beyond"):
-            _classical_difference(spec, ATOMIC, [1.0], [1.0 / 20.5], [20.0])
+            _classical_difference(spec, ATOMIC, [1.0], [lam_at(20.5)], [20.0])
 
 
 class TestTailFit:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import MixedSignError
 from anomaly_forge.perturbation import Order, Source, TraceSamples, geometric_grid, sample_w
-from anomaly_forge.potentials import coulomb, cutoff_coulomb, inverse_square, yukawa
+from anomaly_forge.potentials import coulomb, inverse_square, yukawa
 from anomaly_forge.quadrature import (
     _WG,
     _WK,
@@ -155,8 +155,8 @@ class TestVectorisedPanels:
 
     @pytest.mark.parametrize("spec, members, n_calls, evals", [
         (yukawa(1.0, 0.5), 30, 19, 6990),
-        (cutoff_coulomb(1.0, 0.5), 29, 18, 2715),
-    ], ids=["classical-yukawa", "classical-cutoff-coulomb"])
+        (yukawa(1.0, 0.5, attractive=False), 24, 19, 6930),
+    ], ids=["classical-yukawa", "repulsive"])
     def test_classical_batch_one_call_per_round(self, monkeypatch, spec, members, n_calls,
                                                  evals):
         # the screened oracle's classical phase-space batch: one integrand
