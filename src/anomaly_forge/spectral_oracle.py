@@ -14,8 +14,9 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 * the first-order term: in infinite space the coupling-linear part of the
   trace difference vanishes identically (the one-potential trace is the
   same quantum and classically), but the box keeps a finite linear
-  artifact from levels near the wall.  The oracle measures the linear
-  response of its own assembly and subtracts it.
+  artifact from levels near the wall.  Yukawa keeps the coupling-even part;
+  for the inverse-square family the linear response, a ladder sum of
+  nu-derivatives, telescopes to a few end values and is subtracted.
 
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
@@ -75,8 +76,9 @@ class OracleConfig:
         if self.grid_points < 200:
             raise ValueError("grid_points must be at least 200")
         radii = self.richardson_levels
-        if len(radii) != 2 or not radii[0] < radii[1]:
-            raise ValueError("richardson_levels must be two strictly increasing radii")
+        if len(radii) != 2 or not 0.0 < radii[0] < radii[1] < math.inf:
+            raise ValueError(
+                "richardson_levels must be two finite, positive, strictly increasing radii")
 
 
 def ive(v, z):
@@ -208,11 +210,12 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     return 0.5 * x * ratio
 
 
-# Largest case-A box scale x = sqrt(2 m Lambda) R / hbar.  The channel list
-# grows like 6x, and no sweep has yet checked the bar against the exact value
-# above this one.  The smallest is 2 beta: below about 1.0-1.45 beta the bar
-# misses the value.
-_CASE_A_X_MAX = 2000.0
+# Case-A box scales x = sqrt(2 m Lambda) R / hbar lie in [max(2 beta, 8), 2000].
+# The channel list grows like 6x, and no sweep has yet checked the bar against
+# the exact value above 2000.  Below about 1.0-1.45 beta, and below x = 5-6 at
+# small beta, the bar misses the value.
+_CASE_A_X_MIN, _CASE_A_X_MAX = 8.0, 2000.0
+_END_STEP = 0.25   # order step d of the end differences in the linear response
 
 
 def _case_a_classical(x: float, j: float, beta2: float) -> float:
@@ -233,6 +236,29 @@ def _case_a_classical(x: float, j: float, beta2: float) -> float:
     return (big_g(j * j) - big_g(0.0)) / 3.0
 
 
+def _case_a_end_orders(j: float) -> np.ndarray:
+    """Orders 0, d, ..., 4d and j - d, j, j + d, read by ``_case_a_linear_response``."""
+    d = _END_STEP
+    return np.array([0.0, d, 2.0 * d, 3.0 * d, 4.0 * d, j - d, j, j + d])
+
+
+def _case_a_linear_response(s_end: np.ndarray, x: float, j: float) -> float:
+    """sum_{l<j} s'(l + 1/2) - [c(j) - c(0)] from s at ``_case_a_end_orders(j)``.
+
+    s(nu) = x I_{nu+1}(x) / (2 I_nu(x)) and c(nu) = (sqrt(x^2 + nu^2) - nu)/2.
+    The ladder sum telescopes (midpoint Euler-Maclaurin) to s(j) - s(0)
+    - [s''(j) - s''(0)]/24 - 7 s^(4)(0)/5760, with one-sided differences at 0
+    and a central one at j: 4e-8 relative off the exact sum at x = 8, 1e-9 from x = 20.
+    """
+    s0, s1, s2, s3, s4, s_lo, s_j, s_hi = s_end
+    d2 = _END_STEP * _END_STEP
+    d2_0 = (35.0 * s0 - 104.0 * s1 + 114.0 * s2 - 56.0 * s3 + 11.0 * s4) / (12.0 * d2)
+    d4_0 = (s0 - 4.0 * s1 + 6.0 * s2 - 4.0 * s3 + s4) / (d2 * d2)
+    d2_j = (s_lo - 2.0 * s_j + s_hi) / d2
+    c_of = lambda nu: 0.5 * x * x / (math.sqrt(x * x + nu * nu) + nu)   # (sqrt(x^2+nu^2) - nu)/2
+    return (s_j - c_of(j)) - (s0 - c_of(0.0)) - (d2_j - d2_0) / 24.0 - 7.0 * d4_0 / 5760.0
+
+
 def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
                         units: UnitSystem) -> tuple[float, float]:
     """Counterterm-subtracted w(Lambda) for U = alpha/r^2 at one box radius.
@@ -240,33 +266,23 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
     Returns (value, residual-tail estimate).  Quantum channel sums use the
     exact Bessel-ratio form with effective orders sqrt((l+1/2)^2 + beta2);
     the classical phase-space difference is closed-form; the coupling-linear
-    box artifact is removed through the measured linear response at zero
-    coupling, a central difference in the order with step h.
-
-    All four order sets -- nu_q, the free orders nu_l and nu_l +- h -- go
-    through one ``bessel_channel_sums`` call; the nu_l sets are unit ladders
-    that share their ive values.  The call covers one (Lambda, R); one call
-    per Lambda grid and both radii, with an x per order, measured slower and
-    larger.
+    box artifact is beta2 times ``_case_a_linear_response``.  The quantum,
+    free and end orders go through one ``bessel_channel_sums`` call per box;
+    one call per Lambda grid and both radii, with an x per order, measured
+    slower and larger.
     """
     hbar, m = units.hbar, units.m
     x = math.sqrt(2.0 * m * lam) * r_box / hbar
     n_ch = int(math.ceil(6.0 * x)) + 200
+    j = float(n_ch)
     nu_l = np.arange(n_ch, dtype=float) + 0.5
     nu_q = np.sqrt(nu_l * nu_l + beta2)
-    h = 0.25
-    # one Bessel-ratio pass per box: quantum, free and the free orders +-h
-    s_q, s_l, s_p, s_m = np.split(
-        bessel_channel_sums(np.concatenate([nu_q, nu_l, nu_l + h, nu_l - h]), x), 4)
-    deg = 2.0 * nu_l
-    quantum = float(np.sum(deg * (s_q - s_l)))
-
-    j = float(n_ch)
+    s_q, s_l, s_end = np.split(
+        bessel_channel_sums(np.concatenate([nu_q, nu_l, _case_a_end_orders(j)]), x),
+        [n_ch, 2 * n_ch])
+    quantum = float(np.sum(2.0 * nu_l * (s_q - s_l)))
     classical = _case_a_classical(x, j, beta2)
-
-    qp = (s_p - s_m) / (2.0 * h)
-    c_of = lambda nu: 0.5 * x * x / (math.sqrt(x * x + nu * nu) + nu)   # (sqrt(x^2+nu^2) - nu)/2
-    linear_response = float(np.sum(qp)) - (c_of(j) - c_of(0.0))
+    linear_response = _case_a_linear_response(s_end, x, j)
 
     w = (quantum - classical - beta2 * linear_response) / lam
     tail_resid = x * x * beta2 * beta2 / (8.0 * (j * j + x * x) ** 2) / lam
@@ -463,9 +479,9 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     ``config.richardson_levels``.  Inverse-square values are extrapolated
     as w(R) = w_inf + a/R^2; the error is a third of that step plus the
     larger channel-tail residual; every box scale x = sqrt(2 m Lambda) R / hbar
-    of the grid and both radii must lie in [2 beta, 2000] (ValueError
-    otherwise).  Yukawa takes the channel differences against the free
-    channel on four grids (fine and coarse step at each radius) from one
+    of the grid and both radii must lie in [max(2 beta, 8), 2000]
+    (ValueError otherwise).  Yukawa takes the channel differences against
+    the free channel on four grids (fine and coarse step at each radius) from one
     ``_grid_traces`` sweep and every classical difference from one
     quadrature batch.  The value is the
     coupling-even part [W(+U) + W(-U)]/2, which cancels the coupling-linear
@@ -495,13 +511,14 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
         x_lo = math.sqrt(2.0 * units.m * min(lams)) * r1 / units.hbar
         x_hi = math.sqrt(2.0 * units.m * max(lams)) * r2 / units.hbar
-        beta = math.sqrt(beta2)
-        if not (2.0 * beta <= x_lo and x_hi <= _CASE_A_X_MAX):
-            lam, r_box, x = (min(lams), r1, x_lo) if x_lo < 2.0 * beta else (max(lams), r2, x_hi)
+        x_min = max(2.0 * math.sqrt(beta2), _CASE_A_X_MIN)
+        if not (x_min <= x_lo and x_hi <= _CASE_A_X_MAX):
+            lam, r_box, x = (min(lams), r1, x_lo) if x_lo < x_min else (max(lams), r2, x_hi)
             raise ValueError(
                 f"box scale x = sqrt(2 m Lambda) R / hbar = {x:g} at Lambda = {lam:g}, "
-                f"box radius R = {r_box:g}, is outside [2 beta, {_CASE_A_X_MAX:g}] = "
-                f"[{2.0 * beta:g}, {_CASE_A_X_MAX:g}]; move the Lambda window into it")
+                f"box radius R = {r_box:g}, is outside [max(2 beta, {_CASE_A_X_MIN:g}), "
+                f"{_CASE_A_X_MAX:g}] = [{x_min:g}, {_CASE_A_X_MAX:g}]; "
+                f"move the Lambda window into it")
         vals, errs = [], []
         for lam in lams:
             (w1, t1), (w2, t2) = (_case_a_w_at_radius(beta2, lam, r, units) for r in (r1, r2))

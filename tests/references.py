@@ -19,6 +19,10 @@ traces: the eigenvalues of the radial grid operator whose resolvent traces
 ``grid_trace_differences_longdouble`` runs that sweep's own recursion in
 ``np.longdouble``, a reference for its rounding.
 
+``bessel_ratio_nu_derivative`` gives I_{nu+1}(x)/I_nu(x) and its derivative
+in the order nu, the reference of the case-A oracle's telescoped linear
+response (``spectral_oracle._case_a_linear_response``).
+
 ``fit_power_law_lstsq`` and ``delta_an_case_a_exact_numpy`` are the numpy
 forms that ``quadrature.fit_power_law`` (a closed-form fit in ``math``)
 and ``anomaly.delta_an_case_a_exact`` (scalar cells) replace.
@@ -248,3 +252,21 @@ def delta_an_case_a_exact_numpy(alpha: float, units: UnitSystem) -> float:
     g5 = 15.0 * b4 * (b2 - 6.0 * lam * lam) / s**9
     tail = g1 / 24.0 - 7.0 * g3 / 5760.0 + 31.0 * g5 / 967680.0
     return 2.0 * (math.fsum(cells) + tail)
+
+
+def bessel_ratio_nu_derivative(nu, x: float):
+    """(I_{nu+1}(x) / I_nu(x), its derivative in nu) for an array of orders.
+
+    The ratio is the continued fraction 1/(b_1 + 1/(b_2 + ...)),
+    b_k = 2 (nu + k) / x (DLMF 10.33.1), evaluated backward from depth
+    64 + 16 sqrt(x), well past the 6.2 sqrt(x) + 12 terms that nu = 0 needs;
+    the nu-derivative is carried along in forward mode, with db_k/dnu = 2/x.
+    """
+    nu = np.asarray(nu, dtype=float)
+    depth = int(64.0 + 16.0 * math.sqrt(x))
+    t = 2.0 * (nu + depth) / x
+    dt = np.full_like(t, 2.0 / x)
+    for k in range(depth - 1, 0, -1):
+        dt = 2.0 / x - dt / (t * t)
+        t = 2.0 * (nu + k) / x + 1.0 / t
+    return 1.0 / t, -dt / (t * t)

@@ -177,9 +177,10 @@ class TestTraceCommand:
 
         Reorganising the Bessel-ratio work (batching, shared ive values,
         continued-fraction lane bookkeeping) must leave these bytes alone.
-        ROADMAP item 4's bias fix (an exact nu-derivative for the linear
-        response, a 1/R radius term) will move them on purpose; any such
-        update is recorded in CHANGES.md with the old and new values.
+        The linear response is already the telescoped ladder sum, with no
+        step-h difference in the order; ROADMAP item 4's remaining bias fix,
+        a 1/R radius term, will move them on purpose.  Any such update is
+        recorded in CHANGES.md with the old and new values.
         """
         code, out, _ = run_cli(capsys, "trace", "--method", "oracle",
                                "--potential", "inverse-square:alpha=50",
@@ -188,14 +189,14 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-0.082692808324933739", "0.0051761304468062406"),
-            ("-0.05956048223874584", "0.0026765556454573982"),
-            ("-0.042902152955921542", "0.0013819931806868177"),
-            ("-0.030901015035275842", "0.0007126845368858087"),
-            ("-0.022254650235448703", "0.00036710649192802644"),
-            ("-0.016025868045671826", "0.00018888087743326818"),
-            ("-0.011539307746857585", "9.7060533094712548e-05"),
-            ("-0.0083080986838679829", "4.9807668192443345e-05"),
+            ("-0.083239936612977766", "0.0052698462208828059"),
+            ("-0.059894473834807178", "0.0027335471975486222"),
+            ("-0.043106037721055479", "0.0014166709293495553"),
+            ("-0.03102547890856544", "0.00073379478659365573"),
+            ("-0.022330631358445791", "0.00037996268750965117"),
+            ("-0.016072252990023895", "0.00019671302295932511"),
+            ("-0.011567625219411808", "0.00010183341064589715"),
+            ("-0.0083253864708746263", "5.2716938690345791e-05"),
         ]
 
     def test_screened_oracle_digits_pinned(self, capsys):
@@ -308,21 +309,24 @@ class TestAnomalyCommand:
         assert err == f"error: cannot write --out {path}: No such file or directory\n"
         assert not path.parent.exists()
 
-    @pytest.mark.parametrize("window, lam, r_box, x", [
-        (("0.001", "0.01"), "0.001", "20", "0.894427"),
-        (("1e4", "1e5"), "100000", "40", "17888.5"),
-    ], ids=["small-box", "large-box"])
-    def test_case_a_box_scale_outside_range_exits_2(self, capsys, window, lam, r_box, x):
-        # x = sqrt(2 m Lambda) R / hbar must lie in [2 beta, 2000]; beta = 10
+    @pytest.mark.parametrize("alpha, window, lam, r_box, x, bounds", [
+        ("50", ("0.001", "0.01"), "0.001", "20", "0.894427", "[20, 2000]"),
+        ("50", ("1e4", "1e5"), "100000", "40", "17888.5", "[20, 2000]"),
+        # beta = 0.5: x = 5 clears 2 beta but not the floor of 8
+        ("0.125", ("0.03125", "1"), "0.03125", "20", "5", "[8, 2000]"),
+    ], ids=["small-box", "large-box", "small-beta"])
+    def test_case_a_box_scale_outside_range_exits_2(self, capsys, alpha, window, lam, r_box,
+                                                    x, bounds):
+        # x = sqrt(2 m Lambda) R / hbar must lie in [max(2 beta, 8), 2000]
         code, out, err = run_cli(capsys, "anomaly", "--method", "oracle",
-                                 "--potential", "inverse-square:alpha=50",
+                                 "--potential", f"inverse-square:alpha={alpha}",
                                  "--lambda-min", window[0], "--lambda-max", window[1],
                                  "--points", "4")
         assert code == 2
         assert out == ""
         assert f"x = sqrt(2 m Lambda) R / hbar = {x} at Lambda = {lam}" in err
         assert f"box radius R = {r_box}," in err
-        assert "[2 beta, 2000] = [20, 2000]" in err
+        assert f"[max(2 beta, 8), 2000] = {bounds}" in err
 
 
 class TestEmitReport:

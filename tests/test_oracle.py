@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma, jv, zeta
 
 from anomaly_forge import spectral_oracle
+from anomaly_forge.anomaly import delta_an_case_a_exact, extract_anomalies
 from anomaly_forge.errors import (
     TailDivergentError,
     UnconvergedError,
@@ -28,7 +29,11 @@ from anomaly_forge.spectral_oracle import (
     oracle_trace,
 )
 from anomaly_forge.units import ATOMIC, UnitSystem
-from references import grid_channel_levels, grid_trace_differences_longdouble
+from references import (
+    bessel_ratio_nu_derivative,
+    grid_channel_levels,
+    grid_trace_differences_longdouble,
+)
 
 ALPHA_100 = 50.0  # 2 m alpha / hbar^2 = 100 in atomic units
 
@@ -311,6 +316,8 @@ class TestBesselRatioRoutes:
         oracle_trace(inverse_square(ALPHA_100), ATOMIC, lams)
         assert len(calls) == lams.size * len(OracleConfig().richardson_levels)
         for call in calls:
+            # quantum orders, free orders and the eight end orders of the box
+            assert call["nu"].size == 2 * (math.ceil(6.0 * call["x"]) + 200) + 8
             (orders,) = call["ive"]
             via_ive = np.setdiff1d(call["nu"], np.concatenate(call["cf"]))
             assert via_ive.size and np.all(via_ive < 0.5 * call["x"])
@@ -415,6 +422,33 @@ class TestCaseAClassical:
         assert spectral_oracle._case_a_classical(x, float(math.ceil(6.0 * x) + 200), 0.0) == 0.0
 
 
+class TestCaseALinearResponse:
+    # The coupling-linear box response sum_{l<j} s'(l + 1/2) - [c(j) - c(0)],
+    # s(nu) = x I_{nu+1}(x) / (2 I_nu(x)), taken in telescoped form, against
+    # the ladder sum of exact nu-derivatives.  The central difference in the
+    # order with step 1/4 that it replaced missed by 3e-5 to 1e-3 relative.
+
+    @pytest.mark.parametrize("x, nu", [(5.0, 0.0), (20.0, 0.5), (63.0, 31.5),
+                                       (63.0, 578.0), (800.0, 3.25), (800.0, 5000.0)])
+    def test_reference_derivative_against_mpmath(self, x, nu):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        ratio = lambda v: mpmath.besseli(v + 1, x) / mpmath.besseli(v, x)
+        got, d_got = bessel_ratio_nu_derivative(np.array([nu]), x)
+        assert got[0] == pytest.approx(float(ratio(nu)), rel=1e-14)
+        assert d_got[0] == pytest.approx(float(mpmath.diff(ratio, nu)), rel=1e-13)
+
+    @pytest.mark.parametrize("x", [20.0, 63.0, 800.0])
+    def test_telescoped_sum_matches_ladder_sum(self, x):
+        j = float(math.ceil(6.0 * x) + 200)
+        c_of = lambda nu: (math.sqrt(x * x + nu * nu) - nu) / 2.0
+        _, d_ratio = bessel_ratio_nu_derivative(np.arange(j) + 0.5, x)
+        reference = math.fsum(0.5 * x * d_ratio) - (c_of(j) - c_of(0.0))
+        s_end = bessel_channel_sums(spectral_oracle._case_a_end_orders(j), x)
+        got = spectral_oracle._case_a_linear_response(s_end, x, j)
+        assert got == pytest.approx(reference, rel=1e-6)
+
+
 class TestOracleW:
     def test_free_is_zero(self):
         samples = oracle_trace(inverse_square(0.0), ATOMIC, [10.0])
@@ -428,6 +462,21 @@ class TestOracleW:
         assert samples.source is Source.ORACLE
         fit = fit_power_law(samples)
         assert fit.gamma == pytest.approx(1.0, abs=0.05)
+
+    def test_case_a_box_scale_floor(self):
+        # beta = 0.5: x = 5 at the smaller radius (20) is above 2 beta but
+        # below the floor of 8; just above the floor the grid is accepted
+        spec = inverse_square(0.125)
+        with pytest.raises(ValueError, match=r"= 5 at .*\[max\(2 beta, 8\), 2000\] = \[8, 2000\]"):
+            oracle_trace(spec, ATOMIC, [0.03125, 1.0])
+        assert len(oracle_trace(spec, ATOMIC, [0.0801]).values) == 1
+
+    def test_case_a_number_anomaly_near_exact(self):
+        # criterion 3's fixture: 0.063% off the exact value (the step-h
+        # difference left 0.99%); the rest is the 1/R box term
+        samples = oracle_trace(inverse_square(ALPHA_100), ATOMIC, np.geomspace(5.0, 50.0, 8))
+        exact = delta_an_case_a_exact(ALPHA_100, ATOMIC)
+        assert extract_anomalies(samples).a_n == pytest.approx(exact, rel=1.5e-3)
 
     def test_case_a_box_convergence(self):
         spec = inverse_square(ALPHA_100)
@@ -689,3 +738,6 @@ class TestOracleConfig:
             OracleConfig(richardson_levels=(40.0, 20.0))
         with pytest.raises(ValueError):
             OracleConfig(richardson_levels=(8.0, 12.0, 16.0))
+        for radii in ((0.0, 10.0), (-5.0, 10.0), (10.0, math.inf), (math.nan, 10.0)):
+            with pytest.raises(ValueError, match="finite, positive"):
+                OracleConfig(richardson_levels=radii)
