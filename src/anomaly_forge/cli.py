@@ -28,7 +28,7 @@ from .anomaly import (
     delta_an_case_a_exact,
     extract_anomalies,
 )
-from .errors import MixedSignError, NotPowerLawError, TailDivergentError, UnconvergedError
+from .errors import MixedSignError, NotPowerLawError, UnconvergedError
 from .perturbation import Order, TraceSamples, geometric_grid, sample_w
 from .potentials import LargeXTail, classify, parse_potential
 from .quadrature import fit_power_law
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
         if args.command == "trace":
             return _cmd_trace(args, units)
         return _cmd_anomaly(args, units)
-    except (UnconvergedError, NotPowerLawError, MixedSignError, TailDivergentError) as exc:
+    except (UnconvergedError, NotPowerLawError, MixedSignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:   # argument, spec, unit and representability errors

@@ -28,7 +28,3 @@ class MixedSignError(ValueError):
 
 class NotPowerLawError(ValueError):
     """Fit residual too large for the samples to be described by a power law."""
-
-
-class TailDivergentError(RuntimeError):
-    """Channel terms do not decay, so no convergent tail can be fitted."""

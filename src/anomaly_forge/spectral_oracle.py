@@ -23,7 +23,10 @@ the channel resolvent sums collapse to modified-Bessel-function ratios,
 so the whole evaluation is closed-form up to the ratio itself.  Yukawa
 uses O(N) pivot recursions of the tridiagonal radial grid operator, without
 eigenvalues, that sum each channel's difference against the free channel
-row by row.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
+row by row, up to l_max.  Its classical term counts only those channels: the
+phase-space integral over lambda = l + 1/2 < l_max + 1, so the channels left
+out need no extrapolation, only an Euler-Maclaurin error.  Bare and cutoff
+Coulomb are rejected: a box cannot hold a 1/r tail.
 
 The oracle is the only production path that runs numpy (here and in the
 quadrature and potential functions it calls) and scipy.  Importing numpy
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailDivergentError, UnconvergedError, UnsupportedPotentialError
+from .errors import UnconvergedError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
 from .potentials import Family, PotentialSpec, evaluate
 from .quadrature import QuadratureBudget, integrate_batch
@@ -58,8 +61,8 @@ class OracleConfig:
 
     ``richardson_levels`` is the (small, large) pair of box radii.
     ``grid_points`` is the fine grid size at the small radius, scaled with
-    the radius at the large one, and ``ell_max`` the last channel summed
-    before the fitted tail.  No code reads ``box_radius``; it stays only
+    the radius at the large one, and ``ell_max`` the last channel summed,
+    quantum and classical alike.  No code reads ``box_radius``; it stays only
     because ``bench/workloads.py`` still sets it (ROADMAP item 1).
     """
 
@@ -309,13 +312,17 @@ def _turning_point(spec: PotentialSpec, units: UnitSystem, factor: float,
 
 
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
-                          radii) -> np.ndarray:
-    """(2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1].
+                          radii, L: float) -> np.ndarray:
+    """The phase-space counterpart of the channels lambda = l + 1/2 < L, in boxes r < R.
 
-    The radial momentum integral is closed-form; the principal value over
-    the region where lam + f U < 0 contributes zero, leaving
-    (2 m sqrt(2m)/hbar^3) int r^2 [sqrt(lam) - sqrt(max(lam + f U, 0))] dr
-    over r < R.  Returns shape (len(radii), len(factors), len(lams)).
+    The whole term (2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1]
+    is int_0^inf F dlambda, F = 2 lambda c(lambda), with c(lambda) channel
+    lambda's semiclassical trace difference.  Doing the lambda integral first
+    (its principal value over s + f U < 0 contributes zero) gives
+    int_L^inf F dlambda = (2 m sqrt(2m)/hbar^3) int r^2 [sqrt(s) - sqrt(max(s + f U, 0))] dr
+    with s = lam + hbar^2 L^2 / (2 m r^2).  The integrand is this bracket at
+    L = 0 minus the one at L; L = inf gives the whole term.
+    Returns shape (len(radii), len(factors), len(lams)).
 
     Each box's integral is split at the knots 0, r0, min(10 r0, R) and R.
     All the segments go through one ``integrate_batch`` call; a segment that
@@ -339,15 +346,19 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
                 plans.append([segments.setdefault((factor, lam, a, b), len(segments))
                               for a, b in zip(knots[:-1], knots[1:]) if b > a])
     factor_of, lam_of, lower, upper = np.array(list(segments), dtype=float).reshape(-1, 4).T
-    sqrt_lam = np.sqrt(lam_of)
+    cent = hbar * hbar * L * L / (2.0 * m)
+
+    def bracket(a, u, r):
+        # r^2 [sqrt(a) - sqrt(a + u)] without the cancellation at |u| << a
+        inside = a + u
+        root = np.sqrt(np.maximum(inside, 0.0))
+        s = np.sqrt(a)
+        return np.where(inside <= 0.0, r * r * s, -r * r * u / (s + root))
 
     def integrand(r, rows):
-        # sqrt(lam) - sqrt(lam + u) without the cancellation at |u| << lam
         u = factor_of[rows, None] * evaluate(spec, units, r)
-        inside = lam_of[rows, None] + u
-        root = np.sqrt(np.maximum(inside, 0.0))
-        s = sqrt_lam[rows, None]
-        return np.where(inside <= 0.0, r * r * s, -r * r * u / (s + root))
+        lam = lam_of[rows, None]
+        return bracket(lam, u, r) - bracket(lam + cent / (r * r), u, r)
 
     budget = QuadratureBudget(abs_tol=1e-15, rel_tol=1e-11, max_evals=300_000)
     results = integrate_batch(integrand, lower, upper, budget)
@@ -432,39 +443,10 @@ def _grid_traces(spec, units, lams, grids, ell_max):
     return out
 
 
-def _fit_channel_tail(terms: np.ndarray, ell_max: int, floor: float) -> tuple[float, float]:
-    """Extrapolate the channel series past ell_max with a fitted power law.
-
-    Returns (tail, tail_error).  Raises TailDivergentError when the terms
-    do not decay.
-    """
-    nu = np.arange(ell_max + 1, dtype=float) + 0.5
-    n_fit = max(6, (ell_max + 1) // 5)
-    t = terms[-n_fit:]
-    v = nu[-n_fit:]
-    if np.all(np.abs(t) < floor):
-        return 0.0, floor
-    sign = np.sign(t[np.argmax(np.abs(t))])
-    if np.any(t * sign <= 0.0):
-        # alternating or noisy tail: bound it by the last magnitudes
-        bound = float(np.max(np.abs(t))) * 2.0
-        return 0.0, bound
-    y = np.log(np.abs(t))
-    xd = np.log(v)
-    a = np.column_stack([np.ones_like(xd), xd])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    q = -float(coef[1])
-    amp = sign * math.exp(float(coef[0]))
-    if q <= 1.0:
-        if np.abs(t[-1]) < 1e3 * floor:
-            return 0.0, float(np.abs(t[-1])) * (ell_max + 1)
-        raise TailDivergentError(
-            f"channel terms decay like nu^-{q:.2f}; the tail sum does not converge"
-        )
-    # sum over nu = ell_max + 3/2, ell_max + 5/2, ...: a Hurwitz zeta
-    from scipy.special import zeta
-    tail = amp * float(zeta(q, ell_max + 1.5))
-    return tail, abs(tail) * 0.3
+def _tail_error(terms: np.ndarray) -> np.ndarray:
+    """Twice F'(L)/24, the first Euler-Maclaurin remainder of the channels
+    past the last, with F' the difference of the last two channel terms."""
+    return np.abs(terms[..., -1] - terms[..., -2]) / 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +467,12 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     ``_grid_traces`` sweep and every classical difference from one
     quadrature batch.  The value is the
     coupling-even part [W(+U) + W(-U)]/2, which cancels the coupling-linear
-    wall and grid artifacts to all odd orders, with a fitted channel tail
-    and grid-step Richardson, at the larger radius.  Its error sums the
-    tail fit, grid step and odd content (third order and beyond, from the
-    half-coupling runs) of that radius's fine grid, and the radius change.
+    wall and grid artifacts to all odd orders, of the channels l <= l_max
+    against their own classical counterpart, with grid-step Richardson, at
+    the larger radius.  Its error sums the channel tail (twice the first
+    Euler-Maclaurin remainder F'(L)/24 of the channels left out), grid step
+    and odd content (third order and beyond, from the half-coupling runs)
+    of that radius's fine grid, and the radius change.
     Bare and cutoff Coulomb raise ``UnsupportedPotentialError``.
     """
     if config is None:
@@ -496,8 +480,8 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     lams = [float(l) for l in lambda_grid]
     if not lams:
         raise ValueError("lambda_grid must not be empty")
-    if any(l <= 0.0 for l in lams):
-        raise ValueError("Lambda values must be positive")
+    if not all(0.0 < l < math.inf for l in lams):
+        raise ValueError("Lambda values must be finite and positive")
 
     fam = spec.family
     if fam in (Family.COULOMB, Family.CUTOFF_COULOMB):
@@ -533,8 +517,8 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         n_fine = int(round(config.grid_points * r_box / r1))
         grids += [(r_box, n_fine), (r_box, max(n_fine // 2, 200))]
     # (radius, factor, lam) -> (grid, factor, lam); the free factor 0 has none
-    classical = np.repeat(
-        _classical_difference(spec, units, _COUPLING_FACTORS[:4], lams, (r1, r2)), 2, axis=0)
+    classical = np.repeat(_classical_difference(
+        spec, units, _COUPLING_FACTORS[:4], lams, (r1, r2), config.ell_max + 1.0), 2, axis=0)
     # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
     # axis, so that it adds in the order of a 1-D np.sum over one channel series
     diffs = np.stack(_grid_traces(spec, units, lams, grids, config.ell_max))
@@ -543,9 +527,7 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * diffs, 1, 0)
     c_p1, c_m1, c_ph, c_mh = np.moveaxis(classical, 1, 0)
     terms = 0.5 * (t_p1 + t_m1)
-    fits = np.array([[_fit_channel_tail(t, config.ell_max, 1e-16) for t in grid_terms]
-                     for grid_terms in terms])     # (grid, lam, [tail, tail error])
-    w = np.sum(terms, axis=-1) + fits[..., 0] - 0.5 * (c_p1 + c_m1)
+    w = np.sum(terms, axis=-1) - 0.5 * (c_p1 + c_m1)
     w_h = (4.0 * w[0::2] - w[1::2]) / 3.0
     # errors on the larger radius's fine grid, grids[2]; the odd content is
     # the cubic and beyond: [W(1) - W(-1)]/2 - [W(1/2) - W(-1/2)]
@@ -554,6 +536,6 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     w_odd_half = np.sum(t_ph[2] - t_mh[2], axis=-1) - (c_ph[2] - c_mh[2])
     odd_resid = np.abs(w_odd_full - w_odd_half) * 4.0 / 3.0
     box_err = np.abs(w_h[1] - w_h[0])
-    err = fits[2, :, 1] + h_err + odd_resid + box_err
+    err = _tail_error(terms[2]) + h_err + odd_resid + box_err
     return TraceSamples(tuple(lams), tuple(w_h[1].tolist()), tuple(err.tolist()),
                         Source.ORACLE, spec, units)

@@ -213,10 +213,10 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-2.665067976006706e-06", "2.3161175343209017e-07"),
-            ("-6.0291856880937206e-07", "4.1369115953894794e-08"),
-            ("-1.3414340253683044e-07", "8.5908485961486259e-09"),
-            ("-2.9193568870174471e-08", "2.8270366534754171e-09"),
+            ("-2.6651791574509803e-06", "2.3033660333634497e-07"),
+            ("-6.0312133314876088e-07", "4.0116667761588688e-08"),
+            ("-1.3447104085874471e-07", "7.3854227487211907e-09"),
+            ("-2.9667536641553924e-08", "1.7124457768841399e-09"),
         ]
 
     def test_bad_window_exits_2(self, capsys):

@@ -6,22 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import digamma, jv, zeta
+from scipy.special import digamma, jv
 
 from anomaly_forge import spectral_oracle
 from anomaly_forge.anomaly import delta_an_case_a_exact, extract_anomalies
-from anomaly_forge.errors import (
-    TailDivergentError,
-    UnconvergedError,
-    UnsupportedPotentialError,
-)
-from anomaly_forge.perturbation import Source, compute_w2
+from anomaly_forge.errors import UnconvergedError, UnsupportedPotentialError
+from anomaly_forge.perturbation import Source, compute_w2, geometric_grid
 from anomaly_forge.potentials import coulomb, cutoff_coulomb, evaluate, inverse_square, yukawa
 from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import (
     OracleConfig,
     _classical_difference,
-    _fit_channel_tail,
     _COUPLING_FACTORS,
     _grid_traces,
     _turning_point,
@@ -33,9 +28,18 @@ from references import (
     bessel_ratio_nu_derivative,
     grid_channel_levels,
     grid_trace_differences_longdouble,
+    yukawa_classical_cut_mpmath,
 )
 
 ALPHA_100 = 50.0  # 2 m alpha / hbar^2 = 100 in atomic units
+
+# The benchmark's reduced screened box and criterion 9's box, with its Lambda grid
+BENCH_BOX = OracleConfig(ell_max=30, grid_points=500, richardson_levels=(8.0, 12.0))
+CRITERION_9_LAMS = tuple(geometric_grid(10.0, 100.0, 6))
+
+
+def criterion_9_box(ell_max: int) -> OracleConfig:
+    return OracleConfig(ell_max=ell_max, grid_points=2000, richardson_levels=(16.0, 22.0))
 
 
 def jnu_zeros(nu: float, count: int) -> np.ndarray:
@@ -522,18 +526,18 @@ class TestOracleW:
 
     @pytest.mark.parametrize("attractive, config, pinned", [
         # the benchmark's reduced box, repulsive coupling
-        (False, OracleConfig(ell_max=30, grid_points=500, richardson_levels=(8.0, 12.0)), [
-            ("-0x1.656a8adc9aa9fp-19", "0x1.064d150ef21f6p-22"),
-            ("-0x1.747d482e11775p-21", "0x1.00dba1b4063adp-24"),
-            ("-0x1.addeaed89c055p-23", "0x1.7e8f286959550p-26"),
-            ("-0x1.a5b2700493385p-26", "0x1.43d8722f0f4d1p-27"),
+        (False, BENCH_BOX, [
+            ("-0x1.65b73c6f94fa0p-19", "0x1.f8bb132eae1dbp-23"),
+            ("-0x1.7636bde334455p-21", "0x1.b6b6bf566000bp-25"),
+            ("-0x1.b6a133b0a76abp-23", "0x1.eb50c156552abp-27"),
+            ("-0x1.fb582468dbaabp-26", "0x1.b20e188da1aa4p-29"),
         ]),
         # radii whose grids share no step (h = 14/1200 and 18/1543)
         (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
-            ("-0x1.65a08e8672dedp-19", "0x1.fb2ec858676bap-23"),
-            ("-0x1.75ac00f74f433p-21", "0x1.c56ab43e3ae46p-25"),
-            ("-0x1.b3af63430f7b5p-23", "0x1.19b13984c0213p-26"),
-            ("-0x1.db90cbd0f30d5p-26", "0x1.7565c23f8d2f1p-28"),
+            ("-0x1.65b79b4ff1e10p-19", "0x1.f261fd60dde6bp-23"),
+            ("-0x1.763b279a6f96bp-21", "0x1.a35dae76e440bp-25"),
+            ("-0x1.b6c1d0d9cf700p-23", "0x1.b2d5df9fb4bfap-27"),
+            ("-0x1.fd5e2597d6eabp-26", "0x1.39872b83fe000p-29"),
         ]),
     ], ids=["repulsive-8-12", "attractive-14-18"])
     def test_screened_values_pinned(self, attractive, config, pinned):
@@ -546,6 +550,49 @@ class TestOracleW:
         spec = yukawa(0.05, 1.0, attractive=attractive)
         samples = oracle_trace(spec, ATOMIC, (10.0, 20.0, 37.5, 100.0), config)
         assert [(v.hex(), e.hex()) for v, e in zip(samples.values, samples.errors)] == pinned
+
+    def test_bench_box_lambda_100_near_w2(self):
+        # the fitted power-law l-tail left this point 17.3% off w2
+        spec = yukawa(0.05, 1.0)
+        samples = oracle_trace(spec, ATOMIC, [100.0], BENCH_BOX)
+        (w,), (err,) = samples.values, samples.errors
+        target = compute_w2(spec, ATOMIC, 100.0)
+        assert abs(w / target - 1.0) <= 0.01
+        assert abs(w - target) <= err
+
+    def test_criterion_9_box_with_sixteen_channels(self):
+        # l_max = 15 on criterion 9's box: 0.16% worst (the fitted tail: 160%)
+        spec = yukawa(0.05, 1.0)
+        samples = oracle_trace(spec, ATOMIC, CRITERION_9_LAMS, criterion_9_box(15))
+        targets = [compute_w2(spec, ATOMIC, lam) for lam in CRITERION_9_LAMS]
+        assert max(abs(w / t - 1.0) for w, t in zip(samples.values, targets)) <= 0.005
+        assert all(abs(w - t) <= e for w, t, e in zip(samples.values, targets, samples.errors))
+
+    @pytest.mark.parametrize("ell_max", [10, 15])
+    def test_tail_bar_covers_the_channels_left_out(self, ell_max):
+        # the tail component, from the even channel terms of the larger
+        # radius's fine grid, against what doubling the channel list moves
+        spec = yukawa(0.05, 1.0)
+        (diffs,) = _grid_traces(spec, ATOMIC, CRITERION_9_LAMS, [(22.0, 2750)], ell_max)
+        t_p1, t_m1 = (2.0 * np.arange(ell_max + 1) + 1.0) * diffs[:2]
+        tail_bar = spectral_oracle._tail_error(0.5 * (t_p1 + t_m1))
+        w, w_double = (np.array(oracle_trace(spec, ATOMIC, CRITERION_9_LAMS,
+                                             criterion_9_box(l)).values)
+                       for l in (ell_max, 2 * ell_max))
+        ratio = tail_bar / np.abs(w - w_double)
+        assert np.all((ratio >= 1.0) & (ratio <= 10.0)), ratio
+
+    @pytest.mark.parametrize("spec", [yukawa(0.05, 1.0), inverse_square(ALPHA_100)],
+                             ids=["yukawa", "inverse-square"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_lambda_rejected_before_any_work(self, monkeypatch, spec, bad):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle worked on a non-finite Lambda")
+
+        for name in ("_grid_traces", "_classical_difference", "_case_a_w_at_radius"):
+            monkeypatch.setattr(spectral_oracle, name, forbidden)
+        with pytest.raises(ValueError, match="Lambda values must be finite and positive"):
+            oracle_trace(spec, ATOMIC, [10.0, bad])
 
     def test_coulomb_rejected(self):
         with pytest.raises(UnsupportedPotentialError):
@@ -582,7 +629,8 @@ class TestClassicalDifference:
         integrate_batch = spectral_oracle.integrate_batch
         monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
         lam, r_box = 100.0, 12.0
-        (((got,),),) = _classical_difference(yukawa(0.05, 1.0), ATOMIC, [factor], [lam], [r_box])
+        (((got,),),) = _classical_difference(yukawa(0.05, 1.0), ATOMIC, [factor], [lam], [r_box],
+                                              math.inf)
         assert results
         assert all(res.converged for res in results)
         assert sum(res.evals for res in results) < 5000
@@ -602,6 +650,23 @@ class TestClassicalDifference:
         exact = 2 * mpmath.sqrt(2) * mpmath.quad(integrand, knots)
         assert got == pytest.approx(float(exact), abs=1e-12)
 
+    def test_cut_term_against_mpmath(self):
+        # the channels l <= 10 of a repulsive core, where lam + f U > 0
+        pytest.importorskip("mpmath")
+        spec, lam, r_box, L = yukawa(1.0, 0.5, attractive=False), 4.0, 12.0, 11.0
+        (((got,),),) = _classical_difference(spec, ATOMIC, [1.0], [lam], [r_box], L)
+        exact = yukawa_classical_cut_mpmath(spec, ATOMIC, 1.0, lam, r_box, L)
+        assert got == pytest.approx(exact, rel=1e-9)
+
+    def test_strong_attraction_cut_terms_finite(self):
+        # at L = 1, lam + hbar^2 L^2/(2 m r^2) + U < 0 on a shell around r = 1:
+        # the cut bracket takes its principal-value branch there
+        spec, lam, r_box = yukawa(3.0, 0.5), 0.5, 12.0
+        r = np.linspace(0.5, 1.5, 11)
+        assert np.any(lam + 1.0 / (2.0 * r * r) + evaluate(spec, ATOMIC, r) < 0.0)
+        for L in (1.0, 11.0):
+            cut = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], [lam], [r_box], L)
+            assert np.all(np.isfinite(cut)), L
 
     @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False)],
                              ids=["yukawa", "repulsive-yukawa"])
@@ -609,12 +674,12 @@ class TestClassicalDifference:
         # one call over (radii x factors x Lambda) returns what one call per
         # element does, bit for bit, shared segments included
         radii, factors, lams = (12.0, 20.0), (1.0, -1.0, 0.5), (1.5, 4.0, 40.0)
-        batch = _classical_difference(spec, ATOMIC, factors, lams, radii)
+        batch = _classical_difference(spec, ATOMIC, factors, lams, radii, 31.0)
         assert batch.shape == (2, 3, 3)
         for i, r_box in enumerate(radii):
             for j, f in enumerate(factors):
                 for k, lam in enumerate(lams):
-                    alone = _classical_difference(spec, ATOMIC, [f], [lam], [r_box])
+                    alone = _classical_difference(spec, ATOMIC, [f], [lam], [r_box], 31.0)
                     assert np.array_equal(batch[i, j, k], alone[0, 0, 0]), (r_box, f, lam)
 
     def test_shared_segments_integrated_once(self, monkeypatch):
@@ -630,7 +695,7 @@ class TestClassicalDifference:
         monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
         spec, lam = yukawa(1.0, 0.5), 4.0
         r0 = _turning_point(spec, ATOMIC, 1.0, lam)
-        _classical_difference(spec, ATOMIC, [1.0], [lam], [12.0, 20.0])
+        _classical_difference(spec, ATOMIC, [1.0], [lam], [12.0, 20.0], math.inf)
         assert members == [(0.0, r0), (r0, 10.0 * r0), (10.0 * r0, 12.0), (10.0 * r0, 20.0)]
 
 
@@ -675,9 +740,11 @@ class TestTurningPoint:
     @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
     def test_classical_difference_matches_brentq_knots(self, monkeypatch, spec):
         r_box = 12.0
-        (got,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box])
+        (got,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box],
+                                       math.inf)
         monkeypatch.setattr(spectral_oracle, "_turning_point", _brentq_turning_point)
-        (ref,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box])
+        (ref,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box],
+                                       math.inf)
         for i, f in enumerate(_COUPLING_FACTORS):
             for j, lam in enumerate(_TURNING_LAMS):
                 assert got[i, j] == pytest.approx(ref[i, j], rel=1e-12, abs=0.0), (f, lam)
@@ -687,41 +754,11 @@ class TestTurningPoint:
         # sits just inside, then just outside a box of radius 20
         spec = yukawa(1.0, 0.1)
         lam_at = lambda r0: math.exp(-0.1 * r0) / r0
-        (((inside,),),) = _classical_difference(spec, ATOMIC, [1.0], [lam_at(19.5)], [20.0])
+        (((inside,),),) = _classical_difference(spec, ATOMIC, [1.0], [lam_at(19.5)], [20.0],
+                                              math.inf)
         assert math.isfinite(inside)
         with pytest.raises(ValueError, match="r0 = 20.5 lies beyond"):
-            _classical_difference(spec, ATOMIC, [1.0], [lam_at(20.5)], [20.0])
-
-
-class TestTailFit:
-    def test_divergent_tail_rejected(self):
-        nu = np.arange(41, dtype=float) + 0.5
-        terms = 1.0 / np.sqrt(nu)
-        with pytest.raises(TailDivergentError):
-            _fit_channel_tail(terms, 40, 1e-16)
-
-    def test_power_tail_summed(self):
-        nu = np.arange(41, dtype=float) + 0.5
-        terms = nu**-3.0
-        tail, err = _fit_channel_tail(terms, 40, 1e-16)
-        exact = float(np.sum((np.arange(41, 200_000) + 0.5) ** -3.0))
-        assert tail == pytest.approx(exact, rel=1e-6)
-
-    @pytest.mark.parametrize("amp, q", [(2.5e-3, 2.7), (-4.0e-9, 3.6)])
-    def test_exact_power_law_hurwitz_tail(self, amp, q):
-        # an exact power law is fitted exactly, and its tail over
-        # nu = ell_max + 3/2, ell_max + 5/2, ... is amp zeta(q, ell_max + 3/2)
-        ell_max = 30
-        nu = np.arange(ell_max + 1, dtype=float) + 0.5
-        tail, err = _fit_channel_tail(amp * nu**-q, ell_max, 1e-16)
-        exact = amp * float(zeta(q, ell_max + 1.5))
-        assert tail == pytest.approx(exact, rel=1e-10)
-        assert err == pytest.approx(0.3 * abs(exact), rel=1e-10)
-
-    def test_negligible_tail_zero(self):
-        terms = np.full(41, 1e-18)
-        tail, err = _fit_channel_tail(terms, 40, 1e-16)
-        assert tail == 0.0
+            _classical_difference(spec, ATOMIC, [1.0], [lam_at(20.5)], [20.0], math.inf)
 
 
 class TestOracleConfig:

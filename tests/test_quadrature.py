@@ -172,7 +172,8 @@ class TestVectorisedPanels:
             return results
 
         monkeypatch.setattr(spectral_oracle, "integrate_batch", counting)
-        _classical_difference(spec, ATOMIC, (1.0, -1.0, 0.5), (1.5, 4.0, 40.0), (12.0, 20.0))
+        _classical_difference(spec, ATOMIC, (1.0, -1.0, 0.5), (1.5, 4.0, 40.0), (12.0, 20.0),
+                              math.inf)
         assert all(res.converged for res in results)
         assert (len(results), len(calls), sum(res.evals for res in results)) == (
             members, n_calls, evals)
