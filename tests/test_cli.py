@@ -175,8 +175,9 @@ class TestTraceCommand:
     def test_case_a_oracle_digits_pinned(self, capsys):
         """The case-A oracle's trace at 2 m alpha / hbar^2 = 100, to all 17 digits.
 
-        Reorganising the Bessel-ratio work (batching, shared ive values,
-        continued-fraction lane bookkeeping) must leave these bytes alone.
+        Every Bessel ratio comes from the backward continued fraction, one
+        batched call per box; reorganising that work (batching, the order of
+        the sweep) must leave these bytes alone.
         The linear response is already the telescoped ladder sum, with no
         step-h difference in the order; ROADMAP item 4's remaining bias fix,
         a 1/R radius term, will move them on purpose.  Any such update is
@@ -189,14 +190,14 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-0.083239936612977766", "0.0052698462208828059"),
-            ("-0.059894473834807178", "0.0027335471975486222"),
-            ("-0.043106037721055479", "0.0014166709293495553"),
-            ("-0.03102547890856544", "0.00073379478659365573"),
-            ("-0.022330631358445791", "0.00037996268750965117"),
-            ("-0.016072252990023895", "0.00019671302295932511"),
-            ("-0.011567625219411808", "0.00010183341064589715"),
-            ("-0.0083253864708746263", "5.2716938690345791e-05"),
+            ("-0.083239936607755999", "0.0052698462214682863"),
+            ("-0.059894473847136746", "0.0027335471969121405"),
+            ("-0.043106037638380661", "0.0014166709363478114"),
+            ("-0.031025478917765852", "0.00073379478585878068"),
+            ("-0.022330631337499653", "0.00037996268898191212"),
+            ("-0.016072253081317139", "0.00019671301561096938"),
+            ("-0.011567625080582893", "0.00010183342292295557"),
+            ("-0.0083253867643157051", "5.2716913927978288e-05"),
         ]
 
     def test_screened_oracle_digits_pinned(self, capsys):

@@ -1,4 +1,5 @@
-"""numpy and scipy stay out of processes that do not run the spectral oracle."""
+"""numpy stays out of processes that do not run the spectral oracle, scipy out of
+those that do not run the screened one."""
 
 import json
 import os
@@ -40,11 +41,14 @@ _COMMANDS = {
     "reproduce": ["reproduce", "--target", "w2-closed-form"],
     "reproduce-case-b-energy": ["reproduce", "--target", "case-b-energy"],
     "reproduce-w1-scaling": ["reproduce", "--target", "w1-scaling"],
-    # last: loads numpy and scipy.special for the rest of the process
+    # the last two load numpy, and the screened oracle scipy.special, for the
+    # rest of the process
     "oracle": ["anomaly", "--method", "oracle", "--potential", "inverse-square:alpha=50",
                "--lambda-min", "5", "--lambda-max", "50", "--points", "4"],
+    "screened-oracle": ["trace", "--method", "oracle", "--potential", "yukawa:Z=0.05,kappa=1",
+                        "--points", "4"],
 }
-_WITHOUT_ORACLE = ["import", *(step for step in _COMMANDS if step != "oracle")]
+_WITHOUT_ORACLE = ["import", *(step for step in _COMMANDS if "oracle" not in step)]
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +82,15 @@ def test_no_numpy_without_the_oracle(loaded, step):
     assert _named(modules, "numpy") == []
 
 
-def test_oracle_loads_only_scipy_special(loaded):
+def test_case_a_oracle_loads_no_scipy(loaded):
     code, modules = loaded["oracle"]
+    assert code == 0
+    assert _named(modules, "scipy") == []
+
+
+def test_oracle_loads_only_scipy_special(loaded):
+    # the screened oracle's turning points take scipy.special.lambertw
+    code, modules = loaded["screened-oracle"]
     assert code == 0
     assert "scipy.special" in modules
     assert not any(m.startswith(("scipy.optimize", "scipy.linalg")) for m in modules)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,9 +263,9 @@ class TestExactChannelSum:
 
 
 class TestBesselRatioRoutes:
-    # Orders nu >= x/2 take the continued fraction, lower ones ive(nu+1)/ive(nu).
-    # Each point's reference is x I_{nu+1}(x) / (2 I_nu(x)) at 50 digits;
-    # at 35 digits the reference itself is off by about 4e-13 at x = 800.
+    # Every order takes the backward continued fraction.  Each point's
+    # reference is x I_{nu+1}(x) / (2 I_nu(x)) at 50 digits; at 35 digits
+    # the reference itself is off by about 4e-13 at x = 800.
 
     @staticmethod
     def _reference(nus, x):
@@ -276,73 +277,78 @@ class TestBesselRatioRoutes:
 
     @pytest.mark.parametrize("x", [5.0, 63.0, 800.0, 1e4])
     def test_continued_fraction_orders(self, x):
-        # just above x/2, where the fraction is slowest, up to 6x; at x = 800
+        # at x/2, where the fraction is shallowest, up to 6x; at x = 800
         # nu = 1.33 x is where scipy's ive ratio is off by about 4e-13
         nus = np.array([0.5 * x, 0.5 * x + 1e-9, 0.5 * x + 0.5, 0.8 * x, 1.33 * x,
                         2.0 * x, 6.0 * x + 200.0])
         got = bessel_channel_sums(nus, x)
-        assert got == pytest.approx(self._reference(nus, x), rel=1e-14, abs=0)
+        assert got == pytest.approx(self._reference(nus, x), rel=2e-15, abs=0)
 
-    @pytest.mark.parametrize("x", [5.0, 63.0, 800.0])
+    @pytest.mark.parametrize("x", [5.0, 63.0, 800.0, 1e4])
     def test_ive_orders(self, x):
-        # scipy's own accuracy below x/2, up to just under the switch
+        # the orders below x/2 that scipy's ive ratio once served, from nu = 0,
+        # where the fraction is deepest; that ratio was off by 2.9e-15 at
+        # x = 63, 3.3e-14 at 800 and 6.6e-14 at 1e4 below x/2
         nus = np.array([0.0, 0.5, 1.0, 0.1 * x, 0.25 * x, 0.5 * x - 0.5,
                         0.5 * x - 1e-9])
         got = bessel_channel_sums(nus, x)
-        assert got == pytest.approx(self._reference(nus, x), rel=3e-13, abs=0)
+        assert got == pytest.approx(self._reference(nus, x), rel=2e-15, abs=0)
 
-    def test_routing_and_ive_work(self, monkeypatch):
-        # criterion 3's case-A fixture: one ive call per box; every order whose
-        # ratio comes from ive is below x/2, and ive sees only those orders and
-        # the orders one above them, each once (a unit ladder shares them).
-        # Under 5% of the 164 624 elements it took when every order went
-        # through it, and 11 558 in 128 calls before the ladders were shared.
+    def test_case_a_needs_no_ive(self, monkeypatch):
+        # criterion 3's case-A fixture runs with ive unusable, one
+        # bessel_channel_sums call per box over all of its orders
         calls = []
 
         def recording_sums(nu, x):
-            calls.append({"nu": np.asarray(nu, dtype=float), "x": x, "ive": [], "cf": []})
+            calls.append((np.asarray(nu, dtype=float), x))
             return sums(nu, x)
 
-        def recording_ive(nu, x):
-            calls[-1]["ive"].append(np.array(nu, dtype=float, ndmin=1))
-            return ive(nu, x)
+        def no_ive(nu, x):
+            raise AssertionError("the case-A oracle called ive")
 
-        def recording_cf(nu, x):
-            calls[-1]["cf"].append(np.array(nu, dtype=float))
-            return cf(nu, x)
-
-        sums, ive, cf = (spectral_oracle.bessel_channel_sums, spectral_oracle.ive,
-                         spectral_oracle._bessel_ratio_cf)
+        sums = spectral_oracle.bessel_channel_sums
         monkeypatch.setattr(spectral_oracle, "bessel_channel_sums", recording_sums)
-        monkeypatch.setattr(spectral_oracle, "ive", recording_ive)
-        monkeypatch.setattr(spectral_oracle, "_bessel_ratio_cf", recording_cf)
+        monkeypatch.setattr(spectral_oracle, "ive", no_ive)
         lams = np.geomspace(5.0, 50.0, 8)
         oracle_trace(inverse_square(ALPHA_100), ATOMIC, lams)
         assert len(calls) == lams.size * len(OracleConfig().richardson_levels)
-        for call in calls:
+        for nu, x in calls:
             # quantum orders, free orders and the eight end orders of the box
-            assert call["nu"].size == 2 * (math.ceil(6.0 * call["x"]) + 200) + 8
-            (orders,) = call["ive"]
-            via_ive = np.setdiff1d(call["nu"], np.concatenate(call["cf"]))
-            assert via_ive.size and np.all(via_ive < 0.5 * call["x"])
-            assert np.all(np.isin(orders, via_ive) | np.isin(orders, via_ive + 1.0))
-            assert np.all(np.isin(via_ive, orders) & np.isin(via_ive + 1.0, orders))
-            assert np.unique(orders).size == orders.size
-        assert sum(call["ive"][0].size for call in calls) < 8_000
+            assert nu.size == 2 * (math.ceil(6.0 * x) + 200) + 8
+
+    @pytest.mark.parametrize("x", [0.01, 0.5, 8.0, 63.0, 800.0, 2000.0, 1e4, 1e5])
+    def test_depth_rule_converges(self, x):
+        # the depth K = ceil(sqrt(nu^2 + 44 x) - nu) + 8 passes the tail
+        # bound over the orders the case-A oracle uses and beyond
+        nus = np.concatenate([np.linspace(0.0, 7.0 * x + 200.0, 2001),
+                              np.linspace(0.0, 3.0 * math.sqrt(x), 101)])
+        got = bessel_channel_sums(nus, x)
+        assert np.all(np.isfinite(got) & (got > 0.0))
+
+    @pytest.mark.parametrize("nu, x, expected", [
+        (1e300, 63.0, 9.9225e-298),     # the naive depth overflows here
+        (0.5, 1e-300, 0.0),
+        (0.5, 1e6, 499999.5),
+        (1e5, 1e-3, 2.4999750002499975e-12),
+    ])
+    def test_extreme_finite_inputs(self, nu, x, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bessel_channel_sums(np.array([nu]), x)
+        assert got[0] == pytest.approx(expected, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("x", [0.5, 5.0, 63.0, 800.0])
     def test_batching_invariance(self, x):
         # one call on a mixed array equals one call per order, bit for bit:
-        # shared ive values and continued-fraction lanes that retire lazily
-        # must not let an order's value depend on its neighbours.  At
-        # x = 0.5 only the order just below x/2 reaches ive.
+        # orders of other depths summed in the same sweep must not let an
+        # order's value depend on its neighbours
         half = 0.5 * x
         across = half + 0.125 + np.arange(-3.0, 5.0)
         nus = np.concatenate([
             np.arange(12.0) + 0.5,                  # unit ladder from the bottom
             np.sqrt(np.arange(6.0) ** 2 + 7.3),     # no ladder
             [3.5],                                  # duplicate of a ladder order
-            [2.75], [3.75, 0.3],                    # a "+1" across a segment boundary
+            [2.75], [3.75, 0.3],
             across[across >= 0.0],                  # unit ladder across x/2
             [half - 1e-9, half, 2.0 * x, 6.0 * x + 200.0],
         ])
@@ -366,7 +372,8 @@ class TestBesselRatioRoutes:
             bessel_channel_sums(np.array(nu), x)
 
     def test_term_cap_raises(self, monkeypatch):
-        # a Lentz factor that never counts as 1 must stop at the x-derived cap
+        # a tail bound that never counts as small enough must raise, not
+        # return the value at the depth reached
         monkeypatch.setattr(spectral_oracle, "_EPS", -1.0)
         with pytest.raises(UnconvergedError):
             bessel_channel_sums(np.array([0.5, 400.0]), 63.0)
