@@ -327,6 +327,7 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
 
 
 _COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)
+_SWEEP_BLOCK = 8   # rows whose diagonal parts ``_grid_traces`` tabulates at once
 
 
 def _grid_traces(spec, units, lams, grids, ell_max):
@@ -345,9 +346,14 @@ def _grid_traces(spec, units, lams, grids, ell_max):
     One pass over the radial index serves all (grid, factor, ell, lam)
     lanes.  Grids run in order of decreasing N, so the grids still in their
     rows are always a leading block of lanes, and a grid's lanes drop out
-    once its N - 1 rows end.  Each row's diagonal is built inside the loop
-    from per-grid tables of 1/r^2 and U, so memory stays O(lanes + grids N),
-    not O(N lanes).  Every lane does the arithmetic of a one-grid pass.
+    once its N - 1 rows end.  The diagonal's two parts, shift + cent/r^2 per
+    (grid, lam, ell) and f U per (grid, factor), are tabulated for
+    ``_SWEEP_BLOCK`` rows at a time from per-grid tables of 1/r^2 and U (a
+    block ends where a grid drops out), so each row adds them with one
+    broadcast.  A block's radial table has no factor axis, so it holds
+    ``_SWEEP_BLOCK``/5 times the lanes, and its coupling table is small:
+    memory stays O(lanes + grids N), not O(N lanes).  Every lane does the
+    arithmetic of a one-grid pass.
     """
     if not grids:
         return []
@@ -366,32 +372,39 @@ def _grid_traces(spec, units, lams, grids, ell_max):
         kin[slot] = hbar * hbar / (m * h * h)
         pot[:n_points - 1, slot, 0, 0, 0] = evaluate(spec, units, r)
         inv_r2[:n_points - 1, slot, 0, 0, 0] = 1.0 / (r * r)
-    b2 = 0.25 * kin * kin
     shift = kin + np.asarray(lams, dtype=float)[:, None]
     factor = np.array(_COUPLING_FACTORS)[:, None, None]
     ell = np.arange(ell_max + 1, dtype=float)
     cent = hbar * hbar * ell * (ell + 1.0) / (2.0 * m)
     d = shift + cent * inv_r2[0] + factor * pot[0]
+    b2 = np.broadcast_to(0.25 * kin * kin, d.shape).copy()   # b^2 / d divides without a broadcast
     dp = np.ones_like(d)
     g = 1.0 / d
     diff = g[:, :4] - g[:, 4:]
-    # The row update works in place in a spare buffer: with a fresh array
+    # The row update works in place in spare buffers: with a fresh array
     # per operation the sweep ran about 10% slower.
+    step = np.empty_like(diff)
     out = [None] * len(grids)
     live = len(order)
-    for i in range(1, n_rows[0]):
+    i = 1
+    while i < n_rows[0]:
         while n_rows[live - 1] <= i:   # the last live grid has no row i
             live -= 1
             out[order[live]] = diff[live]
-            d, dp, g, diff = (a[:live] for a in (d, dp, g, diff))
-        np.divide(b2[:live], d, out=g)    # g = b^2 / d
-        dp *= g                           # d' = 1 + g d' / d
-        dp /= d
-        dp += 1.0
-        np.add(shift[:live] + cent * inv_r2[i, :live], factor * pot[i, :live], out=d)
-        d -= g
-        np.divide(dp, d, out=g)           # g is spent: it takes d' / d
-        diff += np.subtract(g[:, :4], g[:, 4:], out=g[:, :4])
+            d, dp, g, diff, step, b2 = (a[:live] for a in (d, dp, g, diff, step, b2))
+        stop = min(i + _SWEEP_BLOCK, n_rows[live - 1])
+        radial = shift[:live] + cent * inv_r2[i:stop, :live]
+        coupling = factor * pot[i:stop, :live]
+        for radial_i, coupling_i in zip(radial, coupling):
+            np.divide(b2, d, out=g)           # g = b^2 / d
+            dp *= g                           # d' = 1 + g d' / d
+            dp /= d
+            dp += 1.0
+            np.add(radial_i, coupling_i, out=d)
+            d -= g
+            np.divide(dp, d, out=g)           # g is spent: it takes d' / d
+            diff += np.subtract(g[:, :4], g[:, 4:], out=step)
+        i = stop
     for slot in range(live):
         out[order[slot]] = diff[slot]
     return out

@@ -16,8 +16,9 @@ form against an independent evaluation:
 ``grid_channel_levels`` is the reference of the screened oracle's grid
 traces: the eigenvalues of the radial grid operator whose resolvent traces
 ``spectral_oracle._grid_traces`` takes without eigensolves.
-``grid_trace_differences_longdouble`` runs that sweep's own recursion in
-``np.longdouble``, a reference for its rounding.
+``grid_trace_differences`` runs that sweep's own recursion row by row, in
+``np.longdouble`` as a reference for its rounding and in ``np.float64`` as
+a reference for its bits.
 
 ``yukawa_classical_cut_mpmath`` is the double integral over channels and
 radius behind the screened oracle's cut classical term
@@ -172,27 +173,29 @@ def grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
 
 
-def grid_trace_differences_longdouble(spec: PotentialSpec, lams, box_radius: float,
-                                      n_points: int, ell_max: int, factors,
-                                      units: UnitSystem) -> np.ndarray:
-    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 by the pivot recursion in np.longdouble.
+def grid_trace_differences(spec: PotentialSpec, lams, box_radius: float, n_points: int,
+                           ell_max: int, factors, units: UnitSystem,
+                           dtype=np.longdouble) -> np.ndarray:
+    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 by the pivot recursion, one row at a time.
 
     The grid operator is the one of ``grid_channel_levels``, built from the
     same double-precision tables of r, U and the kinetic scale as the
-    library's sweep, so only the rounding of the recursion differs.  Returns
-    shape (len(factors), len(lams), ell_max + 1).
+    library's sweep, so only the rounding of the recursion differs.  The
+    recursion runs in ``dtype``: ``np.longdouble`` bounds the library's
+    rounding, and ``np.float64`` takes each lane through the library's own
+    operations in the library's order, so it must agree with it bit for bit.
+    Returns shape (len(factors), len(lams), ell_max + 1).
     """
-    ld = np.longdouble
     h = box_radius / n_points
     r = h * np.arange(1, n_points)
-    kin = ld(units.hbar * units.hbar / (units.m * h * h))
-    pot = evaluate(spec, units, r).astype(ld)
-    inv_r2 = (1.0 / (r * r)).astype(ld)
+    kin = dtype(units.hbar * units.hbar / (units.m * h * h))
+    pot = evaluate(spec, units, r).astype(dtype)
+    inv_r2 = (1.0 / (r * r)).astype(dtype)
     b2 = kin * kin / 4
-    shift = kin + np.asarray(lams, dtype=ld)[:, None]
-    factor = np.array(list(factors) + [0.0], dtype=ld)[:, None, None]
-    ell = np.arange(ell_max + 1).astype(ld)
-    cent = ld(units.hbar * units.hbar) * ell * (ell + 1) / ld(2.0 * units.m)
+    shift = kin + np.asarray(lams, dtype=dtype)[:, None]
+    factor = np.array(list(factors) + [0.0], dtype=dtype)[:, None, None]
+    ell = np.arange(ell_max + 1).astype(dtype)
+    cent = dtype(units.hbar * units.hbar) * ell * (ell + 1) / dtype(2.0 * units.m)
     d = shift + cent * inv_r2[0] + factor * pot[0]
     dp = np.ones_like(d)
     term = dp / d

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from anomaly_forge.units import ATOMIC, UnitSystem
 from references import (
     bessel_ratio_nu_derivative,
     grid_channel_levels,
-    grid_trace_differences_longdouble,
+    grid_trace_differences,
     yukawa_classical_cut_mpmath,
 )
 
@@ -186,10 +187,51 @@ class TestGridTraces:
         grids = [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)]
         swept = _grid_traces(spec, ATOMIC, lams, grids, ell_max)
         for grid, diffs in zip(grids, swept):
-            ref = grid_trace_differences_longdouble(spec, lams, *grid, ell_max,
-                                                    _COUPLING_FACTORS[:4], ATOMIC)
+            ref = grid_trace_differences(spec, lams, *grid, ell_max,
+                                         _COUPLING_FACTORS[:4], ATOMIC)
             worst = float(np.max(np.abs((diffs - ref) / ref)))
             assert worst < 1e-9, grid
+
+    @pytest.mark.parametrize("spec, units, lams, grids, ell_max", [
+        (yukawa(0.05, 1.0), ATOMIC, [10.0, 20.0, 37.5, 100.0],
+         [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)], 30),
+        (yukawa(3.0, 0.5), ATOMIC, [0.5, 4.0],
+         [(8.0, 300), (12.0, 450), (6.0, 300), (10.0, 200), (9.0, 451)], 12),
+        (yukawa(1.0, 0.5), UnitSystem(hbar=0.5, m=2.0, e2=1.5), [3.0, 40.0],
+         [(6.0, 203), (9.0, 317)], 10),
+    ], ids=["bench-box", "strong-yukawa", "scaled-units"])
+    def test_sweep_equals_row_by_row_reference(self, spec, units, lams, grids, ell_max):
+        # the sweep tabulates its diagonals a block of rows at a time, yet
+        # every lane must do the one-row-at-a-time recursion's arithmetic in
+        # its order, so the double-precision reference agrees bit for bit;
+        # the strong case has indefinite pivots and grids that end inside a
+        # block, and the scaled case grid sizes that are not block multiples
+        swept = _grid_traces(spec, units, lams, grids, ell_max)
+        for grid, diffs in zip(grids, swept):
+            ref = grid_trace_differences(spec, lams, *grid, ell_max, _COUPLING_FACTORS[:4],
+                                         units, dtype=np.float64)
+            assert np.array_equal(diffs, ref), grid
+
+    @pytest.mark.parametrize("lams, grids, ell_max, limit_kib", [
+        ([10.0, 20.0, 37.5, 100.0], [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)],
+         30, 346),
+        (list(geometric_grid(10.0, 100.0, 12)),
+         [(20.0, 2400), (20.0, 1200), (40.0, 4800), (40.0, 2400)], 60, 1774),
+    ], ids=["bench-box", "default-box"])
+    def test_sweep_memory_stays_lane_sized(self, lams, grids, ell_max, limit_kib):
+        # the row tables may cost a small multiple of the lanes, never a
+        # block of full-lane diagonals: the bound is twice the traced peak
+        # of a sweep that built each row's diagonal in the loop (173 KiB on
+        # the benchmark's box, 887 KiB on the default box)
+        spec = yukawa(0.05, 1.0)
+        _grid_traces(spec, ATOMIC, [10.0], [(8.0, 200)], 10)   # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            _grid_traces(spec, ATOMIC, lams, grids, ell_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_kib * 1024, peak
 
     def test_no_eigensolve_in_production(self, monkeypatch):
         def forbidden(*args, **kwargs):
