@@ -21,13 +21,13 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
 so the whole evaluation is closed-form up to the ratio itself, a continued
-fraction summed backward in numpy.  Yukawa
-uses O(N) pivot recursions of the tridiagonal radial grid operator, without
-eigenvalues, that sum each channel's difference against the free channel
-row by row, up to l_max.  Its classical term counts only those channels: the
-phase-space integral over lambda = l + 1/2 < l_max + 1, so the channels left
-out need no extrapolation, only an Euler-Maclaurin error.  Bare and cutoff
-Coulomb are rejected: a box cannot hold a 1/r tail.
+fraction summed backward in numpy.  Yukawa runs one box, within bounds on
+kappa R, Lambda and the coupling, with O(N) pivot recursions of the tridiagonal
+radial grid operator, without eigenvalues, that sum each channel's difference
+against the free channel row by row, up to l_max.  Its classical term counts
+only those channels: the phase-space integral over lambda = l + 1/2 < l_max + 1,
+so the channels left out need no extrapolation, only an Euler-Maclaurin
+error.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
 
 The oracle is the only production path that runs numpy (here and in the
 quadrature and potential functions it calls), and the Yukawa path the only
@@ -61,9 +61,9 @@ from .units import UnitSystem
 class OracleConfig:
     """Box and grid sizes of ``oracle_trace``.
 
-    ``richardson_levels`` is the (small, large) pair of box radii.
-    ``grid_points`` is the fine grid size at the small radius, scaled with
-    the radius at the large one, and ``ell_max`` the last channel summed,
+    ``richardson_levels`` is the (small, large) pair of box radii: case A
+    runs both, Yukawa only the large one, with the fine step
+    small radius / ``grid_points``.  ``ell_max`` is the last channel summed,
     quantum and classical alike.  No code reads ``box_radius``; it stays only
     because ``bench/workloads.py`` still sets it (ROADMAP item 1).
     """
@@ -266,8 +266,8 @@ def _turning_point(spec: PotentialSpec, units: UnitSystem, factor: float,
 
 
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
-                          radii, L: float) -> np.ndarray:
-    """The phase-space counterpart of the channels lambda = l + 1/2 < L, in boxes r < R.
+                          r_box: float, L: float) -> np.ndarray:
+    """The phase-space counterpart of the channels lambda = l + 1/2 < L, in the box r < R.
 
     The whole term (2 pi hbar)^-3 int d3x d3p [(lam+p^2/2m+f U)^-1 - (lam+p^2/2m)^-1]
     is int_0^inf F dlambda, F = 2 lambda c(lambda), with c(lambda) channel
@@ -276,30 +276,24 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
     int_L^inf F dlambda = (2 m sqrt(2m)/hbar^3) int r^2 [sqrt(s) - sqrt(max(s + f U, 0))] dr
     with s = lam + hbar^2 L^2 / (2 m r^2).  The integrand is this bracket at
     L = 0 minus the one at L; L = inf gives the whole term.
-    Returns shape (len(radii), len(factors), len(lams)).
+    Returns shape (len(factors), len(lams)).
 
-    Each box's integral is split at the knots 0, r0, min(10 r0, R) and R.
-    All the segments go through one ``integrate_batch`` call; a segment that
-    several radii share, such as [0, r0] and [r0, 10 r0], is integrated once.
+    Each integral is split at the knots 0, r0, min(10 r0, R) and R, and all
+    the segments go through one ``integrate_batch`` call.
     """
     hbar, m = units.hbar, units.m
-    turning = {(f, lam): _turning_point(spec, units, f, lam) for f in factors for lam in lams}
-    segments = {}     # (factor, lam, a, b) -> batch member
-    plans = []        # per (R, f, lam): batch members of its segments, in order
-    for r_box in radii:
-        for factor in factors:
-            for lam in lams:
-                r0 = turning[factor, lam]
-                if r0 is not None and r0 > r_box:
-                    raise ValueError(
-                        f"the classically forbidden core reaches the box wall: at "
-                        f"Lambda = {lam:g} the turning point r0 = {r0:g} lies beyond "
-                        f"the box radius R = {r_box:g}; raise Lambda or enlarge the box"
-                    )
-                knots = [0.0, r_box] if r0 is None else [0.0, r0, min(10.0 * r0, r_box), r_box]
-                plans.append([segments.setdefault((factor, lam, a, b), len(segments))
-                              for a, b in zip(knots[:-1], knots[1:]) if b > a])
-    factor_of, lam_of, lower, upper = np.array(list(segments), dtype=float).reshape(-1, 4).T
+    segments = []     # (cell, factor, lam, a, b) of every batch member, cells in (f, lam) order
+    for cell, (factor, lam) in enumerate((f, lam) for f in factors for lam in lams):
+        r0 = _turning_point(spec, units, factor, lam)
+        if r0 is not None and r0 > r_box:
+            raise ValueError(
+                f"the classically forbidden core reaches the box wall: at "
+                f"Lambda = {lam:g} the turning point r0 = {r0:g} lies beyond "
+                f"the box radius R = {r_box:g}; raise Lambda or enlarge the box"
+            )
+        knots = [0.0, r_box] if r0 is None else [0.0, r0, min(10.0 * r0, r_box), r_box]
+        segments += [(cell, factor, lam, a, b) for a, b in zip(knots[:-1], knots[1:]) if b > a]
+    cell, factor_of, lam_of, lower, upper = np.array(segments, dtype=float).T
     cent = hbar * hbar * L * L / (2.0 * m)
 
     def bracket(a, u, r):
@@ -315,15 +309,11 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
         return bracket(lam, u, r) - bracket(lam + cent / (r * r), u, r)
 
     budget = QuadratureBudget(abs_tol=1e-15, rel_tol=1e-11, max_evals=300_000)
-    results = integrate_batch(integrand, lower, upper, budget)
-    pref = 2.0 * m * math.sqrt(2.0 * m) / hbar**3
-    out = []
-    for plan in plans:
-        total = 0.0
-        for k in plan:
-            total += results[k].require_converged("classical phase-space difference").value
-        out.append(pref * total)
-    return np.array(out).reshape(len(radii), len(factors), len(lams))
+    values = [res.require_converged("classical phase-space difference").value
+              for res in integrate_batch(integrand, lower, upper, budget)]
+    # bincount adds a cell's segments in order, from 0.0
+    totals = np.bincount(cell.astype(int), values, len(factors) * len(lams))
+    return 2.0 * m * math.sqrt(2.0 * m) / hbar**3 * totals.reshape(len(factors), len(lams))
 
 
 _COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)
@@ -416,6 +406,16 @@ def _tail_error(terms: np.ndarray) -> np.ndarray:
     return np.abs(terms[..., -1] - terms[..., -2]) / 12.0
 
 
+_BOX_C, _KAPPA_R_MIN, _K_MIN, _G_MAX = 4.0, 4.0, 3.0, 80.0   # C and the bounds a sweep checked
+
+
+def _box_error(scale: np.ndarray, k: np.ndarray, kappa: float, r_box: float) -> np.ndarray:
+    """C a^2 scale, a = k (e^-kappa R - e^-k R)/(k - kappa), k = sqrt(2 m Lambda)/hbar, with
+    scale = |quantum channel sum| + |classical term|, which w's zeros leave nonzero."""
+    a = k / (k - kappa) * np.exp(-kappa * r_box) * -np.expm1(-(k - kappa) * r_box)
+    return _BOX_C * a * a * scale
+
+
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -424,22 +424,18 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                  config: OracleConfig | None = None) -> TraceSamples:
     """Nonperturbative reduced trace difference over a Lambda grid.
 
-    Every Lambda is evaluated in boxes of both radii of
-    ``config.richardson_levels``.  Inverse-square values are extrapolated
-    as w(R) = w_inf + a/R^2; the error is a third of that step plus the
-    larger channel-tail residual; every box scale x = sqrt(2 m Lambda) R / hbar
-    of the grid and both radii must lie in [max(2 beta, 8), 2000]
-    (ValueError otherwise).  Yukawa takes the channel differences against
-    the free channel on four grids (fine and coarse step at each radius) from one
-    ``_grid_traces`` sweep and every classical difference from one
-    quadrature batch.  The value is the
-    coupling-even part [W(+U) + W(-U)]/2, which cancels the coupling-linear
-    wall and grid artifacts to all odd orders, of the channels l <= l_max
-    against their own classical counterpart, with grid-step Richardson, at
-    the larger radius.  Its error sums the channel tail (twice the first
-    Euler-Maclaurin remainder F'(L)/24 of the channels left out), grid step
-    and odd content (third order and beyond, from the half-coupling runs)
-    of that radius's fine grid, and the radius change.
+    Inverse-square values come from boxes of both radii r1 < r2 of
+    ``config.richardson_levels``, extrapolated as w(R) = w_inf + a/R^2; the
+    error is a third of that step plus the larger channel-tail residual; every
+    box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
+    in [max(2 beta, 8), 2000] (ValueError otherwise).  Yukawa runs at r2 alone,
+    on grids of step about r1/grid_points and twice that (one ``_grid_traces``
+    sweep) and one batch of classical differences, within the bounds of
+    ``_box_error`` (ValueError otherwise).  The value, with grid-step Richardson,
+    is the coupling-even part [W(+U) + W(-U)]/2 of the channels l <= l_max
+    against their classical counterpart; it cancels the coupling-linear wall and
+    grid artifacts to all odd orders.  Its error sums ``_box_error``,
+    ``_tail_error`` and the fine grid's step and odd (cubic and beyond) content.
     Bare and cutoff Coulomb raise ``UnsupportedPotentialError``.
     """
     if config is None:
@@ -479,30 +475,33 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         return TraceSamples(tuple(lams), tuple(vals), tuple(errs),
                             Source.ORACLE, spec, units)
 
-    grids = []
-    for r_box in (r1, r2):
-        n_fine = int(round(config.grid_points * r_box / r1))
-        grids += [(r_box, n_fine), (r_box, max(n_fine // 2, 200))]
-    # (radius, factor, lam) -> (grid, factor, lam); the free factor 0 has none
-    classical = np.repeat(_classical_difference(
-        spec, units, _COUPLING_FACTORS[:4], lams, (r1, r2), config.ell_max + 1.0), 2, axis=0)
+    k = np.sqrt(2.0 * units.m * np.array(lams)) / units.hbar
+    g = 2.0 * units.m * spec.Z * units.e2 / (units.hbar**2 * spec.kappa)
+    if spec.kappa * r2 < _KAPPA_R_MIN or k.min() < _K_MIN * spec.kappa or g > _G_MAX:
+        raise ValueError(f"the box bar is checked at kappa R >= {_KAPPA_R_MIN:g}, k >= "
+                         f"{_K_MIN:g} kappa and g <= {_G_MAX:g}; here kappa R = "
+                         f"{spec.kappa * r2:g} (R = {r2:g}), k = {k.min() / spec.kappa:g} "
+                         f"kappa at Lambda = {min(lams):g}, g = {g:g}")
+    n = int(round(config.grid_points * r2 / (2.0 * r1)))   # coarse grid; the fine one has 2n
+    c_p1, c_m1, c_ph, c_mh = _classical_difference(spec, units, _COUPLING_FACTORS[:4], lams,
+                                                   r2, config.ell_max + 1.0)
     # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
     # axis, so that it adds in the order of a 1-D np.sum over one channel series
-    diffs = np.stack(_grid_traces(spec, units, lams, grids, config.ell_max))
+    diffs = np.stack(_grid_traces(spec, units, lams, [(r2, 2 * n), (r2, n)], config.ell_max))
     deg = 2.0 * np.arange(config.ell_max + 1) + 1.0
     # channel terms (2 ell + 1) [Tr_f - Tr_0] of the factors 1, -1, 1/2, -1/2
     t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * diffs, 1, 0)
-    c_p1, c_m1, c_ph, c_mh = np.moveaxis(classical, 1, 0)
     terms = 0.5 * (t_p1 + t_m1)
-    w = np.sum(terms, axis=-1) - 0.5 * (c_p1 + c_m1)
-    w_h = (4.0 * w[0::2] - w[1::2]) / 3.0
-    # errors on the larger radius's fine grid, grids[2]; the odd content is
-    # the cubic and beyond: [W(1) - W(-1)]/2 - [W(1/2) - W(-1/2)]
-    h_err = np.abs(w[2] - w[3]) / 3.0
-    w_odd_full = 0.5 * (np.sum(t_p1[2] - t_m1[2], axis=-1) - (c_p1[2] - c_m1[2]))
-    w_odd_half = np.sum(t_ph[2] - t_mh[2], axis=-1) - (c_ph[2] - c_mh[2])
+    (q_fine, q_coarse), c_even = np.sum(terms, axis=-1), 0.5 * (c_p1 + c_m1)
+    w_fine, w_coarse = q_fine - c_even, q_coarse - c_even
+    w = (4.0 * w_fine - w_coarse) / 3.0
+    # errors on the fine grid; the odd content is the cubic and beyond:
+    # [W(1) - W(-1)]/2 - [W(1/2) - W(-1/2)]
+    h_err = np.abs(w_fine - w_coarse) / 3.0
+    w_odd_full = 0.5 * (np.sum(t_p1[0] - t_m1[0], axis=-1) - (c_p1 - c_m1))
+    w_odd_half = np.sum(t_ph[0] - t_mh[0], axis=-1) - (c_ph - c_mh)
     odd_resid = np.abs(w_odd_full - w_odd_half) * 4.0 / 3.0
-    box_err = np.abs(w_h[1] - w_h[0])
-    err = _tail_error(terms[2]) + h_err + odd_resid + box_err
-    return TraceSamples(tuple(lams), tuple(w_h[1].tolist()), tuple(err.tolist()),
+    box_err = _box_error(np.abs(q_fine) + np.abs(c_even), k, spec.kappa, r2)
+    err = _tail_error(terms[0]) + h_err + odd_resid + box_err
+    return TraceSamples(tuple(lams), tuple(w.tolist()), tuple(err.tolist()),
                         Source.ORACLE, spec, units)

@@ -214,10 +214,10 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-2.6651791574509803e-06", "2.3033660333634497e-07"),
-            ("-6.0312133314876088e-07", "4.0116667761588688e-08"),
-            ("-1.3447104085874471e-07", "7.3854227487211907e-09"),
-            ("-2.9667536641553924e-08", "1.7124457768841399e-09"),
+            ("-2.6651791574509803e-06", "2.3033650716913016e-07"),
+            ("-6.0312133314876088e-07", "4.0116602161213511e-08"),
+            ("-1.3447104085874471e-07", "7.3854183497515851e-09"),
+            ("-2.9667536641553924e-08", "1.7124360103909702e-09"),
         ]
 
     def test_bad_window_exits_2(self, capsys):
@@ -279,16 +279,25 @@ class TestAnomalyCommand:
 
     @pytest.mark.parametrize("potential, lambda_min", [
         ("yukawa:Z=50,kappa=0.01", "0.05"),
+        ("yukawa:Z=50,kappa=0.1", "0.01"),
     ])
     def test_core_past_the_wall_exits_2(self, capsys, potential, lambda_min):
-        # the classically forbidden core at the lowest Lambda is wider than
-        # the smallest oracle box (R = 20)
+        # both classically forbidden cores reach past the default box (R = 40)
+        # at the lowest Lambda, and the box-bar guard refuses both before any
+        # work: at kappa = 0.01 the box is 0.4 screening lengths, and at
+        # kappa = 0.1 (kappa R = 4) Lambda = 0.01 has k = 1.41 kappa and g = 1000.
+        # Within the guard's bounds no core reaches the wall: Z e2 e^-kappa R / R
+        # > Lambda would need e^-kappa R > (9/80) kappa R, false at kappa R >= 4
         code, _, err = run_cli(capsys, "anomaly", "--method", "oracle",
                                "--potential", potential, "--lambda-min", lambda_min,
                                "--lambda-max", "1", "--points", "4")
         assert code == 2
-        assert "box radius R = 20" in err
-        assert f"Lambda = {float(lambda_min):g}" in err
+        assert "the box bar is checked at kappa R >= 4, k >= 3 kappa and g <= 80" in err
+        assert f"at Lambda = {float(lambda_min):g}," in err
+        if potential.endswith("kappa=0.01"):
+            assert "here kappa R = 0.4 (R = 40)" in err
+        else:
+            assert "k = 1.41421 kappa" in err and "g = 1000" in err
 
     @pytest.mark.parametrize("potential", [
         "cutoff-coulomb:Z=1,rcut=1", "cutoff-coulomb:Z=0.01,rcut=0.1",

@@ -576,17 +576,18 @@ class TestOracleW:
     @pytest.mark.parametrize("attractive, config, pinned", [
         # the benchmark's reduced box, repulsive coupling
         (False, BENCH_BOX, [
-            ("-0x1.65b73c6f94fa0p-19", "0x1.f8bb132eae1dbp-23"),
-            ("-0x1.7636bde334455p-21", "0x1.b6b6bf566000bp-25"),
-            ("-0x1.b6a133b0a76abp-23", "0x1.eb50c156552abp-27"),
-            ("-0x1.fb582468dbaabp-26", "0x1.b20e188da1aa4p-29"),
+            ("-0x1.65b73c6f94fa0p-19", "0x1.f8ba9dc0093c9p-23"),
+            ("-0x1.7636bde334455p-21", "0x1.b6b688c23b631p-25"),
+            ("-0x1.b6a133b0a76abp-23", "0x1.eb5084866248bp-27"),
+            ("-0x1.fb582468dbaabp-26", "0x1.b20df91bc0036p-29"),
         ]),
-        # radii whose grids share no step (h = 14/1200 and 18/1543)
+        # a radius ratio whose scaled grid is odd (1200 * 18/14 = 1542.9): the
+        # grids at R = 18 take N 1542 and 771, exactly twice the step apart
         (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
-            ("-0x1.65b79b4ff1e10p-19", "0x1.f261fd60dde6bp-23"),
-            ("-0x1.763b279a6f96bp-21", "0x1.a35dae76e440bp-25"),
-            ("-0x1.b6c1d0d9cf700p-23", "0x1.b2d5df9fb4bfap-27"),
-            ("-0x1.fd5e2597d6eabp-26", "0x1.39872b83fe000p-29"),
+            ("-0x1.65b764e77adbbp-19", "0x1.f25f3561c4468p-23"),
+            ("-0x1.763a7db93c915p-21", "0x1.a35339e71da15p-25"),
+            ("-0x1.b6bfdb2c66055p-23", "0x1.b2b47836a54d1p-27"),
+            ("-0x1.fd549e111e400p-26", "0x1.393346fd8732fp-29"),
         ]),
     ], ids=["repulsive-8-12", "attractive-14-18"])
     def test_screened_values_pinned(self, attractive, config, pinned):
@@ -599,6 +600,79 @@ class TestOracleW:
         spec = yukawa(0.05, 1.0, attractive=attractive)
         samples = oracle_trace(spec, ATOMIC, (10.0, 20.0, 37.5, 100.0), config)
         assert [(v.hex(), e.hex()) for v, e in zip(samples.values, samples.errors)] == pinned
+
+    def test_yukawa_runs_one_radius(self, monkeypatch):
+        # 1200 * 18/14 = 1542.9 rounds odd: the coarse grid takes round(771.4)
+        # and the fine grid twice that, so the step ratio is exactly 2; the
+        # smaller radius sets only the step
+        grid_calls, classical_calls = [], []
+
+        def grid_traces(spec, units, lams, grids, ell_max):
+            grid_calls.append(list(grids))
+            return real_grids(spec, units, lams, grids, ell_max)
+
+        def classical_difference(spec, units, factors, lams, r_box, L):
+            classical_calls.append(r_box)
+            return real_classical(spec, units, factors, lams, r_box, L)
+
+        real_grids = spectral_oracle._grid_traces
+        real_classical = spectral_oracle._classical_difference
+        monkeypatch.setattr(spectral_oracle, "_grid_traces", grid_traces)
+        monkeypatch.setattr(spectral_oracle, "_classical_difference", classical_difference)
+        cfg = OracleConfig(ell_max=10, grid_points=1200, richardson_levels=(14.0, 18.0))
+        oracle_trace(yukawa(0.05, 1.0), ATOMIC, [20.0], cfg)
+        assert grid_calls == [[(18.0, 1542), (18.0, 771)]]
+        assert classical_calls == [18.0]
+
+    @pytest.mark.parametrize("spec, lams", [
+        (yukawa(0.05, 1.0), (4.5, 8.0, 20.0, 100.0)),
+        (yukawa(1.0, 0.5), (1.125, 5.0, 30.0, 100.0)),
+        (yukawa(12.0, 1.0), (4.5, 5.0, 21.5, 50.0)),
+    ], ids=["weak", "bound-state", "strong"])
+    def test_box_bar_covers_the_box_effect_at_the_floor(self, monkeypatch, spec, lams):
+        # kappa R = 4, the smallest box the guard admits, against kappa R = 12,
+        # both at the step h = 0.016, from k = 3 kappa up: what the larger box
+        # adds is the part of w beyond the smaller one's wall, and the box term
+        # must cover it, yet not by more than 20x at the tightest point (measured
+        # 0.075, 0.081 and 0.45 of it).  The strong case's w changes sign near
+        # Lambda = 21.5, where a term relative to |w| would not cover it
+        box_terms = []
+
+        def box_error(*args):
+            box_terms.append(real_box_error(*args))
+            return box_terms[-1]
+
+        real_box_error = spectral_oracle._box_error
+        monkeypatch.setattr(spectral_oracle, "_box_error", box_error)
+        r_box = spectral_oracle._KAPPA_R_MIN / spec.kappa
+        w, w_ref = (np.array(oracle_trace(spec, ATOMIC, lams, OracleConfig(
+            ell_max=20, grid_points=200, richardson_levels=(3.2, r))).values)
+            for r in (r_box, 3.0 * r_box))
+        ratio = np.abs(w - w_ref) / box_terms[0]
+        assert np.all(ratio <= 1.0), ratio
+        assert np.max(ratio) >= 0.05, ratio
+
+    @pytest.mark.parametrize("spec, r_box, lam, message", [
+        (yukawa(0.05, 1.0), 3.9, 10.0, r"kappa R = 3\.9 \(R = 3\.9\)"),
+        (yukawa(0.3, 1.0), 4.0, 0.125, r"k = 0\.5 kappa at Lambda = 0\.125"),
+        (yukawa(50.0, 1.0), 12.0, 10.0, r"g = 100$"),
+    ], ids=["kappa-R", "k-over-kappa", "coupling"])
+    def test_unchecked_box_bar_rejected_before_any_work(self, monkeypatch, spec, r_box, lam,
+                                                        message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle worked outside the box bar's checked bounds")
+
+        for name in ("_grid_traces", "_classical_difference"):
+            monkeypatch.setattr(spectral_oracle, name, forbidden)
+        cfg = OracleConfig(grid_points=200, richardson_levels=(2.0, r_box))
+        with pytest.raises(ValueError, match=r"the box bar is checked at kappa R >= 4, k >= 3 "
+                                             r"kappa and g <= 80; here .*" + message):
+            oracle_trace(spec, ATOMIC, [lam, 20.0], cfg)
+
+    def test_box_bar_bounds_are_inclusive(self):
+        # kappa R = 4 and k = 3 kappa exactly (Lambda = 4.5) run
+        cfg = OracleConfig(ell_max=10, grid_points=200, richardson_levels=(2.0, 4.0))
+        assert len(oracle_trace(yukawa(0.05, 1.0), ATOMIC, [4.5], cfg).values) == 1
 
     def test_bench_box_lambda_100_near_w2(self):
         # the fitted power-law l-tail left this point 17.3% off w2
@@ -678,8 +752,8 @@ class TestClassicalDifference:
         integrate_batch = spectral_oracle.integrate_batch
         monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
         lam, r_box = 100.0, 12.0
-        (((got,),),) = _classical_difference(yukawa(0.05, 1.0), ATOMIC, [factor], [lam], [r_box],
-                                              math.inf)
+        ((got,),) = _classical_difference(yukawa(0.05, 1.0), ATOMIC, [factor], [lam], r_box,
+                                          math.inf)
         assert results
         assert all(res.converged for res in results)
         assert sum(res.evals for res in results) < 5000
@@ -703,7 +777,7 @@ class TestClassicalDifference:
         # the channels l <= 10 of a repulsive core, where lam + f U > 0
         pytest.importorskip("mpmath")
         spec, lam, r_box, L = yukawa(1.0, 0.5, attractive=False), 4.0, 12.0, 11.0
-        (((got,),),) = _classical_difference(spec, ATOMIC, [1.0], [lam], [r_box], L)
+        ((got,),) = _classical_difference(spec, ATOMIC, [1.0], [lam], r_box, L)
         exact = yukawa_classical_cut_mpmath(spec, ATOMIC, 1.0, lam, r_box, L)
         assert got == pytest.approx(exact, rel=1e-9)
 
@@ -714,38 +788,23 @@ class TestClassicalDifference:
         r = np.linspace(0.5, 1.5, 11)
         assert np.any(lam + 1.0 / (2.0 * r * r) + evaluate(spec, ATOMIC, r) < 0.0)
         for L in (1.0, 11.0):
-            cut = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], [lam], [r_box], L)
+            cut = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], [lam], r_box, L)
             assert np.all(np.isfinite(cut)), L
 
     @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False)],
                              ids=["yukawa", "repulsive-yukawa"])
     def test_batch_equals_single_calls(self, spec):
-        # one call over (radii x factors x Lambda) returns what one call per
-        # element does, bit for bit, shared segments included
-        radii, factors, lams = (12.0, 20.0), (1.0, -1.0, 0.5), (1.5, 4.0, 40.0)
-        batch = _classical_difference(spec, ATOMIC, factors, lams, radii, 31.0)
-        assert batch.shape == (2, 3, 3)
-        for i, r_box in enumerate(radii):
+        # one call over (factors x Lambda) returns what one call per element
+        # does, bit for bit, in a box that cuts some cores' [r0, 10 r0] short
+        # (R = 12) and one that does not (R = 20)
+        factors, lams = (1.0, -1.0, 0.5), (1.5, 4.0, 40.0)
+        for r_box in (12.0, 20.0):
+            batch = _classical_difference(spec, ATOMIC, factors, lams, r_box, 31.0)
+            assert batch.shape == (3, 3)
             for j, f in enumerate(factors):
                 for k, lam in enumerate(lams):
-                    alone = _classical_difference(spec, ATOMIC, [f], [lam], [r_box], 31.0)
-                    assert np.array_equal(batch[i, j, k], alone[0, 0, 0]), (r_box, f, lam)
-
-    def test_shared_segments_integrated_once(self, monkeypatch):
-        # with the core inside both boxes, [0, r0] and [r0, 10 r0] are the
-        # same integrals at R = 12 and R = 20: four batch members, not six
-        members = []
-
-        def recording(f, lower, upper, budget=None):
-            members.extend(zip(lower, upper))
-            return integrate_batch(f, lower, upper, budget)
-
-        integrate_batch = spectral_oracle.integrate_batch
-        monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
-        spec, lam = yukawa(1.0, 0.5), 4.0
-        r0 = _turning_point(spec, ATOMIC, 1.0, lam)
-        _classical_difference(spec, ATOMIC, [1.0], [lam], [12.0, 20.0], math.inf)
-        assert members == [(0.0, r0), (r0, 10.0 * r0), (10.0 * r0, 12.0), (10.0 * r0, 20.0)]
+                    alone = _classical_difference(spec, ATOMIC, [f], [lam], r_box, 31.0)
+                    assert np.array_equal(batch[j, k], alone[0, 0]), (r_box, f, lam)
 
 
 def _brentq_turning_point(spec, units, factor, lam):
@@ -789,11 +848,11 @@ class TestTurningPoint:
     @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
     def test_classical_difference_matches_brentq_knots(self, monkeypatch, spec):
         r_box = 12.0
-        (got,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box],
-                                       math.inf)
+        got = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, r_box,
+                                    math.inf)
         monkeypatch.setattr(spectral_oracle, "_turning_point", _brentq_turning_point)
-        (ref,) = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, [r_box],
-                                       math.inf)
+        ref = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, r_box,
+                                    math.inf)
         for i, f in enumerate(_COUPLING_FACTORS):
             for j, lam in enumerate(_TURNING_LAMS):
                 assert got[i, j] == pytest.approx(ref[i, j], rel=1e-12, abs=0.0), (f, lam)
@@ -803,11 +862,11 @@ class TestTurningPoint:
         # sits just inside, then just outside a box of radius 20
         spec = yukawa(1.0, 0.1)
         lam_at = lambda r0: math.exp(-0.1 * r0) / r0
-        (((inside,),),) = _classical_difference(spec, ATOMIC, [1.0], [lam_at(19.5)], [20.0],
-                                              math.inf)
+        ((inside,),) = _classical_difference(spec, ATOMIC, [1.0], [lam_at(19.5)], 20.0,
+                                             math.inf)
         assert math.isfinite(inside)
         with pytest.raises(ValueError, match="r0 = 20.5 lies beyond"):
-            _classical_difference(spec, ATOMIC, [1.0], [lam_at(20.5)], [20.0], math.inf)
+            _classical_difference(spec, ATOMIC, [1.0], [lam_at(20.5)], 20.0, math.inf)
 
 
 class TestOracleConfig:

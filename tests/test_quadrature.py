@@ -154,8 +154,8 @@ class TestVectorisedPanels:
         assert calls == [(1, 15)] + [(2, 15)] * ((evals - 15) // 30)
 
     @pytest.mark.parametrize("spec, members, n_calls, evals", [
-        (yukawa(1.0, 0.5), 30, 19, 6990),
-        (yukawa(1.0, 0.5, attractive=False), 24, 19, 6930),
+        (yukawa(1.0, 0.5), 21, 19, 5295),
+        (yukawa(1.0, 0.5, attractive=False), 15, 19, 4485),
     ], ids=["classical-yukawa", "repulsive"])
     def test_classical_batch_one_call_per_round(self, monkeypatch, spec, members, n_calls,
                                                  evals):
@@ -172,8 +172,7 @@ class TestVectorisedPanels:
             return results
 
         monkeypatch.setattr(spectral_oracle, "integrate_batch", counting)
-        _classical_difference(spec, ATOMIC, (1.0, -1.0, 0.5), (1.5, 4.0, 40.0), (12.0, 20.0),
-                              math.inf)
+        _classical_difference(spec, ATOMIC, (1.0, -1.0, 0.5), (1.5, 4.0, 40.0), 20.0, math.inf)
         assert all(res.converged for res in results)
         assert (len(results), len(calls), sum(res.evals for res in results)) == (
             members, n_calls, evals)
