@@ -40,7 +40,7 @@ _TARGETS = ("eq7", "case-b-energy", "w1-scaling", "w2-closed-form")
 
 def oracle_trace(spec, units, lambda_grid, config=None):
     """``spectral_oracle.oracle_trace``, imported on the first call: the
-    oracle needs numpy, and the screened one scipy, which no other command loads."""
+    oracle needs numpy, which no other command loads."""
     from .spectral_oracle import oracle_trace as spectral_oracle_trace
     return spectral_oracle_trace(spec, units, lambda_grid, config)
 

@@ -4,11 +4,11 @@ The integrator is a plain one-dimensional Gauss-Kronrod 15(7) panel
 scheme with greedy bisection of the worst panel.  A semi-infinite interval
 is compactified with the algebraic change of variables x = a + t/(1-t),
 applied before any panels are formed, so every evaluation stays at
-interior nodes.  Integrands are array functions, called once per round of
-bisection with the 15 nodes of every new panel as rows of one array; a
-batch of intervals shares the rounds, so one call serves every live
-integral.  Evaluation order is deterministic, making repeated runs
-bit-identical.
+interior nodes.  Integrands are array functions, called once per
+bisection with the 15 nodes of both new panels as rows of one array.
+Evaluation order is deterministic, making repeated runs bit-identical.
+No production path integrates: the tests' references and the benchmark's
+tracer use the integrator.
 
 The power-law fit is the closed-form two-parameter least-squares line
 through the log-log samples, summed with ``math.fsum``.  Only the
@@ -27,28 +27,14 @@ from typing import Callable, NamedTuple
 from .errors import MixedSignError, UnconvergedError
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
-# (Gauss nodes sit at the odd Kronrod indices, taken as ``[1::2]``).
-_XK = (
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-)
-_WK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-)
-_WG = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-)
+# (Gauss nodes sit at the odd Kronrod indices, taken as ``[1::2]``); both
+# rules are symmetric, so each table is written up to x = 0 and mirrored.
+_XK = (-0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
+       -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0)
+_WK = (0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+       0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728)
+_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
+_XK, _WK, _WG = _XK + tuple(-x for x in _XK[-2::-1]), _WK + _WK[-2::-1], _WG + _WG[-2::-1]
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ class QuadratureResult(NamedTuple):
         return self
 
 
-def _panels(g, lo, hi, rows):
+def _panels(g, lo, hi):
     """Kronrod values and Kronrod-Gauss error estimates of the panels
     [lo[i], hi[i]], from one integrand call on their nodes, shape (k, 15).
 
@@ -92,7 +78,7 @@ def _panels(g, lo, hi, rows):
     xk, wk, wg = np.array(_XK), np.array(_WK), np.array(_WG)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fv = g(c[:, None] + h[:, None] * xk, rows)
+    fv = g(c[:, None] + h[:, None] * xk)
     vals, errs = [], []
     for hk, row in zip(h.tolist(), fv):
         ik = hk * float(row @ wk)
@@ -102,89 +88,50 @@ def _panels(g, lo, hi, rows):
     return vals, errs
 
 
-def integrate_batch(g: Callable, lower, upper,
-                    budget: QuadratureBudget | None = None) -> list[QuadratureResult]:
-    """Adaptively integrate over each finite interval [lower[j], upper[j]].
-
-    ``g(x, rows)`` takes panel nodes of shape (k, 15) and ``rows``, the
-    interval index of each node row, so per-interval parameters are gathered
-    by row.  Each integral runs greedy bisection of its worst panel until its
-    error sum meets tolerance or the next bisection would pass
-    ``budget.max_evals``.  A round takes one bisection step of every live
-    integral, then evaluates all the new panels in one integrand call.  The
-    steps of an integral never depend on the others, so each result is what
-    a batch of one returns, bit for bit.
-    """
-    import numpy as np
-
-    if budget is None:
-        budget = QuadratureBudget()
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = lower.size
-    if n == 0:
-        return []
-    results: list[QuadratureResult | None] = [None] * n
-    vals, errs = _panels(g, lower, upper, np.arange(n))
-    # heap entries (-error, seq, a, b, value): the worst panel pops first,
-    # ties in creation order; a finished integral's heap is released
-    heaps = [[(-e, 0, a, b, v)]
-             for a, b, v, e in zip(lower.tolist(), upper.tolist(), vals, errs)]
-    seq = [1] * n
-    total_val, total_err = vals, errs
-    evals = [15] * n
-    live = list(range(n))
-    while live:
-        lo, hi, owners = [], [], []
-        for j in live:
-            heap = heaps[j]
-            tol = max(budget.abs_tol, budget.rel_tol * abs(total_val[j]))
-            converged = total_err[j] <= tol
-            if converged or evals[j] + 30 > budget.max_evals:
-                results[j] = QuadratureResult(math.fsum(item[4] for item in heap),
-                                              math.fsum(-item[0] for item in heap),
-                                              evals[j], converged)
-                heaps[j] = None
-                continue
-            nerr, _, pa, pb, pval = heapq.heappop(heap)
-            perr = -nerr
-            total_val[j] -= pval
-            total_err[j] -= perr
-            mid = 0.5 * (pa + pb)
-            lo += (pa, mid)
-            hi += (mid, pb)
-            owners += (j, j)
-            evals[j] += 30
-        if not owners:
-            break
-        vals, errs = _panels(g, np.array(lo), np.array(hi), np.array(owners))
-        for j, a, b, v, e in zip(owners, lo, hi, vals, errs):
-            heapq.heappush(heaps[j], (-e, seq[j], a, b, v))
-            seq[j] += 1
-            total_val[j] += v
-            total_err[j] += e
-        live = owners[::2]
-    return results
-
-
 def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = None) -> QuadratureResult:
     """Adaptively integrate ``f`` over the interval ``domain = (a, b)``.
 
     ``a`` must be finite; ``b`` may be ``math.inf``.  ``f`` takes panel
     nodes as a numpy array of shape (k, 15) and returns the values there;
-    ``evals`` counts nodes.  Returns value and error estimate; if the
-    evaluation cap is hit first, the result is flagged unconverged but still
-    carries the best value.  This is ``integrate_batch`` on one interval.
+    ``evals`` counts nodes.  Greedy bisection of the worst panel runs until
+    the error sum meets tolerance or the next bisection would pass
+    ``budget.max_evals``; each bisection evaluates both children in one call.
+    Returns value and error estimate; if the evaluation cap is hit first, the
+    result is flagged unconverged but still carries the best value.
     """
+    import numpy as np
+
+    budget = budget or QuadratureBudget()
     a, b = float(domain[0]), float(domain[1])
     if math.isinf(a):
         raise ValueError("lower integration limits must be finite")
     if math.isinf(b):
-        g = lambda t, rows, a=a: f(a + t / (1.0 - t)) * (1.0 - t) ** -2
+        g = lambda t, a=a: f(a + t / (1.0 - t)) * (1.0 - t) ** -2
         a, b = 0.0, 1.0
     else:
-        g = lambda x, rows: f(x)
-    return integrate_batch(g, [a], [b], budget)[0]
+        g = f
+    (val,), (err,) = _panels(g, np.array([a]), np.array([b]))
+    # heap entries (-error, seq, a, b, value): the worst panel pops first,
+    # ties in creation order
+    heap = [(-err, 0, a, b, val)]
+    seq, evals = 1, 15
+    total_val, total_err = val, err
+    while True:
+        converged = total_err <= max(budget.abs_tol, budget.rel_tol * abs(total_val))
+        if converged or evals + 30 > budget.max_evals:
+            return QuadratureResult(math.fsum(item[4] for item in heap),
+                                    math.fsum(-item[0] for item in heap), evals, converged)
+        nerr, _, pa, pb, pval = heapq.heappop(heap)
+        total_val -= pval
+        total_err += nerr   # nerr is minus the panel's error
+        mid = 0.5 * (pa + pb)
+        vals, errs = _panels(g, np.array([pa, mid]), np.array([mid, pb]))
+        for lo, hi, v, e in zip((pa, mid), (mid, pb), vals, errs):
+            heapq.heappush(heap, (-e, seq, lo, hi, v))
+            seq += 1
+            total_val += v
+            total_err += e
+        evals += 30
 
 
 @dataclass(frozen=True)

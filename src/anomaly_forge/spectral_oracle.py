@@ -30,18 +30,18 @@ so the channels left out need no extrapolation, only an Euler-Maclaurin
 error.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
 
 The oracle is the only production path that runs numpy (here and in the
-quadrature and potential functions it calls), and the Yukawa path the only
-one that runs scipy (``scipy.special.lambertw`` for its turning points).
-Importing numpy takes longer than a whole perturbative CLI run, and
-scipy.special several times that, so the package imports this module only
-when one of its names is first used (``anomaly_forge.__getattr__``,
-``cli.oracle_trace``), and scipy is imported on first use within it.
-``ive`` and ``eigvalsh_tridiagonal``, called by no code here, stay only
-because the benchmark's tracer wraps them by name.
+potential functions it calls), and it loads no scipy module: the Yukawa
+classical term takes fixed Gauss-Legendre rules on knots from a Lambert W
+of its own.  Importing numpy takes longer than a whole perturbative CLI run,
+so the package imports this module only when one of its names is first
+used (``anomaly_forge.__getattr__``, ``cli.oracle_trace``).  ``ive`` and
+``eigvalsh_tridiagonal``, called by no code here, stay only because the
+benchmark's tracer wraps them by name; each imports scipy when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +50,6 @@ import numpy as np
 from .errors import UnconvergedError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
 from .potentials import Family, PotentialSpec, evaluate
-from .quadrature import QuadratureBudget, integrate_batch
 # Not called here: bench/tracing.py wraps spectral_oracle.integrate_adaptive
 # by name, so the name stays importable for its --trace runs.
 from .quadrature import integrate_adaptive  # noqa: F401
@@ -250,19 +249,46 @@ def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
 # Grid path for Yukawa
 # ---------------------------------------------------------------------------
 
-def _turning_point(spec: PotentialSpec, units: UnitSystem, factor: float,
-                   lam: float) -> float | None:
-    """The Yukawa radius r0 with lam + f U(r0) = 0, or None where lam + f U > 0 everywhere.
+_HALLEY_STEPS = 8   # 7 bring the step within 2 eps of W0 for every z in [0, 1e300]
 
-    With g = -f sign Z e^2, the region lam + f U < 0 is the core r < r0 and
-    needs g > 0.  Then g exp(-kappa r0) / r0 = lam, so kappa r0 is the
-    principal Lambert W of g kappa / lam.
-    """
-    g = -factor * spec.sign * spec.Z * units.e2
-    if not g > 0.0:
-        return None
-    from scipy.special import lambertw
-    return float(lambertw(g * spec.kappa / lam).real) / spec.kappa
+
+def _lambert_w(z: np.ndarray) -> np.ndarray:
+    """W0(z) for z >= 0: ``_HALLEY_STEPS`` Halley steps on w e^w = z from log1p(z) >= W0(z).
+    Every element takes the same steps, as it would alone; one whose last step
+    is not within 2 eps of w raises ``UnconvergedError``."""
+    w = np.log1p(z)
+    for _ in range(_HALLEY_STEPS):
+        ew = np.exp(w)
+        f = w * ew - z
+        step = f / (ew * (w + 1.0) - 0.5 * (w + 2.0) * f / (w + 1.0))
+        w = w - step
+    if np.any(np.abs(step) > 2.0 * _EPS * w):
+        raise UnconvergedError(f"Lambert W still moving after {_HALLEY_STEPS} Halley steps")
+    return w
+
+
+def _turning_point(spec: PotentialSpec, units: UnitSystem, factors, lams) -> np.ndarray:
+    """The Yukawa radii r* with |f U(r*)| = lam, shape (len(factors), len(lams)): the
+    principal Lambert W of |f| Z e^2 kappa / lam over kappa, 0 at f = 0.  In an
+    attractive lane r* is the turning point, the edge of the core lam + f U < 0."""
+    z = np.abs(np.asarray(factors, dtype=float))[:, None] * spec.Z * units.e2 * spec.kappa
+    return _lambert_w(z / np.asarray(lams, dtype=float)) / spec.kappa
+
+
+_GAUSS_N = 24   # nodes per segment; a rule of half as many checks each segment
+
+
+@functools.cache
+def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights on [0, 1] of the ``_GAUSS_N``- and half-node Gauss-Legendre rules,
+    side by side, made on first use by Golub-Welsch (Jacobi-matrix eigenvalues and the
+    squared first components of its eigenvectors), then made symmetric."""
+    rules = []
+    for n in (_GAUSS_N, _GAUSS_N // 2):
+        k = np.arange(1.0, n)
+        x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+        rules.append((0.25 * (x - x[::-1]) + 0.5, 0.5 * (v[0] * v[0] + v[0, ::-1] * v[0, ::-1])))
+    return tuple(np.concatenate(a) for a in zip(*rules))
 
 
 def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
@@ -278,41 +304,66 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
     L = 0 minus the one at L; L = inf gives the whole term.
     Returns shape (len(factors), len(lams)).
 
-    Each integral is split at the knots 0, r0, min(10 r0, R) and R, and all
-    the segments go through one ``integrate_batch`` call.
+    A (factor, lam) cell takes [0, min(r*, R)] (r* of ``_turning_point``) in
+    r = b t^2, which smooths a repulsive core's r^(3/2) at 0, then [a, 2a] out
+    to R; an attractive cell's [r*, 2 r*] takes r = a + (b - a) t^2, which
+    smooths the turning point's square-root edge.  Every node of a 24- and a
+    12-node Gauss-Legendre rule on each segment goes through one integrand
+    call; a cell whose |G24 - G12| sum past max(1e-15, 1e-11 |value|) raises
+    ``UnconvergedError``.  No knot sits where the bracket at L changes branch,
+    so L^2 must exceed |f| g / e, g = 2 m Z e^2 / (hbar^2 kappa), past which
+    s + f U > 0 (``ValueError``).
     """
     hbar, m = units.hbar, units.m
-    segments = []     # (cell, factor, lam, a, b) of every batch member, cells in (f, lam) order
-    for cell, (factor, lam) in enumerate((f, lam) for f in factors for lam in lams):
-        r0 = _turning_point(spec, units, factor, lam)
-        if r0 is not None and r0 > r_box:
-            raise ValueError(
-                f"the classically forbidden core reaches the box wall: at "
-                f"Lambda = {lam:g} the turning point r0 = {r0:g} lies beyond "
-                f"the box radius R = {r_box:g}; raise Lambda or enlarge the box"
-            )
-        knots = [0.0, r_box] if r0 is None else [0.0, r0, min(10.0 * r0, r_box), r_box]
-        segments += [(cell, factor, lam, a, b) for a, b in zip(knots[:-1], knots[1:]) if b > a]
-    cell, factor_of, lam_of, lower, upper = np.array(segments, dtype=float).T
+    g = 2.0 * m * spec.Z * units.e2 / (hbar * hbar * spec.kappa)
+    f_max = max(abs(f) for f in factors)
+    if not L * L > f_max * g / math.e:
+        raise ValueError(f"the cut bracket can change branch: L^2 = {L * L:g} is not above "
+                         f"|f| g / e = {f_max * g / math.e:g} (g = {g:g}); raise L")
+    r_star = _turning_point(spec, units, factors, lams).ravel().tolist()
+    segments = []     # (cell, factor, lam, a, b, mapped), cells in (f, lam) order
+    for cell, ((factor, lam), rs) in enumerate(zip(((f, lam) for f in factors for lam in lams),
+                                                   r_star)):
+        if factor == 0.0:
+            continue   # the bracket vanishes
+        core = factor * spec.sign < 0.0   # attractive
+        if core and rs > r_box:
+            raise ValueError(f"the classically forbidden core reaches the box wall: at Lambda = "
+                             f"{lam:g} the turning point r0 = {rs:g} lies beyond the box "
+                             f"radius R = {r_box:g}; raise Lambda or enlarge the box")
+        a = min(rs, r_box)
+        cuts = [(0.0, a, True)]
+        while a < r_box:
+            cuts.append((a, min(2.0 * a, r_box), core and a == rs))
+            a *= 2.0
+        segments += [(cell, factor, lam, lo, hi, mapped) for lo, hi, mapped in cuts if hi > lo]
+    cell, factor, lam, lo, hi, mapped = (np.array(col)[:, None] for col in zip(*segments))
+    t, w = _gauss_rules()
+    width = hi - lo
+    r = lo + width * np.where(mapped, t * t, t)
+    weight = width * np.where(mapped, 2.0 * t, 1.0) * w
     cent = hbar * hbar * L * L / (2.0 * m)
 
-    def bracket(a, u, r):
+    def bracket(a, u):
         # r^2 [sqrt(a) - sqrt(a + u)] without the cancellation at |u| << a
         inside = a + u
         root = np.sqrt(np.maximum(inside, 0.0))
         s = np.sqrt(a)
         return np.where(inside <= 0.0, r * r * s, -r * r * u / (s + root))
 
-    def integrand(r, rows):
-        u = factor_of[rows, None] * evaluate(spec, units, r)
-        lam = lam_of[rows, None]
-        return bracket(lam, u, r) - bracket(lam + cent / (r * r), u, r)
-
-    budget = QuadratureBudget(abs_tol=1e-15, rel_tol=1e-11, max_evals=300_000)
-    values = [res.require_converged("classical phase-space difference").value
-              for res in integrate_batch(integrand, lower, upper, budget)]
-    # bincount adds a cell's segments in order, from 0.0
-    totals = np.bincount(cell.astype(int), values, len(factors) * len(lams))
+    u = factor * evaluate(spec, units, r)
+    fw = (bracket(lam, u) - bracket(lam + cent / (r * r), u)) * weight
+    # each rule sums along its segment's row; bincount adds a cell's segments
+    # in order, from 0.0
+    value, check = fw[:, :_GAUSS_N].sum(axis=1), fw[:, _GAUSS_N:].sum(axis=1)
+    n_cells = len(factors) * len(lams)
+    totals = np.bincount(cell[:, 0], value, n_cells)
+    bad = np.bincount(cell[:, 0], np.abs(value - check), n_cells) > np.maximum(
+        1e-15, 1e-11 * np.abs(totals))
+    if bad.any():
+        raise UnconvergedError(
+            f"classical phase-space difference: in {np.count_nonzero(bad)} of {n_cells} cells "
+            f"the {_GAUSS_N}- and {_GAUSS_N // 2}-node rules differ by more than 1e-11")
     return 2.0 * m * math.sqrt(2.0 * m) / hbar**3 * totals.reshape(len(factors), len(lams))
 
 
@@ -430,7 +481,7 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
     in [max(2 beta, 8), 2000] (ValueError otherwise).  Yukawa runs at r2 alone,
     on grids of step about r1/grid_points and twice that (one ``_grid_traces``
-    sweep) and one batch of classical differences, within the bounds of
+    sweep) and one Gauss-rule pass of classical differences, within the bounds of
     ``_box_error`` (ValueError otherwise).  The value, with grid-step Richardson,
     is the coupling-even part [W(+U) + W(-U)]/2 of the channels l <= l_max
     against their classical counterpart; it cancels the coupling-linear wall and

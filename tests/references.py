@@ -25,6 +25,11 @@ radius behind the screened oracle's cut classical term
 (``spectral_oracle._classical_difference``), which swaps the two
 integrals and takes the channel one in closed form.
 
+``yukawa_classical_adaptive`` is the same radial integral as the adaptive
+quadrature that ``_classical_difference`` ran before its fixed Gauss rules:
+knots 0, r0, min(10 r0, R), R (0, R without a turning point), each segment
+by ``integrate_adaptive`` under the budget it had.
+
 ``bessel_ratio_nu_derivative`` gives I_{nu+1}(x)/I_nu(x) and its derivative
 in the order nu, the reference of the case-A oracle's telescoped linear
 response (``spectral_oracle._case_a_linear_response``).
@@ -235,6 +240,49 @@ def yukawa_classical_cut_mpmath(spec: PotentialSpec, units: UnitSystem, factor: 
             return mpmath.sqrt(2 * m) / (2 * hbar) * mpmath.quad(integrand, [0, 1, R], maxdegree=3)
 
         return float(mpmath.quad(lambda nu: 2 * nu * c(nu), [0, L], maxdegree=3))
+
+
+def yukawa_classical_adaptive(spec: PotentialSpec, units: UnitSystem, factors, lams,
+                              r_box: float, L: float) -> np.ndarray:
+    """``spectral_oracle._classical_difference`` by adaptive Gauss-Kronrod.
+
+    The integrand r^2 [sqrt(s) - sqrt(max(s + f U, 0))] at L = 0 minus at L,
+    s = lam + hbar^2 L^2 / (2 m r^2), is split at the turning point r0 of
+    lam + f U (a ``scipy.special.lambertw``) and at min(10 r0, R); each
+    segment runs with abs_tol 1e-15, rel_tol 1e-11 and 300 000 evaluations,
+    and the segments of a cell add in order.  Shape (len(factors), len(lams)).
+    """
+    from scipy.special import lambertw
+
+    hbar, m = units.hbar, units.m
+    cent = hbar * hbar * L * L / (2.0 * m)
+    budget = QuadratureBudget(abs_tol=1e-15, rel_tol=1e-11, max_evals=300_000)
+
+    def bracket(a, u, r):
+        inside = a + u
+        root = np.sqrt(np.maximum(inside, 0.0))
+        s = np.sqrt(a)
+        return np.where(inside <= 0.0, r * r * s, -r * r * u / (s + root))
+
+    out = np.zeros((len(factors), len(lams)))
+    for i, factor in enumerate(factors):
+        g = -factor * spec.sign * spec.Z * units.e2
+        for j, lam in enumerate(lams):
+            def integrand(r, factor=factor, lam=lam):
+                u = factor * evaluate(spec, units, r)
+                return bracket(lam, u, r) - bracket(lam + cent / (r * r), u, r)
+
+            knots = [0.0, r_box]
+            if g > 0.0:
+                r0 = float(lambertw(g * spec.kappa / lam).real) / spec.kappa
+                knots = [0.0, r0, min(10.0 * r0, r_box), r_box]
+            total = 0.0
+            for a, b in zip(knots[:-1], knots[1:]):
+                if b > a:
+                    res = integrate_adaptive(integrand, (a, b), budget)
+                    total += res.require_converged("classical reference").value
+            out[i, j] = total
+    return 2.0 * m * math.sqrt(2.0 * m) / hbar**3 * out
 
 
 def fit_power_law_lstsq(samples) -> PowerLawFit:

@@ -203,9 +203,9 @@ class TestTraceCommand:
     def test_screened_oracle_digits_pinned(self, capsys):
         """The weak-Yukawa box oracle's trace, to all 17 digits.
 
-        Batching the classical quadratures and sweeping every grid in one
-        pivot recursion must leave these bytes alone; any change to them is
-        recorded in CHANGES.md with the old and new values.
+        Reorganising the classical term or the pivot recursion must leave
+        these bytes alone; any change to them is recorded in CHANGES.md with
+        the old and new values.
         """
         code, out, _ = run_cli(capsys, "trace", "--method", "oracle",
                                "--potential", "yukawa:Z=0.05,kappa=1",
@@ -214,10 +214,10 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-2.6651791574509803e-06", "2.3033650716913016e-07"),
-            ("-6.0312133314876088e-07", "4.0116602161213511e-08"),
-            ("-1.3447104085874471e-07", "7.3854183497515851e-09"),
-            ("-2.9667536641553924e-08", "1.7124360103909702e-09"),
+            ("-2.6651791574353677e-06", "2.3033650709511528e-07"),
+            ("-6.0312133313835254e-07", "4.0116602080259747e-08"),
+            ("-1.3447104085570895e-07", "7.3854182618589292e-09"),
+            ("-2.9667536646324413e-08", "1.7124359086205263e-09"),
         ]
 
     def test_bad_window_exits_2(self, capsys):

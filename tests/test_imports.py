@@ -1,5 +1,5 @@
-"""numpy stays out of processes that do not run the spectral oracle, scipy out of
-those that do not run the screened one."""
+"""numpy stays out of processes that do not run the spectral oracle, and scipy out
+of every command."""
 
 import json
 import os
@@ -41,8 +41,7 @@ _COMMANDS = {
     "reproduce": ["reproduce", "--target", "w2-closed-form"],
     "reproduce-case-b-energy": ["reproduce", "--target", "case-b-energy"],
     "reproduce-w1-scaling": ["reproduce", "--target", "w1-scaling"],
-    # the last two load numpy, and the screened oracle scipy.special, for the
-    # rest of the process
+    # the last two load numpy for the rest of the process
     "oracle": ["anomaly", "--method", "oracle", "--potential", "inverse-square:alpha=50",
                "--lambda-min", "5", "--lambda-max", "50", "--points", "4"],
     "screened-oracle": ["trace", "--method", "oracle", "--potential", "yukawa:Z=0.05,kappa=1",
@@ -88,12 +87,11 @@ def test_case_a_oracle_loads_no_scipy(loaded):
     assert _named(modules, "scipy") == []
 
 
-def test_oracle_loads_only_scipy_special(loaded):
-    # the screened oracle's turning points take scipy.special.lambertw
+def test_screened_oracle_loads_no_scipy(loaded):
+    # its turning points come from a Lambert W of its own
     code, modules = loaded["screened-oracle"]
     assert code == 0
-    assert "scipy.special" in modules
-    assert not any(m.startswith(("scipy.optimize", "scipy.linalg")) for m in modules)
+    assert _named(modules, "scipy") == []
 
 
 def test_oracle_loads_numpy(loaded):

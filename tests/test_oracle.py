@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import digamma, jv
+from scipy.special import digamma, jv, lambertw
 
 from anomaly_forge import spectral_oracle
 from anomaly_forge.anomaly import delta_an_case_a_exact, extract_anomalies
@@ -21,6 +21,7 @@ from anomaly_forge.spectral_oracle import (
     _classical_difference,
     _COUPLING_FACTORS,
     _grid_traces,
+    _lambert_w,
     _turning_point,
     bessel_channel_sums,
     oracle_trace,
@@ -30,6 +31,7 @@ from references import (
     bessel_ratio_nu_derivative,
     grid_channel_levels,
     grid_trace_differences,
+    yukawa_classical_adaptive,
     yukawa_classical_cut_mpmath,
 )
 
@@ -576,18 +578,18 @@ class TestOracleW:
     @pytest.mark.parametrize("attractive, config, pinned", [
         # the benchmark's reduced box, repulsive coupling
         (False, BENCH_BOX, [
-            ("-0x1.65b73c6f94fa0p-19", "0x1.f8ba9dc0093c9p-23"),
-            ("-0x1.7636bde334455p-21", "0x1.b6b688c23b631p-25"),
-            ("-0x1.b6a133b0a76abp-23", "0x1.eb5084866248bp-27"),
-            ("-0x1.fb582468dbaabp-26", "0x1.b20df91bc0036p-29"),
+            ("-0x1.65b73c6f7afa0p-19", "0x1.f8ba9dbcb3e74p-23"),
+            ("-0x1.7636bde2e6455p-21", "0x1.b6b688b33b631p-25"),
+            ("-0x1.b6a133b0a36abp-23", "0x1.eb50842f0cf35p-27"),
+            ("-0x1.fb582474bbaabp-26", "0x1.b20df8651558cp-29"),
         ]),
         # a radius ratio whose scaled grid is odd (1200 * 18/14 = 1542.9): the
         # grids at R = 18 take N 1542 and 771, exactly twice the step apart
         (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
-            ("-0x1.65b764e77adbbp-19", "0x1.f25f3561c4468p-23"),
-            ("-0x1.763a7db93c915p-21", "0x1.a35339e71da15p-25"),
-            ("-0x1.b6bfdb2c66055p-23", "0x1.b2b47836a54d1p-27"),
-            ("-0x1.fd549e111e400p-26", "0x1.393346fd8732fp-29"),
+            ("-0x1.65b764e711dbbp-19", "0x1.f25f355c199bdp-23"),
+            ("-0x1.763a7db7b8915p-21", "0x1.a35339fd1da15p-25"),
+            ("-0x1.b6bfdb2de6055p-23", "0x1.b2b477eca54d1p-27"),
+            ("-0x1.fd549e15de400p-26", "0x1.39334622dc885p-29"),
         ]),
     ], ids=["repulsive-8-12", "attractive-14-18"])
     def test_screened_values_pinned(self, attractive, config, pinned):
@@ -736,27 +738,38 @@ class TestOracleW:
             oracle_trace(inverse_square(1.0), ATOMIC, [])
 
 
+# The classical term's configurations: the bench box with both signs, the CLI's
+# default window (R = 40, l_max = 60) for Z = 0.05 and Z = 1, Z = 3 at small
+# Lambda, and criterion 9's box
+_CLASSICAL_CONFIGS = {
+    "bench-attractive": (yukawa(0.05, 1.0), (10.0, 20.0, 37.5, 100.0), 12.0, 31.0),
+    "bench-repulsive": (yukawa(0.05, 1.0, attractive=False), (10.0, 20.0, 37.5, 100.0),
+                        12.0, 31.0),
+    "default-0.05": (yukawa(0.05, 1.0), tuple(geometric_grid(10.0, 100.0, 12)), 40.0, 61.0),
+    "default-1": (yukawa(1.0, 0.5), tuple(geometric_grid(10.0, 100.0, 12)), 40.0, 61.0),
+    "strong-3": (yukawa(3.0, 0.5), tuple(geometric_grid(0.5, 10.0, 8)), 40.0, 61.0),
+    "criterion-9": (yukawa(0.05, 1.0), CRITERION_9_LAMS, 22.0, 61.0),
+}
+
+
 class TestClassicalDifference:
     @pytest.mark.parametrize("factor", [1.0, -1.0, 0.5, -0.5])
     def test_weak_yukawa_converges_cheaply(self, monkeypatch, factor):
         # |f U| << Lambda over most of the box: the integrand must not
-        # cancel, or the quadrature runs out of budget on rounding noise
+        # cancel, or the two Gauss rules disagree on rounding noise; every
+        # node of every segment goes through one integrand call
         mpmath = pytest.importorskip("mpmath")
-        results = []
+        shapes = []
 
-        def recording(*args, **kwargs):
-            batch = integrate_batch(*args, **kwargs)
-            results.extend(batch)
-            return batch
+        def counting(spec, units, r):
+            shapes.append(np.shape(r))
+            return evaluate(spec, units, r)
 
-        integrate_batch = spectral_oracle.integrate_batch
-        monkeypatch.setattr(spectral_oracle, "integrate_batch", recording)
+        monkeypatch.setattr(spectral_oracle, "evaluate", counting)
         lam, r_box = 100.0, 12.0
         ((got,),) = _classical_difference(yukawa(0.05, 1.0), ATOMIC, [factor], [lam], r_box,
                                           math.inf)
-        assert results
-        assert all(res.converged for res in results)
-        assert sum(res.evals for res in results) < 5000
+        assert len(shapes) == 1 and shapes[0][1] == 36
 
         mpmath.mp.dps = 30
         lam_mp, f_mp = mpmath.mpf(lam), mpmath.mpf(factor)
@@ -773,6 +786,16 @@ class TestClassicalDifference:
         exact = 2 * mpmath.sqrt(2) * mpmath.quad(integrand, knots)
         assert got == pytest.approx(float(exact), abs=1e-12)
 
+    @pytest.mark.parametrize("config", list(_CLASSICAL_CONFIGS))
+    def test_matches_the_adaptive_rule(self, config):
+        # the fixed rule against adaptive Gauss-Kronrod on the knots 0, r0,
+        # min(10 r0, R), R at abs_tol 1e-15 and rel_tol 1e-11
+        spec, lams, r_box, L = _CLASSICAL_CONFIGS[config]
+        factors = _COUPLING_FACTORS[:4]
+        got = _classical_difference(spec, ATOMIC, factors, lams, r_box, L)
+        ref = yukawa_classical_adaptive(spec, ATOMIC, factors, lams, r_box, L)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
     def test_cut_term_against_mpmath(self):
         # the channels l <= 10 of a repulsive core, where lam + f U > 0
         pytest.importorskip("mpmath")
@@ -783,20 +806,44 @@ class TestClassicalDifference:
 
     def test_strong_attraction_cut_terms_finite(self):
         # at L = 1, lam + hbar^2 L^2/(2 m r^2) + U < 0 on a shell around r = 1:
-        # the cut bracket takes its principal-value branch there
+        # the cut bracket changes branch at radii the rule has no knots for, so
+        # L = 1 raises; at L = 11, L^2 is above g/e = 4.4 and it cannot
         spec, lam, r_box = yukawa(3.0, 0.5), 0.5, 12.0
         r = np.linspace(0.5, 1.5, 11)
         assert np.any(lam + 1.0 / (2.0 * r * r) + evaluate(spec, ATOMIC, r) < 0.0)
-        for L in (1.0, 11.0):
-            cut = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], [lam], r_box, L)
-            assert np.all(np.isfinite(cut)), L
+        with pytest.raises(ValueError, match="cut bracket can change branch"):
+            _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], [lam], r_box, 1.0)
+        cut = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], [lam], r_box, 11.0)
+        assert np.all(np.isfinite(cut))
+
+    def test_strong_coupling_raises_or_matches(self):
+        # yukawa(100, 0.5): g = 400, so g/e = 147 is above L^2 = 121 and the
+        # coupling lanes raise; a half lane passes that guard but not the
+        # rules' check, and a quarter lane (L^2 > 37) passes both
+        spec, lams, r_box, L = yukawa(100.0, 0.5), [1.0, 3.0], 12.0, 11.0
+        with pytest.raises(ValueError, match="cut bracket can change branch"):
+            _classical_difference(spec, ATOMIC, _COUPLING_FACTORS[:4], lams, r_box, L)
+        with pytest.raises(UnconvergedError, match="rules differ"):
+            _classical_difference(spec, ATOMIC, [0.5], lams, r_box, L)
+        got = _classical_difference(spec, ATOMIC, [0.25], lams, r_box, L)
+        ref = yukawa_classical_adaptive(spec, ATOMIC, [0.25], lams, r_box, L)
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
+
+    def test_an_admitted_tail_segment_passes_the_check(self):
+        # g = 80 at kappa R = 40, the lowest admitted Lambda = 4.5 kappa^2: the
+        # last segment is 1e-8 of its cell and its 12-node rule is 2e-10 off,
+        # so the check is on the cell's value, not the segment's
+        spec = yukawa(4.0, 0.1)
+        got = _classical_difference(spec, ATOMIC, [0.5], [0.045], 400.0, 61.0)
+        ref = yukawa_classical_adaptive(spec, ATOMIC, [0.5], [0.045], 400.0, 61.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False)],
                              ids=["yukawa", "repulsive-yukawa"])
     def test_batch_equals_single_calls(self, spec):
         # one call over (factors x Lambda) returns what one call per element
-        # does, bit for bit, in a box that cuts some cores' [r0, 10 r0] short
-        # (R = 12) and one that does not (R = 20)
+        # does, bit for bit, in a box that cuts some cells' doubling segments
+        # short (R = 12) and one that does not (R = 20)
         factors, lams = (1.0, -1.0, 0.5), (1.5, 4.0, 40.0)
         for r_box in (12.0, 20.0):
             batch = _classical_difference(spec, ATOMIC, factors, lams, r_box, 31.0)
@@ -808,9 +855,9 @@ class TestClassicalDifference:
 
 
 def _brentq_turning_point(spec, units, factor, lam):
-    """The root of lam + f U by bracketing, where lam + f U < 0 just off the origin."""
+    """The root of lam - |f U| by bracketing, or None where f = 0."""
     def inside(r):
-        return lam + factor * evaluate(spec, units, r)
+        return lam - abs(factor * evaluate(spec, units, r))
 
     probe = 1e-12
     if not inside(probe) < 0.0:
@@ -819,6 +866,12 @@ def _brentq_turning_point(spec, units, factor, lam):
     while inside(hi) < 0.0:
         hi *= 2.0
     return brentq(inside, probe, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
+def _brentq_turning_points(spec, units, factors, lams):
+    """``_turning_point``'s array of radii by bracketing, with 0 where f = 0."""
+    return np.array([[_brentq_turning_point(spec, units, f, lam) or 0.0 for lam in lams]
+                     for f in factors])
 
 
 _TURNING_SPECS = [
@@ -837,11 +890,13 @@ class TestTurningPoint:
     @pytest.mark.parametrize("spec", _TURNING_SPECS, ids=_spec_id)
     @pytest.mark.parametrize("factor", _COUPLING_FACTORS)
     def test_against_brentq(self, spec, factor):
+        # both signs: the turning point of an attractive lane, and where a
+        # repulsive one has fallen to Lambda
         for lam in _TURNING_LAMS:
             ref = _brentq_turning_point(spec, ATOMIC, factor, lam)
-            got = _turning_point(spec, ATOMIC, factor, lam)
+            ((got,),) = _turning_point(spec, ATOMIC, [factor], [lam])
             if ref is None:
-                assert got is None, lam
+                assert got == 0.0, lam
             else:
                 assert got == pytest.approx(ref, rel=1e-13, abs=0.0), lam
 
@@ -850,7 +905,7 @@ class TestTurningPoint:
         r_box = 12.0
         got = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, r_box,
                                     math.inf)
-        monkeypatch.setattr(spectral_oracle, "_turning_point", _brentq_turning_point)
+        monkeypatch.setattr(spectral_oracle, "_turning_point", _brentq_turning_points)
         ref = _classical_difference(spec, ATOMIC, _COUPLING_FACTORS, _TURNING_LAMS, r_box,
                                     math.inf)
         for i, f in enumerate(_COUPLING_FACTORS):
@@ -867,6 +922,50 @@ class TestTurningPoint:
         assert math.isfinite(inside)
         with pytest.raises(ValueError, match="r0 = 20.5 lies beyond"):
             _classical_difference(spec, ATOMIC, [1.0], [lam_at(20.5)], 20.0, math.inf)
+
+
+class TestLambertW:
+    def test_against_scipy(self):
+        z = np.geomspace(1e-8, 1e6, 4001)
+        got, ref = _lambert_w(z), lambertw(z).real
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+    def test_small_and_zero_arguments_do_not_warn(self):
+        # a start like log(log z) would warn below z = 1; log1p(z) does not
+        z = np.array([0.0, 1e-300, 1e-20, 0.3, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _lambert_w(z)
+        assert w[0] == 0.0
+        np.testing.assert_allclose(w * np.exp(w), z, rtol=1e-15, atol=0.0)
+
+    def test_batch_equals_single_calls(self):
+        # every element takes the same steps as it would alone, bit for bit
+        z = np.geomspace(1e-6, 1e4, 41)
+        batch = _lambert_w(z)
+        assert all(batch[i] == _lambert_w(z[i:i + 1])[0] for i in range(z.size))
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_oracle, "_HALLEY_STEPS", 2)
+        with pytest.raises(UnconvergedError, match="Halley"):
+            _lambert_w(np.array([0.1, 1e6]))
+
+
+class TestGaussLegendre:
+    def test_against_mpmath(self):
+        # mpmath's Gauss-Legendre of degree m has 3 2^(m-1) nodes on [-1, 1]
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath.calculus.quadrature import GaussLegendre
+
+        t_ref, w_ref = [], []
+        with mpmath.workdps(40):
+            for degree in (4, 3):   # 24 nodes, then 12
+                nodes = sorted(GaussLegendre(mpmath.mp).calc_nodes(degree, mpmath.mp.prec))
+                t_ref += [float((x + 1) / 2) for x, _ in nodes]
+                w_ref += [float(w / 2) for _, w in nodes]
+        t, w = spectral_oracle._gauss_rules()
+        np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=4e-16)
+        np.testing.assert_allclose(w, w_ref, rtol=5e-14, atol=0.0)
 
 
 class TestOracleConfig:

@@ -323,7 +323,7 @@ def test_perturbative_path_makes_no_quadrature(monkeypatch, spec, order):
         raise AssertionError("the perturbative path called a quadrature")
 
     monkeypatch.setattr(perturbation, "integrate_adaptive", forbidden)
-    monkeypatch.setattr(quadrature, "integrate_batch", forbidden)
+    monkeypatch.setattr(quadrature, "integrate_adaptive", forbidden)
     grid = geometric_grid(10.0, 100.0, 5)
     if order is not Order.FIRST and spec.family is Family.INVERSE_SQUARE:
         with pytest.raises(NotRepresentableError):

@@ -17,9 +17,7 @@ from anomaly_forge.quadrature import (
     _panels,
     fit_power_law,
     integrate_adaptive,
-    integrate_batch,
 )
-from anomaly_forge.spectral_oracle import _classical_difference
 from anomaly_forge.units import ATOMIC, UnitSystem
 import references
 from references import (
@@ -123,8 +121,7 @@ class TestVectorisedPanels:
         fv = np.array([f1(c + h * x) for x in _XK])
         ik = h * float(fv @ _WK)
         ig = h * float(fv[np.arange(1, 15, 2)] @ _WG)
-        (val,), (err,) = _panels(lambda x, rows: f1(x), np.array([a]), np.array([b]),
-                                 np.zeros(1, dtype=int))
+        (val,), (err,) = _panels(f1, np.array([a]), np.array([b]))
         assert val == ik
         assert err == pytest.approx(abs(ik - ig), rel=0.0, abs=4e-16 * abs(ik))
 
@@ -152,87 +149,6 @@ class TestVectorisedPanels:
         assert res.converged
         assert res.evals == evals
         assert calls == [(1, 15)] + [(2, 15)] * ((evals - 15) // 30)
-
-    @pytest.mark.parametrize("spec, members, n_calls, evals", [
-        (yukawa(1.0, 0.5), 21, 19, 5295),
-        (yukawa(1.0, 0.5, attractive=False), 15, 19, 4485),
-    ], ids=["classical-yukawa", "repulsive"])
-    def test_classical_batch_one_call_per_round(self, monkeypatch, spec, members, n_calls,
-                                                 evals):
-        # the screened oracle's classical phase-space batch: one integrand
-        # call for the first panel of every member, then one per bisection
-        # round with both children of each live member's worst panel
-        calls, results = [], []
-
-        def counting(g, lower, upper, budget=None):
-            def counted(x, rows):
-                calls.append(np.shape(x))
-                return g(x, rows)
-            results.extend(integrate_batch(counted, lower, upper, budget))
-            return results
-
-        monkeypatch.setattr(spectral_oracle, "integrate_batch", counting)
-        _classical_difference(spec, ATOMIC, (1.0, -1.0, 0.5), (1.5, 4.0, 40.0), 20.0, math.inf)
-        assert all(res.converged for res in results)
-        assert (len(results), len(calls), sum(res.evals for res in results)) == (
-            members, n_calls, evals)
-        assert calls[0] == (len(results), 15)
-        assert len(calls) == 1 + max(res.evals - 15 for res in results) // 30
-        assert all(rows % 2 == 0 and nodes == 15 for rows, nodes in calls[1:])
-        assert sum(rows for rows, _ in calls) * 15 == sum(res.evals for res in results)
-
-
-# Batch members of TestIntegrateBatch: each integrand takes the nodes of
-# one interval; ``_rowwise`` gathers a batch's rows to them.
-_EASY = lambda x: x * x
-_PEAKED = lambda x: 1e-4 / (1e-8 + (x - 0.3) ** 2)           # needs hundreds of panels
-_OSCILLATING = lambda x: np.sin(50.0 * x) ** 2 / (1e-3 + x)  # the unconverged-flag case
-_SMOOTH = lambda x: np.exp(-x) * np.cos(3.0 * x)
-
-
-def _rowwise(members):
-    def g(x, rows):
-        out = np.empty_like(x)
-        for j, f in enumerate(members):
-            sel = rows == j
-            out[sel] = f(x[sel])
-        return out
-    return g
-
-
-class TestIntegrateBatch:
-    def _check_invariance(self, members, intervals, budget):
-        lower, upper = zip(*intervals)
-        batch = integrate_batch(_rowwise(members), lower, upper, budget)
-        single = [integrate_adaptive(f, dom, budget) for f, dom in zip(members, intervals)]
-        assert len(batch) == len(single)
-        for got, ref in zip(batch, single):
-            # value, error, evals and converged, bit for bit
-            assert tuple(got) == tuple(ref)
-            assert got.value.hex() == ref.value.hex() and got.error.hex() == ref.error.hex()
-        return batch
-
-    def test_mixed_easy_and_hard_rows(self):
-        members = [_EASY, _PEAKED, _SMOOTH, _EASY, _PEAKED]
-        intervals = [(0.0, 1.0), (0.0, 1.0), (0.0, 4.0), (2.0, 3.5), (0.1, 0.9)]
-        batch = self._check_invariance(members, intervals, None)
-        assert all(res.converged for res in batch)
-        # the members finish in different rounds
-        assert batch[0].evals < 100 < batch[1].evals
-
-    def test_member_out_of_budget(self):
-        budget = QuadratureBudget(abs_tol=1e-14, rel_tol=1e-13, max_evals=1000)
-        members = [_EASY, _OSCILLATING, _SMOOTH]
-        intervals = [(0.0, 1.0), (0.0, 1.0), (0.0, 4.0)]
-        batch = self._check_invariance(members, intervals, budget)
-        assert [res.converged for res in batch] == [True, False, True]
-        assert batch[1].evals <= budget.max_evals < batch[1].evals + 30
-
-    def test_empty_batch(self):
-        def never(x, rows):
-            raise AssertionError("an empty batch evaluated the integrand")
-
-        assert integrate_batch(never, [], []) == []
 
 
 class TestFeynman:
