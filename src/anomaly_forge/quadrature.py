@@ -161,7 +161,8 @@ def fit_power_law(samples) -> PowerLawFit:
 
     ``samples`` is a TraceSamples instance or any object with ``lambdas``
     and ``values`` sequences.  All values must share one sign (a sign
-    change raises MixedSignError) and none may vanish.
+    change raises MixedSignError, naming the first adjacent pair of samples
+    that straddles it) and none may vanish.
 
     The line y = ln c - gamma x through x = ln Lambda, y = ln|W| is the
     closed-form least-squares fit about the centroid: the slope is
@@ -176,8 +177,12 @@ def fit_power_law(samples) -> PowerLawFit:
         raise ValueError(f"power-law fit needs >= 4 samples, got {n}")
     if any(v == 0.0 for v in w):
         raise MixedSignError("samples contain exact zeros; no power law to fit")
-    if not (all(v > 0.0 for v in w) or all(v < 0.0 for v in w)):
-        raise MixedSignError("samples change sign; log-log fit would be meaningless")
+    same_sign = lambda a, b: (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
+    flip = next((i for i in range(n - 1) if not same_sign(w[i], w[i + 1])), None)
+    if flip is not None:
+        raise MixedSignError(
+            f"samples change sign between Lambda = {lams[flip]:.5g} (w = {w[flip]:+.2e}) and "
+            f"{lams[flip + 1]:.5g} (w = {w[flip + 1]:+.2e}); log-log fit would be meaningless")
     x = [math.log(lam) for lam in lams]
     y = [math.log(abs(v)) for v in w]
     x_mean = math.fsum(x) / n

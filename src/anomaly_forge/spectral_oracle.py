@@ -21,7 +21,9 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
 so the whole evaluation is closed-form up to the ratio itself, a continued
-fraction summed backward in numpy.  Yukawa runs one box, within bounds on
+fraction summed backward in numpy.  Its deep steps, which only the low orders
+of the larger boxes reach, run once over all boxes of a Lambda grid; each box
+then runs its own shallow steps.  Yukawa runs one box, within bounds on
 kappa R, Lambda and the coupling, with O(N) pivot recursions of the tridiagonal
 radial grid operator, without eigenvalues, that sum each channel's difference
 against the free channel row by row, up to l_max.  Its classical term counts
@@ -102,9 +104,59 @@ def eigvalsh_tridiagonal(d, e, **kwargs):
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
+# The fraction's steps j above this run once per oracle_trace call, the rest once
+# per box; of 16, 24, 32 and 40, 24 made the case-A benchmark fastest (ROADMAP item 4).
+_CF_SHARED = 24
 
 
-def _bessel_ratio_cf(nu: np.ndarray, x: float) -> np.ndarray:
+def _cf_depth(flat: np.ndarray, x: float) -> np.ndarray:
+    """The fraction's depth K = ceil(sqrt(nu^2 + 44 x) - nu) + 8 of each order, without cancelling."""
+    return np.ceil(44.0 * x / (np.hypot(flat, math.sqrt(44.0 * x)) + flat)) + 8.0
+
+
+def _cf_deep_orders(nu: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(b0 = nu step, depth) of the orders deeper than ``_CF_SHARED``, in order of decreasing
+    depth and then of index: the leading block that ``_bessel_ratio_cf`` lays out."""
+    flat = nu.ravel()
+    depth = _cf_depth(flat, x)
+    deep = np.flatnonzero(depth > _CF_SHARED)
+    deep = deep[np.argsort(-depth[deep], kind="stable")]
+    return flat[deep] * (2.0 / x), depth[deep]
+
+
+def _cf_deep_steps(boxes) -> list[np.ndarray]:
+    """Steps j = K, ..., ``_CF_SHARED`` + 1 of ``_bessel_ratio_cf`` for many boxes at once.
+
+    ``boxes`` yields (nu, x) pairs; of each, only the deep orders
+    (``_cf_deep_orders``) are kept, with their box's step 2/x.  Returns per box
+    a (2, n) array: the r and slope of its deep orders after step
+    ``_CF_SHARED`` + 1, in their ``_cf_deep_orders`` order.  Each order does
+    the arithmetic of a one-box call.
+    """
+    steps, b0, depth = zip(*((2.0 / x, *_cf_deep_orders(nu, x)) for nu, x in boxes))
+    sizes = [d.size for d in depth]
+    depth = np.concatenate(depth)
+    order = np.argsort(-depth, kind="stable")
+    depth = depth[order]
+    k_max = int(depth[0]) if depth.size else _CF_SHARED
+    # the number of orders with depth >= j, for j = k_max, ..., _CF_SHARED + 1
+    live = np.searchsorted(-depth, -np.arange(k_max, _CF_SHARED, -1), side="right")
+    b0, step = np.concatenate(b0)[order], np.repeat(steps, sizes)[order]
+    r = np.zeros_like(b0)
+    slope = np.ones_like(b0)
+    b = np.empty_like(b0)
+    for j, n in zip(range(k_max, _CF_SHARED, -1), live):
+        np.multiply(step[:n], j, out=b[:n])   # b_j = b0 + j step, as a one-box call forms it
+        b[:n] += b0[:n]
+        r[:n] += b[:n]
+        np.reciprocal(r[:n], out=r[:n])
+        slope[:n] *= r[:n]
+    carried = np.empty((2, r.size))
+    carried[0, order], carried[1, order] = r, slope
+    return np.split(carried, np.cumsum(sizes)[:-1], axis=1)
+
+
+def _bessel_ratio_cf(nu: np.ndarray, x: float, deep: np.ndarray | None = None) -> np.ndarray:
     """I_{nu+1}(x) / I_nu(x) for an array of orders, by continued fraction.
 
     The ratio is 1/(b_1 + 1/(b_2 + ...)) with b_j = 2 (nu + j) / x
@@ -118,19 +170,26 @@ def _bessel_ratio_cf(nu: np.ndarray, x: float) -> np.ndarray:
     ``_EPS`` for x in [0.01, 1e5] and nu in [0, 7x + 200]; with 40 in place
     of 44 it reaches 1.3 ``_EPS`` at x = 1e5, nu = 0.
 
-    The orders run in order of decreasing depth, so the orders still being
-    summed at step j are a leading block, and each order does the arithmetic
-    of a call on it alone: a batch returns what single calls do, bit for bit.
+    The steps j > ``_CF_SHARED`` come from ``deep``, this box's entry of
+    ``_cf_deep_steps`` (run here on this box alone when it is None), and the
+    rest run here.  The orders run in order of decreasing depth, so the
+    orders still being summed at step j are a leading block, and each order
+    does the arithmetic of a call on it alone: a batch returns what single
+    calls do, bit for bit.
     """
+    if deep is None:
+        (deep,) = _cf_deep_steps([(nu, x)])
     flat = nu.ravel()
     step = 2.0 / x
-    depth = np.ceil(44.0 * x / (np.hypot(flat, math.sqrt(44.0 * x)) + flat)) + 8.0
+    depth = _cf_depth(flat, x)
     order = np.argsort(-depth, kind="stable")
     depth = depth[order]
     b0 = flat[order] * step       # b_j = b0 + j step
     r = np.zeros_like(b0)         # r_j, from r_{K+1} = 0
     slope = np.ones_like(b0)      # prod r_j; the value moves by its square per unit of tail
-    k_max = int(depth[0]) if depth.size else 0
+    r_deep, slope_deep = deep     # the leading block, past step _CF_SHARED + 1
+    r[:r_deep.size], slope[:r_deep.size] = r_deep, slope_deep
+    k_max = min(int(depth[0]), _CF_SHARED) if depth.size else 0
     # the number of orders with depth >= j, for j = k_max, ..., 1
     live = np.searchsorted(-depth, -np.arange(k_max, 0, -1), side="right")
     for j, n in zip(range(k_max, 0, -1), live):
@@ -155,8 +214,9 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     of J_{nu+1}/J_nu gives sum_n (z_{nu,n}^2 + x^2)^-1 = I_{nu+1}(x) / (2 x
     I_nu(x)), so the result is x I_{nu+1}(x) / (2 I_nu(x)), with the ratio
     from ``_bessel_ratio_cf``.  Every order is worked out on its own, so one
-    call on many orders returns what one call per order would, bit for bit;
-    callers batch all the orders of a box into one call.
+    call on many orders returns what one call per order would, bit for bit.
+    A call is one box: it runs the shared deep steps on its own orders.  The
+    case-A oracle does not call it; it shares those steps over its grid.
     """
     nu = np.asarray(nu, dtype=float)
     if not (math.isfinite(x) and x > 0.0):
@@ -215,27 +275,29 @@ def _case_a_linear_response(s_end: np.ndarray, x: float, j: float) -> float:
     return (s_j - c_of(j)) - (s0 - c_of(0.0)) - (d2_j - d2_0) / 24.0 - 7.0 * d4_0 / 5760.0
 
 
-def _case_a_w_at_radius(beta2: float, lam: float, r_box: float,
-                        units: UnitSystem) -> tuple[float, float]:
-    """Counterterm-subtracted w(Lambda) for U = alpha/r^2 at one box radius.
+def _case_a_orders(x: float, beta2: float) -> np.ndarray:
+    """The Bessel orders of one box: the quantum orders sqrt((l+1/2)^2 + beta2) and the
+    free orders l + 1/2 of l < ceil(6x) + 200, then ``_case_a_end_orders``."""
+    n_ch = int(math.ceil(6.0 * x)) + 200
+    nu_l = np.arange(n_ch, dtype=float) + 0.5
+    return np.concatenate([np.sqrt(nu_l * nu_l + beta2), nu_l, _case_a_end_orders(float(n_ch))])
+
+
+def _case_a_box_w(beta2: float, lam: float, x: float, deep: np.ndarray) -> tuple[float, float]:
+    """Counterterm-subtracted w(Lambda) for U = alpha/r^2 in one box of scale x.
 
     Returns (value, residual-tail estimate).  Quantum channel sums use the
     exact Bessel-ratio form with effective orders sqrt((l+1/2)^2 + beta2);
     the classical phase-space difference is closed-form; the coupling-linear
-    box artifact is beta2 times ``_case_a_linear_response``.  The quantum,
-    free and end orders go through one ``bessel_channel_sums`` call per box;
-    one call per Lambda grid and both radii, with an x per order, measured
-    slower and larger.
+    box artifact is beta2 times ``_case_a_linear_response``.  The channel sums
+    of the box's ``_case_a_orders`` take one ``_bessel_ratio_cf`` call, which
+    starts from ``deep``, the box's entry of ``_cf_deep_steps``.
     """
-    hbar, m = units.hbar, units.m
-    x = math.sqrt(2.0 * m * lam) * r_box / hbar
-    n_ch = int(math.ceil(6.0 * x)) + 200
+    nu = _case_a_orders(x, beta2)
+    n_ch = (nu.size - 8) // 2   # quantum, then free orders, then the eight end orders
     j = float(n_ch)
-    nu_l = np.arange(n_ch, dtype=float) + 0.5
-    nu_q = np.sqrt(nu_l * nu_l + beta2)
-    s_q, s_l, s_end = np.split(
-        bessel_channel_sums(np.concatenate([nu_q, nu_l, _case_a_end_orders(j)]), x),
-        [n_ch, 2 * n_ch])
+    nu_l = nu[n_ch:2 * n_ch]
+    s_q, s_l, s_end = np.split(0.5 * x * _bessel_ratio_cf(nu, x, deep), [n_ch, 2 * n_ch])
     quantum = float(np.sum(2.0 * nu_l * (s_q - s_l)))
     classical = _case_a_classical(x, j, beta2)
     linear_response = _case_a_linear_response(s_end, x, j)
@@ -479,7 +541,11 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     ``config.richardson_levels``, extrapolated as w(R) = w_inf + a/R^2; the
     error is a third of that step plus the larger channel-tail residual; every
     box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
-    in [max(2 beta, 8), 2000] (ValueError otherwise).  Yukawa runs at r2 alone,
+    in [max(2 beta, 8), 2000] (ValueError otherwise).  The boxes stream through
+    the continued fraction twice: once for the steps past ``_CF_SHARED`` of their
+    deep orders, shared by all boxes (``_cf_deep_steps``), then one box at a time
+    for the rest and the box value (``_case_a_box_w``); the values keep the bits
+    of boxes run alone.  Yukawa runs at r2 alone,
     on grids of step about r1/grid_points and twice that (one ``_grid_traces``
     sweep) and one Gauss-rule pass of classical differences, within the bounds of
     ``_box_error`` (ValueError otherwise).  The value, with grid-step Richardson,
@@ -517,9 +583,14 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                 f"box radius R = {r_box:g}, is outside [max(2 beta, {_CASE_A_X_MIN:g}), "
                 f"{_CASE_A_X_MAX:g}] = [{x_min:g}, {_CASE_A_X_MAX:g}]; "
                 f"move the Lambda window into it")
+        xs = [[math.sqrt(2.0 * units.m * lam) * r / units.hbar for r in (r1, r2)]
+              for lam in lams]
+        # the fraction's deep steps run once over every box, then each box
+        # its own shallow ones; no box's orders are held past its own turn
+        deep = iter(_cf_deep_steps((_case_a_orders(x, beta2), x) for row in xs for x in row))
         vals, errs = [], []
-        for lam in lams:
-            (w1, t1), (w2, t2) = (_case_a_w_at_radius(beta2, lam, r, units) for r in (r1, r2))
+        for lam, row in zip(lams, xs):
+            (w1, t1), (w2, t2) = (_case_a_box_w(beta2, lam, x, next(deep)) for x in row)
             w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
             vals.append(w_inf)
             errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))

@@ -34,6 +34,12 @@ by ``integrate_adaptive`` under the budget it had.
 in the order nu, the reference of the case-A oracle's telescoped linear
 response (``spectral_oracle._case_a_linear_response``).
 
+``bessel_ratio_cf_one_box``, ``case_a_w_at_radius`` and
+``case_a_trace_one_box_at_a_time`` are the case-A oracle as it ran before it
+shared its continued fraction's deep steps over a Lambda grid: every step of
+the fraction on one box's orders, one box at a time.  The shared steps must
+reproduce them bit for bit.
+
 ``fit_power_law_lstsq`` and ``delta_an_case_a_exact_numpy`` are the numpy
 forms that ``quadrature.fit_power_law`` (a closed-form fit in ``math``)
 and ``anomaly.delta_an_case_a_exact`` (scalar cells) replace.
@@ -46,6 +52,8 @@ import math
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
+from anomaly_forge import spectral_oracle
+from anomaly_forge.errors import UnconvergedError
 from anomaly_forge.potentials import PotentialSpec, evaluate, fourier_transform_at
 from anomaly_forge.quadrature import PowerLawFit, QuadratureBudget, integrate_adaptive
 from anomaly_forge.units import UnitSystem
@@ -354,3 +362,73 @@ def bessel_ratio_nu_derivative(nu, x: float):
         dt = 2.0 / x - dt / (t * t)
         t = 2.0 * (nu + k) / x + 1.0 / t
     return 1.0 / t, -dt / (t * t)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def bessel_ratio_cf_one_box(nu: np.ndarray, x: float) -> np.ndarray:
+    """I_{nu+1}(x) / I_nu(x) by the case-A oracle's backward continued fraction, every
+    step of it on one box's orders, as the oracle ran it before it shared the deep
+    steps over a Lambda grid (``spectral_oracle._cf_deep_steps``): the reference
+    for that split's bits.  Same depth rule, same tail check."""
+    flat = nu.ravel()
+    step = 2.0 / x
+    depth = np.ceil(44.0 * x / (np.hypot(flat, math.sqrt(44.0 * x)) + flat)) + 8.0
+    order = np.argsort(-depth, kind="stable")
+    depth = depth[order]
+    b0 = flat[order] * step       # b_j = b0 + j step
+    r = np.zeros_like(b0)         # r_j, from r_{K+1} = 0
+    slope = np.ones_like(b0)      # prod r_j; the value moves by its square per unit of tail
+    k_max = int(depth[0]) if depth.size else 0
+    # the number of orders with depth >= j, for j = k_max, ..., 1
+    live = np.searchsorted(-depth, -np.arange(k_max, 0, -1), side="right")
+    for j, n in zip(range(k_max, 0, -1), live):
+        r[:n] += b0[:n] + j * step
+        np.reciprocal(r[:n], out=r[:n])
+        slope[:n] *= r[:n]
+    unconverged = np.count_nonzero(slope * slope / (b0 + (depth + 1.0) * step) > _EPS * r)
+    if unconverged:
+        raise UnconvergedError(
+            f"Bessel-ratio continued fraction at x = {x:g}: "
+            f"{unconverged} orders unconverged at their depth")
+    out = np.empty_like(r)
+    out[order] = r
+    return out.reshape(nu.shape)
+
+
+def case_a_w_at_radius(beta2: float, lam: float, r_box: float,
+                       units: UnitSystem) -> tuple[float, float]:
+    """The case-A box value (w, residual-tail estimate) at one radius, with every
+    channel sum from ``bessel_ratio_cf_one_box`` on the box's orders."""
+    hbar, m = units.hbar, units.m
+    x = math.sqrt(2.0 * m * lam) * r_box / hbar
+    n_ch = int(math.ceil(6.0 * x)) + 200
+    j = float(n_ch)
+    nu_l = np.arange(n_ch, dtype=float) + 0.5
+    nu_q = np.sqrt(nu_l * nu_l + beta2)
+    orders = np.concatenate([nu_q, nu_l, spectral_oracle._case_a_end_orders(j)])
+    s_q, s_l, s_end = np.split(0.5 * x * bessel_ratio_cf_one_box(orders, x), [n_ch, 2 * n_ch])
+    quantum = float(np.sum(2.0 * nu_l * (s_q - s_l)))
+    classical = spectral_oracle._case_a_classical(x, j, beta2)
+    linear_response = spectral_oracle._case_a_linear_response(s_end, x, j)
+
+    w = (quantum - classical - beta2 * linear_response) / lam
+    tail_resid = x * x * beta2 * beta2 / (8.0 * (j * j + x * x) ** 2) / lam
+    return w, tail_resid
+
+
+def case_a_trace_one_box_at_a_time(spec: PotentialSpec, units: UnitSystem, lams,
+                                   radii=(20.0, 40.0)) -> tuple[list, list]:
+    """(values, errors) of the case-A ``oracle_trace`` on ``lams``, each box by
+    ``case_a_w_at_radius``: the two-radius step and the bar of the oracle, without
+    its range checks."""
+    beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
+    r1, r2 = radii
+    vals, errs = [], []
+    for lam in lams:
+        (w1, t1), (w2, t2) = (case_a_w_at_radius(beta2, float(lam), r, units) for r in radii)
+        w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
+        vals.append(w_inf)
+        errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))
+    return vals, errs

@@ -310,6 +310,15 @@ class TestAnomalyCommand:
         assert (code, out) == (2, "")
         assert err == "error: cutoff Coulomb tail is not representable in a finite box oracle\n"
 
+    def test_sign_change_exits_3_and_says_where(self, capsys):
+        # on the default window w changes sign near the binding scale, so no
+        # power law fits; the message names the pair of Lambda around it
+        code, out, err = run_cli(capsys, "anomaly", "--method", "oracle",
+                                 "--potential", "yukawa:Z=3,kappa=0.5")
+        assert (code, out) == (3, "")
+        assert err == ("error: samples change sign between Lambda = 15.199 (w = +5.43e-04) "
+                       "and 18.738 (w = -2.84e-04); log-log fit would be meaningless\n")
+
     @pytest.mark.parametrize("command", ["trace", "anomaly"])
     def test_unwritable_out_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "missing" / "out.txt"

@@ -28,7 +28,9 @@ from anomaly_forge.spectral_oracle import (
 )
 from anomaly_forge.units import ATOMIC, UnitSystem
 from references import (
+    bessel_ratio_cf_one_box,
     bessel_ratio_nu_derivative,
+    case_a_trace_one_box_at_a_time,
     grid_channel_levels,
     grid_trace_differences,
     yukawa_classical_adaptive,
@@ -340,18 +342,18 @@ class TestBesselRatioRoutes:
 
     def test_case_a_needs_no_ive(self, monkeypatch):
         # criterion 3's case-A fixture runs with ive unusable, one
-        # bessel_channel_sums call per box over all of its orders
+        # _bessel_ratio_cf call per box over all of its orders
         calls = []
 
-        def recording_sums(nu, x):
+        def recording_cf(nu, x, deep=None):
             calls.append((np.asarray(nu, dtype=float), x))
-            return sums(nu, x)
+            return ratio_cf(nu, x, deep)
 
         def no_ive(nu, x):
             raise AssertionError("the case-A oracle called ive")
 
-        sums = spectral_oracle.bessel_channel_sums
-        monkeypatch.setattr(spectral_oracle, "bessel_channel_sums", recording_sums)
+        ratio_cf = spectral_oracle._bessel_ratio_cf
+        monkeypatch.setattr(spectral_oracle, "_bessel_ratio_cf", recording_cf)
         monkeypatch.setattr(spectral_oracle, "ive", no_ive)
         lams = np.geomspace(5.0, 50.0, 8)
         oracle_trace(inverse_square(ALPHA_100), ATOMIC, lams)
@@ -359,6 +361,17 @@ class TestBesselRatioRoutes:
         for nu, x in calls:
             # quantum orders, free orders and the eight end orders of the box
             assert nu.size == 2 * (math.ceil(6.0 * x) + 200) + 8
+
+    @pytest.mark.parametrize("x", [0.5, 5.0, 63.0, 800.0, 1e4])
+    def test_one_box_call_matches_the_unshared_fraction(self, x):
+        # a call runs the shared deep steps on its own orders, then the rest:
+        # the bits of every step on one box; at x = 0.5 and 5 no order is
+        # deeper than _CF_SHARED, so the shared steps have nothing to do
+        nus = np.concatenate([np.arange(40.0) + 0.5, np.linspace(0.0, 7.0 * x + 200.0, 301)])
+        (deep,) = spectral_oracle._cf_deep_steps([(nus, x)])
+        assert (deep.shape[1] == 0) == (x <= 5.0)
+        got = bessel_channel_sums(nus, x)
+        assert np.array_equal(got, 0.5 * x * bessel_ratio_cf_one_box(nus, x))
 
     @pytest.mark.parametrize("x", [0.01, 0.5, 8.0, 63.0, 800.0, 2000.0, 1e4, 1e5])
     def test_depth_rule_converges(self, x):
@@ -421,6 +434,41 @@ class TestBesselRatioRoutes:
         monkeypatch.setattr(spectral_oracle, "_EPS", -1.0)
         with pytest.raises(UnconvergedError):
             bessel_channel_sums(np.array([0.5, 400.0]), 63.0)
+
+
+class TestCaseASharedDeepSteps:
+    # oracle_trace runs the fraction's steps j > _CF_SHARED once over every
+    # box of its grid; each value and bar must keep the bits of the oracle
+    # that ran every step one box at a time
+
+    @pytest.mark.parametrize("alpha, units, lams", [
+        (ALPHA_100, ATOMIC, np.geomspace(5.0, 50.0, 8)),   # criterion 3's fixture
+        *((beta2 * hbar * hbar / 2.0, UnitSystem(hbar=hbar), np.geomspace(5.0, 50.0, 8))
+          for hbar in (0.5, 0.625, 0.8, 1.0) for beta2 in (50.0, 150.0)),
+        (3.0, ATOMIC, np.geomspace(0.08, 1250.0, 7)),      # x = 8 at R = 20, 2000 at R = 40
+    ], ids=["criterion-3", *(f"hbar={h}-beta2={b}" for h in (0.5, 0.625, 0.8, 1.0)
+                             for b in (50, 150)), "x-8-to-2000"])
+    def test_values_and_bars_match_one_box_at_a_time(self, alpha, units, lams):
+        samples = oracle_trace(inverse_square(alpha), units, lams)
+        vals, errs = case_a_trace_one_box_at_a_time(inverse_square(alpha), units, lams)
+        assert [v.hex() for v in samples.values] == [v.hex() for v in vals]
+        assert [e.hex() for e in samples.errors] == [e.hex() for e in errs]
+
+    def test_memory_stays_box_sized(self):
+        # the boxes stream through both phases: only the deep orders of the
+        # grid and one box's orders are held at a time.  The bound is twice
+        # the traced peak of the oracle that ran each box alone (787 KiB);
+        # one that held every box's orders for the second phase read 1.7 MiB
+        units = UnitSystem(hbar=0.5)
+        spec = inverse_square(150.0 * 0.25 / 2.0)
+        oracle_trace(spec, units, [5.0])   # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            oracle_trace(spec, units, np.geomspace(5.0, 50.0, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 787 * 1024, peak
 
 
 class TestCaseAUnitCovariance:
@@ -714,7 +762,8 @@ class TestOracleW:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle worked on a non-finite Lambda")
 
-        for name in ("_grid_traces", "_classical_difference", "_case_a_w_at_radius"):
+        for name in ("_grid_traces", "_classical_difference", "_case_a_orders",
+                     "_cf_deep_steps", "_case_a_box_w"):
             monkeypatch.setattr(spectral_oracle, name, forbidden)
         with pytest.raises(ValueError, match="Lambda values must be finite and positive"):
             oracle_trace(spec, ATOMIC, [10.0, bad])

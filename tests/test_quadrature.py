@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,15 @@ class TestFitPowerLaw:
             fit_power_law(_samples([1, 2, 4, 8], [1.0, -1.0, 1.0, -1.0]))
         with pytest.raises(MixedSignError):
             fit_power_law(_samples([1, 2, 4, 8], [1.0, 0.0, 0.5, 0.25]))
+
+    def test_mixed_sign_names_the_first_flip(self):
+        # the first adjacent pair that straddles a sign change, with both values
+        message = ("samples change sign between Lambda = 2 (w = -1.00e+00) and 4 "
+                   "(w = +5.00e-01); log-log fit would be meaningless")
+        with pytest.raises(MixedSignError, match=f"^{re.escape(message)}$"):
+            fit_power_law(_samples([1, 2, 4, 8], [-2.0, -1.0, 0.5, -0.25]))
+        with pytest.raises(MixedSignError, match="^samples contain exact zeros; no power law"):
+            fit_power_law(_samples([1, 2, 4, 8], [1.0, -1.0, 0.0, 0.25]))
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
