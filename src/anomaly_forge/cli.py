@@ -11,11 +11,19 @@ reproduce   run one named verification scenario and print pass/fail
 Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors
 (non-finite parameters, units or samples and an unwritable --out path
 included), 3 unconverged quadrature or non-power-law samples.
+
+``main(argv)`` may be called any number of times in one process.  It builds
+its argument parser once, on the first call, and reuses it: parsing fills a
+fresh namespace each time and changes nothing in the parser, and argparse
+looks up ``sys.stdout`` and ``sys.stderr`` only when it prints, so
+``contextlib.redirect_stdout`` and ``redirect_stderr`` still apply.  Importing
+the module builds no parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -45,7 +53,9 @@ def oracle_trace(spec, units, lambda_grid, config=None):
     return spectral_oracle_trace(spec, units, lambda_grid, config)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="anomaly-forge",
         description="Trace-difference anomalies of singular radial potentials.",

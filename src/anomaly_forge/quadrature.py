@@ -160,9 +160,10 @@ def fit_power_law(samples) -> PowerLawFit:
     """Fit W ~ c Lambda^-gamma to trace samples in log-log space.
 
     ``samples`` is a TraceSamples instance or any object with ``lambdas``
-    and ``values`` sequences.  All values must share one sign (a sign
-    change raises MixedSignError, naming the first adjacent pair of samples
-    that straddles it) and none may vanish.
+    and ``values`` sequences.  Every Lambda and value must be finite (the
+    first that is not raises ValueError, naming its Lambda), all values must
+    share one sign (a sign change raises MixedSignError, naming the first
+    adjacent pair of samples that straddles it) and none may vanish.
 
     The line y = ln c - gamma x through x = ln Lambda, y = ln|W| is the
     closed-form least-squares fit about the centroid: the slope is
@@ -175,6 +176,10 @@ def fit_power_law(samples) -> PowerLawFit:
     n = len(lams)
     if n < 4:
         raise ValueError(f"power-law fit needs >= 4 samples, got {n}")
+    bad = next((i for i in range(n) if not (math.isfinite(lams[i]) and math.isfinite(w[i]))), None)
+    if bad is not None:
+        raise ValueError(f"sample at Lambda = {lams[bad]:g} is not finite: w = {w[bad]}; "
+                         f"no power law to fit")
     if any(v == 0.0 for v in w):
         raise MixedSignError("samples contain exact zeros; no power law to fit")
     same_sign = lambda a, b: (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)

@@ -116,12 +116,16 @@ def _cf_depth(flat: np.ndarray, x: float) -> np.ndarray:
 
 def _cf_deep_orders(nu: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
     """(b0 = nu step, depth) of the orders deeper than ``_CF_SHARED``, in order of decreasing
-    depth and then of index: the leading block that ``_bessel_ratio_cf`` lays out."""
+    depth and then of index: the leading block that ``_bessel_ratio_cf`` lays out.
+
+    Only the orders below 1.5 x get a depth: at nu >= 1.5 x the root plus nu is at
+    least 2 nu >= 3 x, so K <= ceil(44/3) + 8 = 23 <= ``_CF_SHARED``."""
     flat = nu.ravel()
-    depth = _cf_depth(flat, x)
+    low = flat[flat < 1.5 * x]    # in index order, so the stable sort below keeps ties
+    depth = _cf_depth(low, x)
     deep = np.flatnonzero(depth > _CF_SHARED)
     deep = deep[np.argsort(-depth[deep], kind="stable")]
-    return flat[deep] * (2.0 / x), depth[deep]
+    return low[deep] * (2.0 / x), depth[deep]
 
 
 def _cf_deep_steps(boxes) -> list[np.ndarray]:

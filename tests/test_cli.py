@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from anomaly_forge import cli
 from anomaly_forge.anomaly import extract_anomalies
 from anomaly_forge.cli import emit_report, main
 from anomaly_forge.perturbation import Order, geometric_grid, sample_w
@@ -401,3 +402,41 @@ class TestReproduceCommand:
 
     def test_unknown_target_exits_2(self, capsys):
         assert main(["reproduce", "--target", "nonsense"]) == 2
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; nothing of one call reaches the next."""
+
+    def test_overrides_do_not_reach_the_next_call(self, capsys, tmp_path):
+        argv, code, out, err = _PINNED["anomaly-yukawa-keyvalue"]
+        path = tmp_path / "report.csv"
+        first = run_cli(capsys, *argv, "--hbar", "0.5", "--format", "csv", "--out", str(path))
+        assert first == (0, "", "")
+        assert path.read_text().startswith("case,a_n_reduced,")
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("before, before_code", [
+        (("anomaly", "--potential", "coulomb:Z=1", "--format", "xml"), 2),
+        (("anomaly", "--points", "8"), 2),
+        (("--help",), 0),
+        (("anomaly", "--help"), 0),
+    ], ids=["bad-choice", "missing-potential", "help", "subcommand-help"])
+    def test_exit_paths_leave_the_next_call_unchanged(self, capsys, before, before_code):
+        first = run_cli(capsys, *before)
+        code, out, err = first
+        assert code == before_code
+        assert (out if before_code == 0 else err).startswith("usage: anomaly-forge")
+        for name in ("anomaly-yukawa-keyvalue", "classify", "bad-window"):
+            argv, code, out, err = _PINNED[name]
+            assert run_cli(capsys, *argv) == (code, out, err)
+        # the same bytes again: the failed or help call changed nothing in the parser
+        assert run_cli(capsys, *before) == first
+
+    def test_many_calls_build_one_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        calls = [argv for argv, *_ in _PINNED.values()]
+        for argv in calls:
+            main(list(argv))
+        capsys.readouterr()
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)

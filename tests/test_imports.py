@@ -12,14 +12,16 @@ import pytest
 import anomaly_forge
 
 # Runs in a fresh interpreter: after the import and after each CLI command,
-# print the numpy and scipy modules loaded so far, one JSON list per line.
+# print the numpy and scipy modules loaded so far and the number of argument
+# parsers built so far, one JSON list per line.
 _SCRIPT = """
 import contextlib, io, json, sys
 import anomaly_forge, anomaly_forge.cli
 
 def report(code):
     print(json.dumps([code, sorted(k for k in sys.modules
-                                   if k.split(".")[0] in ("numpy", "scipy"))]))
+                                   if k.split(".")[0] in ("numpy", "scipy")),
+                      anomaly_forge.cli._build_parser.cache_info().misses]))
 
 report(0)
 for argv in json.loads(sys.argv[1]):
@@ -52,7 +54,7 @@ _WITHOUT_ORACLE = ["import", *(step for step in _COMMANDS if "oracle" not in ste
 
 @pytest.fixture(scope="module")
 def loaded():
-    """Step name -> (exit code, numpy and scipy modules loaded after it)."""
+    """Step name -> (exit code, numpy and scipy modules loaded after it, parsers built)."""
     src = str(Path(anomaly_forge.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -69,35 +71,40 @@ def _named(modules, top):
 
 @pytest.mark.parametrize("step", _WITHOUT_ORACLE)
 def test_no_scipy_without_the_oracle(loaded, step):
-    code, modules = loaded[step]
+    code, modules, _ = loaded[step]
     assert code == 0
     assert _named(modules, "scipy") == []
 
 
 @pytest.mark.parametrize("step", _WITHOUT_ORACLE)
 def test_no_numpy_without_the_oracle(loaded, step):
-    code, modules = loaded[step]
+    code, modules, _ = loaded[step]
     assert code == 0
     assert _named(modules, "numpy") == []
 
 
 def test_case_a_oracle_loads_no_scipy(loaded):
-    code, modules = loaded["oracle"]
+    code, modules, _ = loaded["oracle"]
     assert code == 0
     assert _named(modules, "scipy") == []
 
 
 def test_screened_oracle_loads_no_scipy(loaded):
     # its turning points come from a Lambert W of its own
-    code, modules = loaded["screened-oracle"]
+    code, modules, _ = loaded["screened-oracle"]
     assert code == 0
     assert _named(modules, "scipy") == []
 
 
 def test_oracle_loads_numpy(loaded):
-    code, modules = loaded["oracle"]
+    code, modules, _ = loaded["oracle"]
     assert code == 0
     assert "numpy" in modules
+
+
+def test_parser_built_on_the_first_command_only(loaded):
+    # importing the CLI builds no parser; every command after the first reuses it
+    assert [loaded[step][2] for step in ["import", *_COMMANDS]] == [0] + [1] * len(_COMMANDS)
 
 
 class TestPackageNames:

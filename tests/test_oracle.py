@@ -374,6 +374,22 @@ class TestBesselRatioRoutes:
         assert np.array_equal(got, 0.5 * x * bessel_ratio_cf_one_box(nus, x))
 
     @pytest.mark.parametrize("x", [0.01, 0.5, 8.0, 63.0, 800.0, 2000.0, 1e4, 1e5])
+    def test_deep_orders_lie_below_one_and_a_half_x(self, x):
+        # _cf_deep_orders gives a depth only to the orders below 1.5 x; the
+        # depth falls with nu, so at 1.5 x it must already be <= _CF_SHARED,
+        # and the deep block equals the one taken over every order
+        edge = np.array([1.5 * x])
+        assert spectral_oracle._cf_depth(edge, x)[0] <= spectral_oracle._CF_SHARED
+        nus = np.concatenate([np.linspace(0.0, 3.0 * x, 3001),
+                              np.nextafter(1.5 * x, [0.0, math.inf]), np.arange(40.0) + 0.5])
+        depth = spectral_oracle._cf_depth(nus, x)
+        deep = np.flatnonzero(depth > spectral_oracle._CF_SHARED)
+        deep = deep[np.argsort(-depth[deep], kind="stable")]
+        b0, got_depth = spectral_oracle._cf_deep_orders(nus, x)
+        assert np.array_equal(b0, nus[deep] * (2.0 / x))
+        assert np.array_equal(got_depth, depth[deep])
+
+    @pytest.mark.parametrize("x", [0.01, 0.5, 8.0, 63.0, 800.0, 2000.0, 1e4, 1e5])
     def test_depth_rule_converges(self, x):
         # the depth K = ceil(sqrt(nu^2 + 44 x) - nu) + 8 passes the tail
         # bound over the orders the case-A oracle uses and beyond

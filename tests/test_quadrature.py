@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,6 +339,23 @@ class TestFitPowerLaw:
             fit_power_law(_samples([1, 2, 4, 8], [-2.0, -1.0, 0.5, -0.25]))
         with pytest.raises(MixedSignError, match="^samples contain exact zeros; no power law"):
             fit_power_law(_samples([1, 2, 4, 8], [1.0, -1.0, 0.0, 0.25]))
+
+    @pytest.mark.parametrize("lams, values, message", [
+        ([1, 2, 4, 8], [1.0, math.nan, -0.5, 0.25], "sample at Lambda = 2 is not finite: w = nan"),
+        ([1, 2, 4, 8], [1.0, 0.5, 0.25, math.inf], "sample at Lambda = 8 is not finite: w = inf"),
+        ([1, 2, 4, 8], [-math.inf, 0.0, 1.0, math.nan],
+         "sample at Lambda = 1 is not finite: w = -inf"),
+        ([1, 2, math.inf, 8], [1.0, 0.5, 0.25, 0.125],
+         "sample at Lambda = inf is not finite: w = 0.25"),
+        ([1, math.nan, 4, 8], [1.0, 0.5, 0.25, 0.125],
+         "sample at Lambda = nan is not finite: w = 0.5"),
+    ], ids=["nan", "plus-inf", "minus-inf-before-zero-and-flip", "infinite-lambda", "nan-lambda"])
+    def test_nonfinite_named_before_zero_and_sign_tests(self, lams, values, message):
+        # plain samples: TraceSamples would reject a non-finite value itself
+        samples = SimpleNamespace(lambdas=lams, values=values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}; no power law to fit$") as info:
+            fit_power_law(samples)
+        assert not isinstance(info.value, MixedSignError)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
