@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from ._records import Record
 from .errors import NotPowerLawError
 from .perturbation import TraceSamples
 from .potentials import CaseLabel, classify
@@ -42,8 +42,7 @@ class Status(enum.Enum):
     DIVERGENT = "divergent"
 
 
-@dataclass(frozen=True)
-class AnomalyResult:
+class AnomalyResult(Record):
     """Reduced anomalies with finite/zero/divergent classification.
 
     ``a_n`` is dimensionless, ``a_e`` carries energy units; both are the
@@ -52,20 +51,17 @@ class AnomalyResult:
     describe the leading Lambda power instead.
     """
 
-    a_n: float | None
-    a_e: float | None
-    status_n: Status
-    status_e: Status
-    a_n_err: float
-    a_e_err: float
-    case_label: CaseLabel
-    fit: PowerLawFit | None
-    growth_exponent_n: float | None = None
-    growth_exponent_e: float | None = None
-    growth_amplitude_n: float | None = None
-    growth_amplitude_e: float | None = None
-
-    def __post_init__(self):
+    def __init__(self, a_n: float | None, a_e: float | None, status_n: Status, status_e: Status,
+                 a_n_err: float, a_e_err: float, case_label: CaseLabel, fit: PowerLawFit | None,
+                 growth_exponent_n: float | None = None, growth_exponent_e: float | None = None,
+                 growth_amplitude_n: float | None = None,
+                 growth_amplitude_e: float | None = None) -> None:
+        """Raises ValueError if a divergent channel reports a value or a zero-status
+        channel's value exceeds its uncertainty."""
+        self._set(a_n=a_n, a_e=a_e, status_n=status_n, status_e=status_e, a_n_err=a_n_err,
+                  a_e_err=a_e_err, case_label=case_label, fit=fit,
+                  growth_exponent_n=growth_exponent_n, growth_exponent_e=growth_exponent_e,
+                  growth_amplitude_n=growth_amplitude_n, growth_amplitude_e=growth_amplitude_e)
         for name, value, err, status in (("number", self.a_n, self.a_n_err, self.status_n),
                                          ("energy", self.a_e, self.a_e_err, self.status_e)):
             if status is Status.DIVERGENT and value is not None:

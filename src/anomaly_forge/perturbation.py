@@ -44,8 +44,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
+from ._records import Record
 from .errors import NotRepresentableError
 from .potentials import Family, PotentialSpec, coulomb_tail_coefficient
 # Not called here: bench/tracing.py wraps perturbation.integrate_adaptive
@@ -65,18 +65,16 @@ class Order(enum.Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
-class TraceSamples:
+class TraceSamples(Record):
     """Reduced trace-difference samples w(Lambda) with error estimates."""
 
-    lambdas: tuple
-    values: tuple
-    errors: tuple
-    source: Source
-    spec: PotentialSpec
-    units: UnitSystem
-
-    def __post_init__(self):
+    def __init__(self, lambdas: tuple, values: tuple, errors: tuple, source: Source,
+                 spec: PotentialSpec, units: UnitSystem) -> None:
+        """Raises ValueError unless the three tuples are non-empty and of one length, the
+        Lambdas are finite, positive and strictly increasing, and every value and error is
+        finite, with no error negative."""
+        self._set(lambdas=lambdas, values=values, errors=errors, source=source, spec=spec,
+                  units=units)
         n = len(self.lambdas)
         if n == 0:
             raise ValueError("TraceSamples cannot be empty")
@@ -87,6 +85,8 @@ class TraceSamples:
             raise ValueError("Lambda values must be strictly increasing")
         if any(l <= 0.0 for l in lams):
             raise ValueError("Lambda values must be positive")
+        if not all(math.isfinite(l) for l in lams):
+            raise ValueError("Lambda values must be finite and positive")
         if any(e < 0.0 for e in self.errors):
             raise ValueError("errors must be nonnegative")
         for lam, w, e in zip(lams, self.values, self.errors):

@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
+from ._records import Record
 from .errors import NotRepresentableError
 from .units import UnitSystem
 
@@ -45,16 +45,12 @@ class CaseLabel(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    family: Family
-    Z: float = 0.0
-    alpha: float = 0.0
-    kappa: float = 0.0
-    r_cut: float = 0.0
-    attractive: bool = True
-
-    def __post_init__(self):
+class PotentialSpec(Record):
+    def __init__(self, family: Family, Z: float = 0.0, alpha: float = 0.0, kappa: float = 0.0,
+                 r_cut: float = 0.0, attractive: bool = True) -> None:
+        """Raises ValueError on a non-finite parameter or one the family needs but lacks;
+        an inverse-square spec is always stored with ``attractive=False``."""
+        self._set(family=family, Z=Z, alpha=alpha, kappa=kappa, r_cut=r_cut, attractive=attractive)
         for name in ("Z", "alpha", "kappa", "r_cut"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -64,7 +60,7 @@ class PotentialSpec:
             # Repulsive only; attractive 1/r^2 needs self-adjoint extension data.
             if self.alpha < 0.0:
                 raise ValueError("inverse-square strength alpha must be >= 0")
-            object.__setattr__(self, "attractive", False)
+            self._set(attractive=False)
         else:
             if not (self.Z > 0.0):
                 raise ValueError(f"{fam.value} requires charge Z > 0, got {self.Z}")
@@ -95,11 +91,10 @@ def cutoff_coulomb(Z: float, r_cut: float, attractive: bool = True) -> Potential
     return PotentialSpec(Family.CUTOFF_COULOMB, Z=Z, r_cut=r_cut, attractive=attractive)
 
 
-@dataclass(frozen=True)
-class SingularityClass:
-    small_x_exponent: float
-    large_x_tail: LargeXTail
-    case_label: CaseLabel
+class SingularityClass(Record):
+    def __init__(self, small_x_exponent: float, large_x_tail: LargeXTail, case_label: CaseLabel) -> None:
+        self._set(small_x_exponent=small_x_exponent, large_x_tail=large_x_tail,
+                  case_label=case_label)
 
 
 def evaluate(spec: PotentialSpec, units: UnitSystem, r):

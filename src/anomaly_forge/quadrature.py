@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from ._records import Record
 from .errors import MixedSignError, UnconvergedError
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
@@ -37,13 +37,11 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795918367346
 _XK, _WK, _WG = _XK + tuple(-x for x in _XK[-2::-1]), _WK + _WK[-2::-1], _WG + _WG[-2::-1]
 
 
-@dataclass(frozen=True)
-class QuadratureBudget:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_evals: int = 500_000
-
-    def __post_init__(self):
+class QuadratureBudget(Record):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8,
+                 max_evals: int = 500_000) -> None:
+        """Raises ValueError unless both tolerances are positive and max_evals >= 1000."""
+        self._set(abs_tol=abs_tol, rel_tol=rel_tol, max_evals=max_evals)
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be strictly positive")
         if self.max_evals < 1000:
@@ -134,19 +132,16 @@ def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = No
         evals += 30
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """Least-squares fit of ln|W| against ln(Lambda): W ~ c Lambda^-gamma."""
 
-    amplitude: float
-    gamma: float
-    residual: float
-    lambda_range: tuple[float, float]
-    gamma_err: float
-    amplitude_err: float
-    n_samples: int
-
-    def __post_init__(self):
+    def __init__(self, amplitude: float, gamma: float, residual: float,
+                 lambda_range: tuple[float, float], gamma_err: float, amplitude_err: float,
+                 n_samples: int) -> None:
+        """Raises ValueError on a negative residual, a lambda_range that does not increase
+        or fewer than 4 samples."""
+        self._set(amplitude=amplitude, gamma=gamma, residual=residual, lambda_range=lambda_range,
+                  gamma_err=gamma_err, amplitude_err=amplitude_err, n_samples=n_samples)
         if self.residual < 0.0:
             raise ValueError("residual must be nonnegative")
         lo, hi = self.lambda_range
@@ -160,10 +155,11 @@ def fit_power_law(samples) -> PowerLawFit:
     """Fit W ~ c Lambda^-gamma to trace samples in log-log space.
 
     ``samples`` is a TraceSamples instance or any object with ``lambdas``
-    and ``values`` sequences.  Every Lambda and value must be finite (the
-    first that is not raises ValueError, naming its Lambda), all values must
-    share one sign (a sign change raises MixedSignError, naming the first
-    adjacent pair of samples that straddles it) and none may vanish.
+    and ``values`` sequences.  Every Lambda and value must be finite and
+    every Lambda positive (the first that is not raises ValueError, naming
+    its Lambda), the Lambdas must not all be one value (ValueError), all
+    values must share one sign (a sign change raises MixedSignError, naming
+    the first adjacent pair of samples that straddles it) and none may vanish.
 
     The line y = ln c - gamma x through x = ln Lambda, y = ln|W| is the
     closed-form least-squares fit about the centroid: the slope is
@@ -180,6 +176,12 @@ def fit_power_law(samples) -> PowerLawFit:
     if bad is not None:
         raise ValueError(f"sample at Lambda = {lams[bad]:g} is not finite: w = {w[bad]}; "
                          f"no power law to fit")
+    bad = next((i for i in range(n) if not (lams[i] > 0.0)), None)
+    if bad is not None:
+        raise ValueError(f"sample at Lambda = {lams[bad]:g} is not positive; no power law to fit")
+    x = [math.log(lam) for lam in lams]
+    if min(x) == max(x):
+        raise ValueError(f"all {n} samples sit at Lambda = {lams[0]:g}; no power law to fit")
     if any(v == 0.0 for v in w):
         raise MixedSignError("samples contain exact zeros; no power law to fit")
     same_sign = lambda a, b: (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
@@ -188,7 +190,6 @@ def fit_power_law(samples) -> PowerLawFit:
         raise MixedSignError(
             f"samples change sign between Lambda = {lams[flip]:.5g} (w = {w[flip]:+.2e}) and "
             f"{lams[flip + 1]:.5g} (w = {w[flip + 1]:+.2e}); log-log fit would be meaningless")
-    x = [math.log(lam) for lam in lams]
     y = [math.log(abs(v)) for v in w]
     x_mean = math.fsum(x) / n
     y_mean = math.fsum(y) / n

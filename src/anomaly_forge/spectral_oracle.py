@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .errors import UnconvergedError, UnsupportedPotentialError
 from .perturbation import Source, TraceSamples
 from .potentials import Family, PotentialSpec, evaluate
@@ -58,8 +58,7 @@ from .quadrature import integrate_adaptive  # noqa: F401
 from .units import UnitSystem
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Record):
     """Box and grid sizes of ``oracle_trace``.
 
     ``richardson_levels`` is the (small, large) pair of box radii: case A
@@ -69,12 +68,12 @@ class OracleConfig:
     because ``bench/workloads.py`` still sets it (ROADMAP item 1).
     """
 
-    box_radius: float = 40.0
-    ell_max: int = 60
-    grid_points: int = 2400
-    richardson_levels: tuple = (20.0, 40.0)
-
-    def __post_init__(self):
+    def __init__(self, box_radius: float = 40.0, ell_max: int = 60, grid_points: int = 2400,
+                 richardson_levels: tuple = (20.0, 40.0)) -> None:
+        """Raises ValueError on a box_radius that is not positive, ell_max < 10,
+        grid_points < 200 or richardson_levels that are not two increasing finite radii."""
+        self._set(box_radius=box_radius, ell_max=ell_max, grid_points=grid_points,
+                  richardson_levels=richardson_levels)
         if not (self.box_radius > 0.0):
             raise ValueError("box_radius must be positive")
         if self.ell_max < 10:

@@ -9,16 +9,14 @@ always derived, never stored.  The default is atomic units
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._records import Record
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    hbar: float = 1.0
-    m: float = 1.0
-    e2: float = 1.0
-
-    def __post_init__(self):
+class UnitSystem(Record):
+    def __init__(self, hbar: float = 1.0, m: float = 1.0, e2: float = 1.0) -> None:
+        """Raises ValueError unless hbar, m and e2 are finite and strictly positive."""
+        self._set(hbar=hbar, m=m, e2=e2)
         for name in ("hbar", "m", "e2"):
             v = getattr(self, name)
             if not (v > 0.0):

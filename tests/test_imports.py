@@ -1,5 +1,6 @@
 """numpy stays out of processes that do not run the spectral oracle, and scipy out
-of every command."""
+of every command; ``dataclasses`` stays out of every process, and ``inspect`` out
+of those that do not run the oracle (numpy imports it)."""
 
 import json
 import os
@@ -12,15 +13,16 @@ import pytest
 import anomaly_forge
 
 # Runs in a fresh interpreter: after the import and after each CLI command,
-# print the numpy and scipy modules loaded so far and the number of argument
-# parsers built so far, one JSON list per line.
+# print the numpy, scipy, dataclasses and inspect modules loaded so far and the
+# number of argument parsers built so far, one JSON list per line.
 _SCRIPT = """
 import contextlib, io, json, sys
 import anomaly_forge, anomaly_forge.cli
 
 def report(code):
     print(json.dumps([code, sorted(k for k in sys.modules
-                                   if k.split(".")[0] in ("numpy", "scipy")),
+                                   if k.split(".")[0] in ("numpy", "scipy", "dataclasses",
+                                                          "inspect")),
                       anomaly_forge.cli._build_parser.cache_info().misses]))
 
 report(0)
@@ -54,7 +56,8 @@ _WITHOUT_ORACLE = ["import", *(step for step in _COMMANDS if "oracle" not in ste
 
 @pytest.fixture(scope="module")
 def loaded():
-    """Step name -> (exit code, numpy and scipy modules loaded after it, parsers built)."""
+    """Step name -> (exit code, numpy, scipy, dataclasses and inspect modules loaded after
+    it, parsers built)."""
     src = str(Path(anomaly_forge.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -81,6 +84,22 @@ def test_no_numpy_without_the_oracle(loaded, step):
     code, modules, _ = loaded[step]
     assert code == 0
     assert _named(modules, "numpy") == []
+
+
+@pytest.mark.parametrize("step", ["import", *_COMMANDS])
+def test_no_dataclasses(loaded, step):
+    # the package's records are plain classes (anomaly_forge._records)
+    code, modules, _ = loaded[step]
+    assert code == 0
+    assert _named(modules, "dataclasses") == []
+
+
+@pytest.mark.parametrize("step", _WITHOUT_ORACLE)
+def test_no_inspect_without_the_oracle(loaded, step):
+    # numpy imports inspect itself, so the oracle steps are exempt
+    code, modules, _ = loaded[step]
+    assert code == 0
+    assert _named(modules, "inspect") == []
 
 
 def test_case_a_oracle_loads_no_scipy(loaded):

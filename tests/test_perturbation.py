@@ -361,6 +361,14 @@ class TestTraceSamplesInvariants:
             TraceSamples((0.0, 2.0), (1.0, 0.5), (0.0, 0.0), Source.ORACLE,
                          coulomb(1.0), ATOMIC)
 
+    @pytest.mark.parametrize("lams", [(math.nan,), (math.inf,), (1.0, math.inf)],
+                             ids=["lone-nan", "lone-inf", "inf-last"])
+    def test_nonfinite_lambda_rejected(self, lams):
+        # a lone NaN passes the <= 0 test and inf passes the ordering test
+        n = len(lams)
+        with pytest.raises(ValueError, match="^Lambda values must be finite and positive$"):
+            TraceSamples(lams, (1.0,) * n, (0.0,) * n, Source.ORACLE, coulomb(1.0), ATOMIC)
+
     @pytest.mark.parametrize("values, errors", [((1.0, -math.inf), (0.0, 0.0)),
                                                 ((1.0, 0.5), (0.0, math.nan))])
     def test_nonfinite_sample_rejected_with_its_lambda(self, values, errors):

@@ -357,6 +357,18 @@ class TestFitPowerLaw:
             fit_power_law(samples)
         assert not isinstance(info.value, MixedSignError)
 
+    @pytest.mark.parametrize("lams, message", [
+        ([0, 1, 2, 3], "sample at Lambda = 0 is not positive"),
+        ([-1, 1, 2, 3], "sample at Lambda = -1 is not positive"),
+        ([1, 1, 1, 1], "all 4 samples sit at Lambda = 1"),
+    ], ids=["zero-lambda", "negative-lambda", "equal-lambdas"])
+    def test_lambdas_without_a_log_spread_named(self, lams, message):
+        # plain samples: TraceSamples would reject these Lambdas itself; before, a bare
+        # "math domain error" or a ZeroDivisionError
+        samples = SimpleNamespace(lambdas=lams, values=[1.0, 0.5, 0.25, 0.125])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}; no power law to fit$"):
+            fit_power_law(samples)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_power_law(_samples([1, 2, 4], [1.0, 0.5, 0.25]))
