@@ -24,9 +24,9 @@ so the whole evaluation is closed-form up to the ratio itself, a continued
 fraction summed backward in numpy.  Its deep steps, which only the low orders
 of the larger boxes reach, run once over all boxes of a Lambda grid; each box
 then runs its own shallow steps.  Yukawa runs one box, within bounds on
-kappa R, Lambda and the coupling, with O(N) pivot recursions of the tridiagonal
-radial grid operator, without eigenvalues, that sum each channel's difference
-against the free channel row by row, up to l_max.  Its classical term counts
+kappa R, Lambda, the coupling and the grid step, with O(N) pivot recursions
+of the tridiagonal radial grid operator, without eigenvalues, that sum each
+channel's difference against the free channel row by row, up to l_max.  Its classical term counts
 only those channels: the phase-space integral over lambda = l + 1/2 < l_max + 1,
 so the channels left out need no extrapolation, only an Euler-Maclaurin
 error.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
@@ -87,13 +87,15 @@ class OracleConfig(Record):
 
 
 def ive(v, z):
-    """scipy.special.ive, imported on the first call; no code here calls it."""
+    """scipy.special.ive, imported on the first call; no code here calls it.
+    scipy comes with the test extra only."""
     from scipy.special import ive as scipy_ive
     return scipy_ive(v, z)
 
 
 def eigvalsh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigvalsh_tridiagonal, imported on the first call."""
+    """scipy.linalg.eigvalsh_tridiagonal, imported on the first call; no code here
+    calls it.  scipy comes with the test extra only."""
     from scipy.linalg import eigvalsh_tridiagonal as scipy_eigvalsh_tridiagonal
     return scipy_eigvalsh_tridiagonal(d, e, **kwargs)
 
@@ -432,88 +434,73 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
     return 2.0 * m * math.sqrt(2.0 * m) / hbar**3 * totals.reshape(len(factors), len(lams))
 
 
-_COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)
+_COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)   # the last is the free lane
 _SWEEP_BLOCK = 8   # rows whose diagonal parts ``_grid_traces`` tabulates at once
 
 
-def _grid_traces(spec, units, lams, grids, ell_max):
-    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 of every channel on each grid.
+def _grid_traces(spec, units, lams, r_box, n, ell_max):
+    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 of every channel on a box's two grids.
 
-    ``grids`` is a sequence of (r_box, n_points).  Returns one array per grid,
-    in the order given, of shape (4, len(lams), ell_max + 1): the difference
-    against the free channel for each nonzero f of ``_COUPLING_FACTORS``.
-    H_f is the Dirichlet tridiagonal radial operator on r_i = i r_box / n_points,
-    0 < i < n_points, with the potential scaled by f.  For the symmetric
+    The box of radius ``r_box`` takes a fine grid of 2n points and a coarse
+    one of n.  Returns shape (2, len(_COUPLING_FACTORS) - 1, len(lams),
+    ell_max + 1), fine grid first: the difference against the free channel
+    (the last factor, 0) for each other f of ``_COUPLING_FACTORS``.
+    H_f is the Dirichlet tridiagonal radial operator on r_i = i r_box / N,
+    0 < i < N, with the potential scaled by f.  For the symmetric
     tridiagonal lam + H = L D L^T with diagonal a_i and off-diagonal b, the
     pivots are d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
     = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.  Each row adds
     a coupled lane's d'_i/d_i minus the free lane's: the sum is the difference.
 
-    One pass over the radial index serves all (grid, factor, ell, lam)
-    lanes.  Grids run in order of decreasing N, so the grids still in their
-    rows are always a leading block of lanes, and a grid's lanes drop out
-    once its N - 1 rows end.  The diagonal's two parts, shift + cent/r^2 per
-    (grid, lam, ell) and f U per (grid, factor), are tabulated for
-    ``_SWEEP_BLOCK`` rows at a time from per-grid tables of 1/r^2 and U (a
-    block ends where a grid drops out), so each row adds them with one
+    One pass over the radial index serves all (grid, factor, lam, ell)
+    lanes; the coarse grid's lanes stop after its n - 1 rows.  U and 1/r^2
+    are evaluated once, on the fine nodes, and the coarse grid reads every
+    second one: its node (r_box/n) i is the fine node (r_box/2n) 2i to the
+    bit, since halving the step is exact.  The diagonal's two parts,
+    shift + cent/r^2 per (grid, lam, ell) and f U per (grid, factor), are
+    tabulated ``_SWEEP_BLOCK`` rows at a time, so each row adds them with one
     broadcast.  A block's radial table has no factor axis, so it holds
     ``_SWEEP_BLOCK``/5 times the lanes, and its coupling table is small:
-    memory stays O(lanes + grids N), not O(N lanes).  Every lane does the
-    arithmetic of a one-grid pass.
+    memory stays O(lanes + N), not O(N lanes).
     """
-    if not grids:
-        return []
     hbar, m = units.hbar, units.m
-    order = sorted(range(len(grids)), key=lambda k: -grids[k][1])
-    n_rows = [grids[k][1] - 1 for k in order]
-    # per-grid kinetic scale and per-row tables of 1/r^2 and U; lanes are
-    # laid out as (grid, factor, lam, ell), so that ell runs innermost
-    kin = np.empty((len(order), 1, 1, 1))
-    inv_r2 = np.ones((n_rows[0],) + kin.shape)
-    pot = np.zeros((n_rows[0],) + kin.shape)
-    for slot, k in enumerate(order):
-        r_box, n_points = grids[k]
-        h = r_box / n_points
-        r = h * np.arange(1, n_points)
-        kin[slot] = hbar * hbar / (m * h * h)
-        pot[:n_points - 1, slot, 0, 0, 0] = evaluate(spec, units, r)
-        inv_r2[:n_points - 1, slot, 0, 0, 0] = 1.0 / (r * r)
+    h = r_box / (2 * n)
+    r = h * np.arange(1, 2 * n)
+    nodes = 1.0 / (r * r), evaluate(spec, units, r)
+    # lanes are laid out as (grid, factor, lam, ell), so that ell runs innermost
+    kin = np.array([hbar * hbar / (m * s * s) for s in (h, r_box / n)])[:, None, None, None]
     shift = kin + np.asarray(lams, dtype=float)[:, None]
     factor = np.array(_COUPLING_FACTORS)[:, None, None]
     ell = np.arange(ell_max + 1, dtype=float)
     cent = hbar * hbar * ell * (ell + 1.0) / (2.0 * m)
-    d = shift + cent * inv_r2[0] + factor * pot[0]
+    # d_{-1} = inf makes the first row's update give d_0 = a_0 and d'_0 = 1
+    d = np.full((2, len(_COUPLING_FACTORS), len(lams), ell_max + 1), np.inf)
     b2 = np.broadcast_to(0.25 * kin * kin, d.shape).copy()   # b^2 / d divides without a broadcast
     dp = np.ones_like(d)
-    g = 1.0 / d
-    diff = g[:, :4] - g[:, 4:]
+    g = np.empty_like(d)
+    traces = np.zeros(d[:, :-1].shape)
     # The row update works in place in spare buffers: with a fresh array
     # per operation the sweep ran about 10% slower.
-    step = np.empty_like(diff)
-    out = [None] * len(grids)
-    live = len(order)
-    i = 1
-    while i < n_rows[0]:
-        while n_rows[live - 1] <= i:   # the last live grid has no row i
-            live -= 1
-            out[order[live]] = diff[live]
-            d, dp, g, diff, step, b2 = (a[:live] for a in (d, dp, g, diff, step, b2))
-        stop = min(i + _SWEEP_BLOCK, n_rows[live - 1])
-        radial = shift[:live] + cent * inv_r2[i:stop, :live]
-        coupling = factor * pot[i:stop, :live]
-        for radial_i, coupling_i in zip(radial, coupling):
-            np.divide(b2, d, out=g)           # g = b^2 / d
-            dp *= g                           # d' = 1 + g d' / d
-            dp /= d
-            dp += 1.0
-            np.add(radial_i, coupling_i, out=d)
-            d -= g
-            np.divide(dp, d, out=g)           # g is spent: it takes d' / d
-            diff += np.subtract(g[:, :4], g[:, 4:], out=step)
-        i = stop
-    for slot in range(live):
-        out[order[slot]] = diff[slot]
-    return out
+    lanes = d, dp, g, traces, np.empty_like(traces), b2
+    for live, rows in ((2, range(n - 1)), (1, range(n - 1, 2 * n - 1))):
+        d, dp, g, diff, step, b2 = (a[:live] for a in lanes)
+        # (row, grid) tables of 1/r^2 and U: coarse row i is fine node 2i + 1
+        inv_r2, pot = (np.stack((a[:n - 1], a[1::2]), axis=1) if live == 2 else a[:, None]
+                       for a in nodes)
+        for i in rows[::_SWEEP_BLOCK]:
+            stop = min(i + _SWEEP_BLOCK, rows.stop)
+            radial = shift[:live] + cent * inv_r2[i:stop, :, None, None, None]
+            coupling = factor * pot[i:stop, :, None, None, None]
+            for radial_i, coupling_i in zip(radial, coupling):
+                np.divide(b2, d, out=g)           # g = b^2 / d
+                dp *= g                           # d' = 1 + g d' / d
+                dp /= d
+                dp += 1.0
+                np.add(radial_i, coupling_i, out=d)
+                d -= g
+                np.divide(dp, d, out=g)           # g is spent: it takes d' / d
+                diff += np.subtract(g[:, :-1], g[:, -1:], out=step)
+    return traces
 
 
 def _tail_error(terms: np.ndarray) -> np.ndarray:
@@ -523,6 +510,11 @@ def _tail_error(terms: np.ndarray) -> np.ndarray:
 
 
 _BOX_C, _KAPPA_R_MIN, _K_MIN, _G_MAX = 4.0, 4.0, 3.0, 80.0   # C and the bounds a sweep checked
+# The fine step's bound at the largest Lambda, k = sqrt(2 m Lambda)/hbar.  In a sweep of
+# Z = 0.05 (kappa 1), 1 and 3 (kappa 0.5) over R 12 and 40, Lambda 10-1000 and
+# grid_points 200-2400, the bar covered the value at all 245 points with k h <= 0.5
+# (miss/bar <= 0.97) and missed it at 74 of 86 with k h >= 0.57, by up to 44x.
+_KH_MAX = 0.5
 
 
 def _box_error(scale: np.ndarray, k: np.ndarray, kappa: float, r_box: float) -> np.ndarray:
@@ -548,10 +540,11 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     the continued fraction twice: once for the steps past ``_CF_SHARED`` of their
     deep orders, shared by all boxes (``_cf_deep_steps``), then one box at a time
     for the rest and the box value (``_case_a_box_w``); the values keep the bits
-    of boxes run alone.  Yukawa runs at r2 alone,
-    on grids of step about r1/grid_points and twice that (one ``_grid_traces``
-    sweep) and one Gauss-rule pass of classical differences, within the bounds of
-    ``_box_error`` (ValueError otherwise).  The value, with grid-step Richardson,
+    of boxes run alone.  Yukawa runs at r2 alone: one ``_grid_traces`` sweep of
+    its fine grid, of step h about r1/grid_points, and its coarse grid of step 2h,
+    and one Gauss-rule pass of classical differences, within the bounds of
+    ``_box_error`` and k h <= ``_KH_MAX`` at the largest Lambda (ValueError
+    otherwise).  The value, with grid-step Richardson,
     is the coupling-even part [W(+U) + W(-U)]/2 of the channels l <= l_max
     against their classical counterpart; it cancels the coupling-linear wall and
     grid artifacts to all odd orders.  Its error sums ``_box_error``,
@@ -608,11 +601,16 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                          f"{spec.kappa * r2:g} (R = {r2:g}), k = {k.min() / spec.kappa:g} "
                          f"kappa at Lambda = {min(lams):g}, g = {g:g}")
     n = int(round(config.grid_points * r2 / (2.0 * r1)))   # coarse grid; the fine one has 2n
-    c_p1, c_m1, c_ph, c_mh = _classical_difference(spec, units, _COUPLING_FACTORS[:4], lams,
+    h = r2 / (2 * n)   # the fine step
+    if k.max() * h > _KH_MAX:
+        raise ValueError(f"the grid step is checked at k h <= {_KH_MAX:g}; here k h = "
+                         f"{k.max() * h:g} (h = {h:g}) at Lambda = {max(lams):g}; lower "
+                         f"Lambda or raise grid_points")
+    c_p1, c_m1, c_ph, c_mh = _classical_difference(spec, units, _COUPLING_FACTORS[:-1], lams,
                                                    r2, config.ell_max + 1.0)
     # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
     # axis, so that it adds in the order of a 1-D np.sum over one channel series
-    diffs = np.stack(_grid_traces(spec, units, lams, [(r2, 2 * n), (r2, n)], config.ell_max))
+    diffs = _grid_traces(spec, units, lams, r2, n, config.ell_max)
     deg = 2.0 * np.arange(config.ell_max + 1) + 1.0
     # channel terms (2 ell + 1) [Tr_f - Tr_0] of the factors 1, -1, 1/2, -1/2
     t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * diffs, 1, 0)

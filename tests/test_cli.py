@@ -226,6 +226,14 @@ class TestTraceCommand:
                              "--lambda-min", "50", "--lambda-max", "10")
         assert code == 2
 
+    def test_screened_oracle_step_too_coarse_exits_2(self, capsys):
+        # the default box's fine step h = 40/4800 gives k h = 1.18 at Lambda = 1e4
+        code, out, err = run_cli(capsys, "trace", "--method", "oracle",
+                                 "--potential", "yukawa:Z=0.05,kappa=1", "--lambda-max", "10000")
+        assert (code, out) == (2, "")
+        assert err == ("error: the grid step is checked at k h <= 0.5; here k h = 1.17851 "
+                       "(h = 0.00833333) at Lambda = 10000; lower Lambda or raise grid_points\n")
+
 
 class TestAnomalyCommand:
     def test_keyvalue_keys_exact(self, capsys):

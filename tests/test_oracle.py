@@ -121,8 +121,8 @@ class TestChannelSpectrum:
 
 
 class TestGridTraces:
-    @pytest.mark.parametrize("n_points", [200, 500, 1500])
-    def test_free_box_closed_form(self, n_points):
+    @pytest.mark.parametrize("n_fine", [200, 500, 1500])
+    def test_free_box_closed_form(self, n_fine):
         # cutoff Coulomb with r_cut >= R is the constant U = -Z e^2 / r_cut in
         # the box; at ell = 0 the grid levels are kin (1 - cos(k pi/N)),
         # k = 1 .. N-1, so each factor's difference is the closed-form sum at
@@ -132,14 +132,18 @@ class TestGridTraces:
         r_box, lams = 8.0, [0.5, 10.0, 100.0, 3000.0]
         spec = cutoff_coulomb(1.0, 10.0)
         u = float(evaluate(spec, ATOMIC, np.array([r_box]))[0])
-        (diffs,) = _grid_traces(spec, ATOMIC, lams, [(r_box, n_points)], 10)
-        kin = (n_points / r_box) ** 2
-        k = np.arange(1, n_points)
-        levels = kin * (1.0 - np.cos(k * math.pi / n_points))
-        for i, factor in enumerate(_COUPLING_FACTORS[:4]):
-            for j, lam in enumerate(lams):
-                exact = float(np.sum(-factor * u / ((lam + factor * u + levels) * (lam + levels))))
-                assert diffs[i, j, 0] == pytest.approx(exact, rel=3e-10), (factor, lam)
+        traces = _grid_traces(spec, ATOMIC, lams, r_box, n_fine // 2, 10)
+        assert traces.shape == (2, len(_COUPLING_FACTORS) - 1, len(lams), 11)
+        for diffs, n_points in zip(traces, (n_fine, n_fine // 2)):
+            kin = (n_points / r_box) ** 2
+            k = np.arange(1, n_points)
+            levels = kin * (1.0 - np.cos(k * math.pi / n_points))
+            for i, factor in enumerate(_COUPLING_FACTORS[:-1]):
+                for j, lam in enumerate(lams):
+                    exact = float(np.sum(-factor * u / ((lam + factor * u + levels)
+                                                        * (lam + levels))))
+                    assert diffs[i, j, 0] == pytest.approx(exact, rel=3e-10), (n_points, factor,
+                                                                               lam)
 
     @pytest.mark.parametrize("spec, lams, indefinite", [
         (yukawa(0.05, 1.0), [10.0, 100.0], False),
@@ -147,91 +151,99 @@ class TestGridTraces:
         (yukawa(3.0, 0.5), [0.5], True),
     ], ids=["weak-yukawa", "cutoff-coulomb", "strong-yukawa"])
     def test_matches_eigensolve_reference(self, spec, lams, indefinite):
-        # every factor and channel against the eigenvalue sums, free channel
-        # subtracted; in the indefinite cases some levels lie below -Lambda,
-        # so lam + H has negative pivots and the recursion runs through them
-        # unguarded
-        r_box, n_points, ell_max = 8.0, 500, 12
-        (diffs,) = _grid_traces(spec, ATOMIC, lams, [(r_box, n_points)], ell_max)
-        below = 0
-        for ell in range(ell_max + 1):
-            free = grid_channel_levels(lambda r: 0.0 * r, ell, r_box, n_points, ATOMIC)
-            for i, factor in enumerate(_COUPLING_FACTORS[:4]):
-                levels = grid_channel_levels(lambda r: factor * evaluate(spec, ATOMIC, r),
-                                              ell, r_box, n_points, ATOMIC)
-                for j, lam in enumerate(lams):
-                    below += int(np.sum(levels < -lam))
-                    exact = float(np.sum(1.0 / (lam + levels)) - np.sum(1.0 / (lam + free)))
-                    assert diffs[i, j, ell] == pytest.approx(exact, rel=1e-9)
-        assert (below > 0) == indefinite
+        # every grid, factor and channel against the eigenvalue sums, free
+        # channel subtracted; in the indefinite cases some levels lie below
+        # -Lambda, so lam + H has negative pivots and the recursion runs
+        # through them unguarded
+        r_box, n, ell_max = 8.0, 250, 12
+        traces = _grid_traces(spec, ATOMIC, lams, r_box, n, ell_max)
+        for diffs, n_points in zip(traces, (2 * n, n)):
+            below = 0
+            for ell in range(ell_max + 1):
+                free = grid_channel_levels(lambda r: 0.0 * r, ell, r_box, n_points, ATOMIC)
+                for i, factor in enumerate(_COUPLING_FACTORS[:-1]):
+                    levels = grid_channel_levels(lambda r: factor * evaluate(spec, ATOMIC, r),
+                                                  ell, r_box, n_points, ATOMIC)
+                    for j, lam in enumerate(lams):
+                        below += int(np.sum(levels < -lam))
+                        exact = float(np.sum(1.0 / (lam + levels)) - np.sum(1.0 / (lam + free)))
+                        assert diffs[i, j, ell] == pytest.approx(exact, rel=1e-9)
+            assert (below > 0) == indefinite, n_points
 
-    @pytest.mark.parametrize("spec, lams", [
-        (yukawa(0.05, 1.0), [10.0, 37.5, 100.0]),
-        (yukawa(3.0, 0.5), [0.5, 4.0]),
-    ], ids=["weak-yukawa", "strong-yukawa"])
-    def test_multi_grid_sweep_equals_one_grid_calls(self, spec, lams):
-        # unequal R and N, a tie in N, and grids not sorted by N: every grid's
-        # lanes must come out as a one-grid pass computes them, bit for bit
-        grids = [(8.0, 300), (12.0, 450), (6.0, 300), (10.0, 200), (9.0, 451)]
-        swept = _grid_traces(spec, ATOMIC, lams, grids, 12)
-        assert len(swept) == len(grids)
-        for grid, diffs in zip(grids, swept):
-            (alone,) = _grid_traces(spec, ATOMIC, lams, [grid], 12)
-            assert diffs.shape == (len(_COUPLING_FACTORS) - 1, len(lams), 13)
-            assert np.array_equal(diffs, alone), grid
-        assert _grid_traces(spec, ATOMIC, lams, [], 12) == []
+    def test_coarse_nodes_are_every_second_fine_node(self):
+        # the sweep evaluates U and 1/r^2 on the fine nodes (R/2n) i only and
+        # reads the coarse nodes (R/n) i at fine index 2i: halving the step is
+        # exact, so the two must agree bit for bit, odd n included (the
+        # benchmark's, the default and criterion 9's boxes, then seeded ones)
+        rng = np.random.default_rng(29)
+        boxes = [(12.0, 375), (40.0, 2400), (22.0, 1375), (18.0, 771), (9.0, 451)]
+        boxes += zip(rng.uniform(2.0, 80.0, 300).tolist(), rng.integers(100, 6000, 300).tolist())
+        for r_box, n in boxes:
+            coarse = (r_box / n) * np.arange(1, n)
+            fine = (r_box / (2 * n)) * np.arange(1, 2 * n)
+            assert np.array_equal(coarse, fine[1::2]), (r_box, n)
+
+    def test_one_potential_evaluation_per_sweep(self, monkeypatch):
+        # both grids read U from one evaluation on the fine nodes
+        calls = []
+
+        def counting(spec, units, r):
+            calls.append(np.shape(r))
+            return evaluate(spec, units, r)
+
+        monkeypatch.setattr(spectral_oracle, "evaluate", counting)
+        _grid_traces(yukawa(0.05, 1.0), ATOMIC, [10.0, 100.0], 12.0, 375, 10)
+        assert calls == [(749,)]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble has the precision of a double here")
     def test_extended_precision_sweep(self):
-        # the benchmark's box (Yukawa Z = 0.05, kappa = 1, R 8 and 12, N 500
+        # the benchmark's boxes (Yukawa Z = 0.05, kappa = 1, R 8 and 12, N 500
         # at R = 8, ell <= 30): the same recursion in np.longdouble bounds
         # the rounding of the double sweep; its worst lane measured 6.1e-10
         spec, lams, ell_max = yukawa(0.05, 1.0), [10.0, 20.0, 37.5, 100.0], 30
-        grids = [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)]
-        swept = _grid_traces(spec, ATOMIC, lams, grids, ell_max)
-        for grid, diffs in zip(grids, swept):
-            ref = grid_trace_differences(spec, lams, *grid, ell_max,
-                                         _COUPLING_FACTORS[:4], ATOMIC)
-            worst = float(np.max(np.abs((diffs - ref) / ref)))
-            assert worst < 1e-9, grid
+        for r_box, n in [(8.0, 250), (12.0, 375)]:
+            traces = _grid_traces(spec, ATOMIC, lams, r_box, n, ell_max)
+            for diffs, n_points in zip(traces, (2 * n, n)):
+                ref = grid_trace_differences(spec, lams, r_box, n_points, ell_max,
+                                             _COUPLING_FACTORS[:-1], ATOMIC)
+                worst = float(np.max(np.abs((diffs - ref) / ref)))
+                assert worst < 1e-9, (r_box, n_points)
 
-    @pytest.mark.parametrize("spec, units, lams, grids, ell_max", [
-        (yukawa(0.05, 1.0), ATOMIC, [10.0, 20.0, 37.5, 100.0],
-         [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)], 30),
-        (yukawa(3.0, 0.5), ATOMIC, [0.5, 4.0],
-         [(8.0, 300), (12.0, 450), (6.0, 300), (10.0, 200), (9.0, 451)], 12),
+    @pytest.mark.parametrize("spec, units, lams, boxes, ell_max", [
+        (yukawa(0.05, 1.0), ATOMIC, [10.0, 20.0, 37.5, 100.0], [(8.0, 250), (12.0, 375)], 30),
+        (yukawa(3.0, 0.5), ATOMIC, [0.5, 4.0], [(8.0, 150), (9.0, 451), (10.0, 100)], 12),
         (yukawa(1.0, 0.5), UnitSystem(hbar=0.5, m=2.0, e2=1.5), [3.0, 40.0],
          [(6.0, 203), (9.0, 317)], 10),
     ], ids=["bench-box", "strong-yukawa", "scaled-units"])
-    def test_sweep_equals_row_by_row_reference(self, spec, units, lams, grids, ell_max):
-        # the sweep tabulates its diagonals a block of rows at a time, yet
-        # every lane must do the one-row-at-a-time recursion's arithmetic in
-        # its order, so the double-precision reference agrees bit for bit;
-        # the strong case has indefinite pivots and grids that end inside a
-        # block, and the scaled case grid sizes that are not block multiples
-        swept = _grid_traces(spec, units, lams, grids, ell_max)
-        for grid, diffs in zip(grids, swept):
-            ref = grid_trace_differences(spec, lams, *grid, ell_max, _COUPLING_FACTORS[:4],
-                                         units, dtype=np.float64)
-            assert np.array_equal(diffs, ref), grid
+    def test_sweep_equals_row_by_row_reference(self, spec, units, lams, boxes, ell_max):
+        # the sweep tabulates its diagonals a block of rows at a time and
+        # reads the coarse grid's U from the fine nodes, yet every lane must
+        # do the one-row-at-a-time recursion's arithmetic in its order on its
+        # own grid's nodes, so the double-precision reference agrees bit for
+        # bit; the strong case has indefinite pivots, and odd n and coarse
+        # grids that end inside a block
+        for r_box, n in boxes:
+            traces = _grid_traces(spec, units, lams, r_box, n, ell_max)
+            for diffs, n_points in zip(traces, (2 * n, n)):
+                ref = grid_trace_differences(spec, lams, r_box, n_points, ell_max,
+                                             _COUPLING_FACTORS[:-1], units, dtype=np.float64)
+                assert np.array_equal(diffs, ref), (r_box, n_points)
 
-    @pytest.mark.parametrize("lams, grids, ell_max, limit_kib", [
-        ([10.0, 20.0, 37.5, 100.0], [(8.0, 500), (8.0, 250), (12.0, 750), (12.0, 375)],
-         30, 346),
-        (list(geometric_grid(10.0, 100.0, 12)),
-         [(20.0, 2400), (20.0, 1200), (40.0, 4800), (40.0, 2400)], 60, 1774),
+    @pytest.mark.parametrize("lams, r_box, n, ell_max, limit_kib", [
+        ([10.0, 20.0, 37.5, 100.0], 12.0, 375, 30, 220),
+        (list(geometric_grid(10.0, 100.0, 12)), 40.0, 2400, 60, 1280),
     ], ids=["bench-box", "default-box"])
-    def test_sweep_memory_stays_lane_sized(self, lams, grids, ell_max, limit_kib):
+    def test_sweep_memory_stays_lane_sized(self, lams, r_box, n, ell_max, limit_kib):
         # the row tables may cost a small multiple of the lanes, never a
         # block of full-lane diagonals: the bound is twice the traced peak
-        # of a sweep that built each row's diagonal in the loop (173 KiB on
-        # the benchmark's box, 887 KiB on the default box)
+        # of a sweep that built each row's diagonal in the loop (110 KiB on
+        # the benchmark's box, 640 KiB on the default box)
         spec = yukawa(0.05, 1.0)
-        _grid_traces(spec, ATOMIC, [10.0], [(8.0, 200)], 10)   # first-call set-up is not counted
+        _grid_traces(spec, ATOMIC, [10.0], 8.0, 100, 10)   # first-call set-up is not counted
         tracemalloc.start()
         try:
-            _grid_traces(spec, ATOMIC, lams, grids, ell_max)
+            _grid_traces(spec, ATOMIC, lams, r_box, n, ell_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -673,9 +685,9 @@ class TestOracleW:
         # smaller radius sets only the step
         grid_calls, classical_calls = [], []
 
-        def grid_traces(spec, units, lams, grids, ell_max):
-            grid_calls.append(list(grids))
-            return real_grids(spec, units, lams, grids, ell_max)
+        def grid_traces(spec, units, lams, r_box, n, ell_max):
+            grid_calls.append((r_box, n))
+            return real_grids(spec, units, lams, r_box, n, ell_max)
 
         def classical_difference(spec, units, factors, lams, r_box, L):
             classical_calls.append(r_box)
@@ -687,7 +699,7 @@ class TestOracleW:
         monkeypatch.setattr(spectral_oracle, "_classical_difference", classical_difference)
         cfg = OracleConfig(ell_max=10, grid_points=1200, richardson_levels=(14.0, 18.0))
         oracle_trace(yukawa(0.05, 1.0), ATOMIC, [20.0], cfg)
-        assert grid_calls == [[(18.0, 1542), (18.0, 771)]]
+        assert grid_calls == [(18.0, 771)]
         assert classical_calls == [18.0]
 
     @pytest.mark.parametrize("spec, lams", [
@@ -740,6 +752,23 @@ class TestOracleW:
         cfg = OracleConfig(ell_max=10, grid_points=200, richardson_levels=(2.0, 4.0))
         assert len(oracle_trace(yukawa(0.05, 1.0), ATOMIC, [4.5], cfg).values) == 1
 
+    def test_grid_step_bound(self, monkeypatch):
+        # the fine step h = 12/300: k h = 0.31 at Lambda = 30 runs, and k h =
+        # 0.57 at Lambda = 100, where the value missed its bar, raises before
+        # any work
+        cfg = OracleConfig(ell_max=30, grid_points=200, richardson_levels=(8.0, 12.0))
+        spec = yukawa(0.05, 1.0)
+        assert len(oracle_trace(spec, ATOMIC, [30.0], cfg).values) == 1
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle worked past the grid step's checked bound")
+
+        for name in ("_grid_traces", "_classical_difference"):
+            monkeypatch.setattr(spectral_oracle, name, forbidden)
+        with pytest.raises(ValueError, match=r"^the grid step is checked at k h <= 0\.5; here "
+                                             r"k h = 0\.565685 \(h = 0\.04\) at Lambda = 100; "):
+            oracle_trace(spec, ATOMIC, [30.0, 100.0], cfg)
+
     def test_bench_box_lambda_100_near_w2(self):
         # the fitted power-law l-tail left this point 17.3% off w2
         spec = yukawa(0.05, 1.0)
@@ -762,7 +791,7 @@ class TestOracleW:
         # the tail component, from the even channel terms of the larger
         # radius's fine grid, against what doubling the channel list moves
         spec = yukawa(0.05, 1.0)
-        (diffs,) = _grid_traces(spec, ATOMIC, CRITERION_9_LAMS, [(22.0, 2750)], ell_max)
+        diffs = _grid_traces(spec, ATOMIC, CRITERION_9_LAMS, 22.0, 1375, ell_max)[0]
         t_p1, t_m1 = (2.0 * np.arange(ell_max + 1) + 1.0) * diffs[:2]
         tail_bar = spectral_oracle._tail_error(0.5 * (t_p1 + t_m1))
         w, w_double = (np.array(oracle_trace(spec, ATOMIC, CRITERION_9_LAMS,
