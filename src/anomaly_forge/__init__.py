@@ -28,13 +28,6 @@ from .potentials import (
     parse_potential,
     yukawa,
 )
-from .quadrature import (
-    PowerLawFit,
-    QuadratureBudget,
-    QuadratureResult,
-    fit_power_law,
-    integrate_adaptive,
-)
 from .perturbation import (
     Order,
     Source,
@@ -47,11 +40,13 @@ from .perturbation import (
 )
 from .anomaly import (
     AnomalyResult,
+    PowerLawFit,
     Status,
     delta_ae_case_b_closed_form,
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
+    fit_power_law,
 )
 from . import errors
 
@@ -72,11 +67,6 @@ __all__ = [
     "inverse_square",
     "parse_potential",
     "yukawa",
-    "PowerLawFit",
-    "QuadratureBudget",
-    "QuadratureResult",
-    "fit_power_law",
-    "integrate_adaptive",
     "Order",
     "Source",
     "TraceSamples",
@@ -89,11 +79,13 @@ __all__ = [
     "bessel_channel_sums",
     "oracle_trace",
     "AnomalyResult",
+    "PowerLawFit",
     "Status",
     "delta_ae_case_b_closed_form",
     "delta_an_case_a_closed_form",
     "delta_an_case_a_exact",
     "extract_anomalies",
+    "fit_power_law",
     "errors",
 ]
 

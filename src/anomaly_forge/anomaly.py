@@ -1,7 +1,9 @@
-"""Limit operators turning fitted trace differences into anomalies.
+"""Power-law fits and the limit operators that turn them into anomalies.
 
-With the reduced trace difference fitted as w(Lambda) ~ c Lambda^-gamma,
-the two regularized limits are evaluated analytically on the fit:
+The reduced trace difference is fitted as w(Lambda) ~ c Lambda^-gamma by the
+closed-form two-parameter least-squares line through the log-log samples,
+summed with ``math.fsum``, and the two regularized limits are evaluated
+analytically on the fit:
 
     number anomaly  a_n = -2 lim Lambda^2 dw/dLambda = 2 c gamma lim Lambda^(1-gamma)
     energy anomaly  a_e =  2 lim Lambda^2 (1 + Lambda d/dLambda) w
@@ -20,10 +22,9 @@ import enum
 import math
 
 from ._records import Record
-from .errors import NotPowerLawError
-from .perturbation import TraceSamples
+from .errors import MixedSignError, NotPowerLawError
+from .perturbation import TraceSamples, check_lambda_grid
 from .potentials import CaseLabel, classify
-from .quadrature import PowerLawFit, fit_power_law
 from .units import UnitSystem
 
 #: treat |value| below this (reduced, atomic-like units) as numerically zero
@@ -34,6 +35,86 @@ VANISHING_FLOOR = 1e-15
 EXPONENT_TOLERANCE = 0.1
 #: residual ceiling above which the power-law description is rejected
 RESIDUAL_MAX = 0.05
+
+
+class PowerLawFit(Record):
+    """Least-squares fit of ln|W| against ln(Lambda): W ~ c Lambda^-gamma."""
+
+    def __init__(self, amplitude: float, gamma: float, residual: float,
+                 lambda_range: tuple[float, float], gamma_err: float, amplitude_err: float,
+                 n_samples: int) -> None:
+        """Raises ValueError on a negative residual, a lambda_range that does not increase
+        or fewer than 4 samples."""
+        self._set(amplitude=amplitude, gamma=gamma, residual=residual, lambda_range=lambda_range,
+                  gamma_err=gamma_err, amplitude_err=amplitude_err, n_samples=n_samples)
+        if self.residual < 0.0:
+            raise ValueError("residual must be nonnegative")
+        lo, hi = self.lambda_range
+        if not (lo < hi):
+            raise ValueError("lambda_range must be increasing")
+        if self.n_samples < 4:
+            raise ValueError("fit requires at least 4 samples")
+
+
+def fit_power_law(samples) -> PowerLawFit:
+    """Fit W ~ c Lambda^-gamma to trace samples in log-log space.
+
+    ``samples`` is a TraceSamples instance or any object with ``lambdas``
+    and ``values`` sequences.  The Lambdas go through ``check_lambda_grid``
+    first.  There must be at least 4 samples (ValueError), every value must be
+    finite (the first that is not raises ValueError, naming its Lambda), the
+    Lambdas must not all have one float logarithm, as Lambdas a few ulps apart
+    can (ValueError), all values must share one sign (a sign change raises
+    MixedSignError, naming the first adjacent pair of samples that straddles
+    it) and none may vanish.
+
+    The line y = ln c - gamma x through x = ln Lambda, y = ln|W| is the
+    closed-form least-squares fit about the centroid: the slope is
+    Sxy/Sxx over centred sums.  With sigma^2 the residual sum of squares
+    over n - 2 degrees of freedom, the slope's variance is sigma^2/Sxx and
+    the intercept's sigma^2 (1/n + mean(x)^2/Sxx).
+    """
+    lams = check_lambda_grid(samples.lambdas)
+    w = [float(v) for v in samples.values]
+    n = len(lams)
+    if n < 4:
+        raise ValueError(f"power-law fit needs >= 4 samples, got {n}")
+    bad = next((i for i in range(n) if not math.isfinite(w[i])), None)
+    if bad is not None:
+        raise ValueError(f"sample at Lambda = {lams[bad]:g} is not finite: w = {w[bad]}; "
+                         f"no power law to fit")
+    x = [math.log(lam) for lam in lams]
+    if x[0] == x[-1]:   # the Lambdas increase, and so do their logarithms
+        raise ValueError(f"all {n} samples sit at Lambda = {lams[0]:g}; no power law to fit")
+    if any(v == 0.0 for v in w):
+        raise MixedSignError("samples contain exact zeros; no power law to fit")
+    same_sign = lambda a, b: (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
+    flip = next((i for i in range(n - 1) if not same_sign(w[i], w[i + 1])), None)
+    if flip is not None:
+        raise MixedSignError(
+            f"samples change sign between Lambda = {lams[flip]:.5g} (w = {w[flip]:+.2e}) and "
+            f"{lams[flip + 1]:.5g} (w = {w[flip + 1]:+.2e}); log-log fit would be meaningless")
+    y = [math.log(abs(v)) for v in w]
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    sxx = math.fsum(a * a for a in dx)
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    ln_c = y_mean - slope * x_mean
+    resid = [yi - (ln_c + slope * xi) for xi, yi in zip(x, y)]
+    rss = math.fsum(r * r for r in resid)
+    sigma2 = rss / (n - 2)
+    amp = math.copysign(math.exp(ln_c), w[0])
+    return PowerLawFit(
+        amplitude=amp,
+        gamma=-slope,
+        residual=math.sqrt(rss / n),
+        lambda_range=(lams[0], lams[-1]),
+        gamma_err=math.sqrt(sigma2 / sxx),
+        amplitude_err=abs(amp) * math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx)),
+        n_samples=n,
+    )
 
 
 class Status(enum.Enum):

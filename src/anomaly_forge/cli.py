@@ -35,11 +35,11 @@ from .anomaly import (
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
+    fit_power_law,
 )
 from .errors import MixedSignError, NotPowerLawError, UnconvergedError
 from .perturbation import Order, TraceSamples, geometric_grid, sample_w
 from .potentials import LargeXTail, classify, parse_potential
-from .quadrature import fit_power_law
 from .units import UnitSystem
 
 _METHOD_CHOICES = ("perturbative-1", "perturbative-2", "oracle")

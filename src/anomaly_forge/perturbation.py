@@ -65,31 +65,37 @@ class Order(enum.Enum):
     SECOND = "second"
 
 
+def check_lambda_grid(lambdas) -> tuple:
+    """The Lambdas as a tuple of floats, checked before any work on them: non-empty, each
+    finite and positive, strictly increasing (ValueError, one message per rule).  Every
+    path that samples w, TraceSamples and the fit check their grid here."""
+    lams = tuple(float(l) for l in lambdas)
+    if not lams:
+        raise ValueError("Lambda grid must not be empty")
+    if not all(0.0 < l < math.inf for l in lams):
+        raise ValueError("Lambda values must be finite and positive")
+    if not all(a < b for a, b in zip(lams, lams[1:])):
+        raise ValueError("Lambda values must be strictly increasing")
+    return lams
+
+
 class TraceSamples(Record):
     """Reduced trace-difference samples w(Lambda) with error estimates."""
 
     def __init__(self, lambdas: tuple, values: tuple, errors: tuple, source: Source,
                  spec: PotentialSpec, units: UnitSystem) -> None:
-        """Raises ValueError unless the three tuples are non-empty and of one length, the
-        Lambdas are finite, positive and strictly increasing, and every value and error is
-        finite, with no error negative."""
+        """Raises ValueError unless the Lambdas pass ``check_lambda_grid``, the three
+        tuples are of one length, and every value and error is finite, with no error
+        negative."""
         self._set(lambdas=lambdas, values=values, errors=errors, source=source, spec=spec,
                   units=units)
+        check_lambda_grid(self.lambdas)
         n = len(self.lambdas)
-        if n == 0:
-            raise ValueError("TraceSamples cannot be empty")
         if len(self.values) != n or len(self.errors) != n:
             raise ValueError("lambdas, values and errors must have equal length")
-        lams = self.lambdas
-        if any(not (lams[i] < lams[i + 1]) for i in range(n - 1)):
-            raise ValueError("Lambda values must be strictly increasing")
-        if any(l <= 0.0 for l in lams):
-            raise ValueError("Lambda values must be positive")
-        if not all(math.isfinite(l) for l in lams):
-            raise ValueError("Lambda values must be finite and positive")
         if any(e < 0.0 for e in self.errors):
             raise ValueError("errors must be nonnegative")
-        for lam, w, e in zip(lams, self.values, self.errors):
+        for lam, w, e in zip(self.lambdas, self.values, self.errors):
             if not (math.isfinite(w) and math.isfinite(e)):
                 raise ValueError(f"sample at Lambda = {lam:g} is not finite: w = {w}, err = {e}")
 
@@ -189,21 +195,22 @@ def sample_w(spec: PotentialSpec, units: UnitSystem, lambda_grid, order: Order) 
 
     ``order`` selects ``compute_w1`` (source first-order) or ``compute_w2``
     (source second-order).  Both are closed forms, so every point carries
-    error 0.
+    error 0.  The grid goes through ``check_lambda_grid`` first.
     """
-    grid = [float(l) for l in lambda_grid]
-    if not grid:
-        raise ValueError("lambda_grid must not be empty")
+    grid = check_lambda_grid(lambda_grid)
     if order is Order.FIRST:
         w, source = compute_w1, Source.FIRST_ORDER
     else:
         w, source = compute_w2, Source.SECOND_ORDER
     vals = [w(spec, units, lam) for lam in grid]
-    return TraceSamples(tuple(grid), tuple(vals), (0.0,) * len(grid), source, spec, units)
+    return TraceSamples(grid, tuple(vals), (0.0,) * len(grid), source, spec, units)
 
 
 def geometric_grid(lam_min: float, lam_max: float, points: int) -> tuple:
-    """Geometric Lambda grid, the default sampling for power-law windows."""
+    """Geometric Lambda grid, the default sampling for power-law windows: lam_min ratio^i,
+    ratio = (lam_max/lam_min)^(1/(points-1)), with lam_max itself as the last point, so the
+    grid ends exactly on the window's bounds.  A window too narrow for its points to
+    increase raises ValueError (``check_lambda_grid``), as do bad bounds or points < 2."""
     if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
         raise ValueError(f"Lambda bounds must be finite, got {lam_min} and {lam_max}")
     if not (0.0 < lam_min < lam_max):
@@ -214,4 +221,4 @@ def geometric_grid(lam_min: float, lam_max: float, points: int) -> tuple:
     if points < 2:
         raise ValueError("need at least 2 grid points")
     ratio = (lam_max / lam_min) ** (1.0 / (points - 1))
-    return tuple(lam_min * ratio**i for i in range(points))
+    return check_lambda_grid([lam_min * ratio**i for i in range(points - 1)] + [lam_max])

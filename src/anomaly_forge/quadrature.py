@@ -1,4 +1,4 @@
-"""Adaptive quadrature and power-law fits.
+"""Adaptive quadrature.
 
 The integrator is a plain one-dimensional Gauss-Kronrod 15(7) panel
 scheme with greedy bisection of the worst panel.  A semi-infinite interval
@@ -8,12 +8,9 @@ interior nodes.  Integrands are array functions, called once per
 bisection with the 15 nodes of both new panels as rows of one array.
 Evaluation order is deterministic, making repeated runs bit-identical.
 No production path integrates: the tests' references and the benchmark's
-tracer use the integrator.
-
-The power-law fit is the closed-form two-parameter least-squares line
-through the log-log samples, summed with ``math.fsum``.  Only the
-integrator needs numpy, and importing numpy takes longer than a whole
-perturbative CLI run, so numpy is imported when an integral first runs,
+tracer use the integrator, and the package does not export it.  Importing
+numpy takes longer than a whole perturbative CLI run, and the perturbative
+modules import this one, so numpy is imported when an integral first runs,
 not with the module.
 """
 
@@ -24,7 +21,7 @@ import math
 from typing import Callable, NamedTuple
 
 from ._records import Record
-from .errors import MixedSignError, UnconvergedError
+from .errors import UnconvergedError
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
 # (Gauss nodes sit at the odd Kronrod indices, taken as ``[1::2]``); both
@@ -130,84 +127,3 @@ def integrate_adaptive(f: Callable, domain, budget: QuadratureBudget | None = No
             total_val += v
             total_err += e
         evals += 30
-
-
-class PowerLawFit(Record):
-    """Least-squares fit of ln|W| against ln(Lambda): W ~ c Lambda^-gamma."""
-
-    def __init__(self, amplitude: float, gamma: float, residual: float,
-                 lambda_range: tuple[float, float], gamma_err: float, amplitude_err: float,
-                 n_samples: int) -> None:
-        """Raises ValueError on a negative residual, a lambda_range that does not increase
-        or fewer than 4 samples."""
-        self._set(amplitude=amplitude, gamma=gamma, residual=residual, lambda_range=lambda_range,
-                  gamma_err=gamma_err, amplitude_err=amplitude_err, n_samples=n_samples)
-        if self.residual < 0.0:
-            raise ValueError("residual must be nonnegative")
-        lo, hi = self.lambda_range
-        if not (lo < hi):
-            raise ValueError("lambda_range must be increasing")
-        if self.n_samples < 4:
-            raise ValueError("fit requires at least 4 samples")
-
-
-def fit_power_law(samples) -> PowerLawFit:
-    """Fit W ~ c Lambda^-gamma to trace samples in log-log space.
-
-    ``samples`` is a TraceSamples instance or any object with ``lambdas``
-    and ``values`` sequences.  Every Lambda and value must be finite and
-    every Lambda positive (the first that is not raises ValueError, naming
-    its Lambda), the Lambdas must not all be one value (ValueError), all
-    values must share one sign (a sign change raises MixedSignError, naming
-    the first adjacent pair of samples that straddles it) and none may vanish.
-
-    The line y = ln c - gamma x through x = ln Lambda, y = ln|W| is the
-    closed-form least-squares fit about the centroid: the slope is
-    Sxy/Sxx over centred sums.  With sigma^2 the residual sum of squares
-    over n - 2 degrees of freedom, the slope's variance is sigma^2/Sxx and
-    the intercept's sigma^2 (1/n + mean(x)^2/Sxx).
-    """
-    lams = [float(lam) for lam in samples.lambdas]
-    w = [float(v) for v in samples.values]
-    n = len(lams)
-    if n < 4:
-        raise ValueError(f"power-law fit needs >= 4 samples, got {n}")
-    bad = next((i for i in range(n) if not (math.isfinite(lams[i]) and math.isfinite(w[i]))), None)
-    if bad is not None:
-        raise ValueError(f"sample at Lambda = {lams[bad]:g} is not finite: w = {w[bad]}; "
-                         f"no power law to fit")
-    bad = next((i for i in range(n) if not (lams[i] > 0.0)), None)
-    if bad is not None:
-        raise ValueError(f"sample at Lambda = {lams[bad]:g} is not positive; no power law to fit")
-    x = [math.log(lam) for lam in lams]
-    if min(x) == max(x):
-        raise ValueError(f"all {n} samples sit at Lambda = {lams[0]:g}; no power law to fit")
-    if any(v == 0.0 for v in w):
-        raise MixedSignError("samples contain exact zeros; no power law to fit")
-    same_sign = lambda a, b: (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
-    flip = next((i for i in range(n - 1) if not same_sign(w[i], w[i + 1])), None)
-    if flip is not None:
-        raise MixedSignError(
-            f"samples change sign between Lambda = {lams[flip]:.5g} (w = {w[flip]:+.2e}) and "
-            f"{lams[flip + 1]:.5g} (w = {w[flip + 1]:+.2e}); log-log fit would be meaningless")
-    y = [math.log(abs(v)) for v in w]
-    x_mean = math.fsum(x) / n
-    y_mean = math.fsum(y) / n
-    dx = [xi - x_mean for xi in x]
-    dy = [yi - y_mean for yi in y]
-    sxx = math.fsum(a * a for a in dx)
-    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
-    ln_c = y_mean - slope * x_mean
-    resid = [yi - (ln_c + slope * xi) for xi, yi in zip(x, y)]
-    rss = math.fsum(r * r for r in resid)
-    sigma2 = rss / (n - 2)
-    amp = math.copysign(math.exp(ln_c), w[0])
-    return PowerLawFit(
-        amplitude=amp,
-        gamma=-slope,
-        residual=math.sqrt(rss / n),
-        lambda_range=(lams[0], lams[-1]),
-        gamma_err=math.sqrt(sigma2 / sxx),
-        amplitude_err=abs(amp) * math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx)),
-        n_samples=n,
-    )

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._records import Record
 from .errors import UnconvergedError, UnsupportedPotentialError
-from .perturbation import Source, TraceSamples
+from .perturbation import Source, TraceSamples, check_lambda_grid
 from .potentials import Family, PotentialSpec, evaluate
 # Not called here: bench/tracing.py wraps spectral_oracle.integrate_adaptive
 # by name, so the name stays importable for its --trace runs.
@@ -380,6 +380,10 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
     ``UnconvergedError``.  No knot sits where the bracket at L changes branch,
     so L^2 must exceed |f| g / e, g = 2 m Z e^2 / (hbar^2 kappa), past which
     s + f U > 0 (``ValueError``).
+
+    Both ``ValueError``s guard direct callers only; ``oracle_trace``'s bounds keep
+    them from firing: L^2 >= 121 > 80/e >= g/e, and z = |f| g kappa^2/k^2 <= g/9 <= 8.9
+    gives r* <= W0(8.9)/kappa, about 1.6/kappa, below R >= 4/kappa.
     """
     hbar, m = units.hbar, units.m
     g = 2.0 * m * spec.Z * units.e2 / (hbar * hbar * spec.kappa)
@@ -532,11 +536,13 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                  config: OracleConfig | None = None) -> TraceSamples:
     """Nonperturbative reduced trace difference over a Lambda grid.
 
+    The grid goes through ``check_lambda_grid`` before any other check or work.
     Inverse-square values come from boxes of both radii r1 < r2 of
     ``config.richardson_levels``, extrapolated as w(R) = w_inf + a/R^2; the
     error is a third of that step plus the larger channel-tail residual; every
     box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
-    in [max(2 beta, 8), 2000] (ValueError otherwise).  The boxes stream through
+    in [max(2 beta, 8), 2000] (ValueError otherwise), which the first Lambda's r1
+    box and the last Lambda's r2 box bound.  The boxes stream through
     the continued fraction twice: once for the steps past ``_CF_SHARED`` of their
     deep orders, shared by all boxes (``_cf_deep_steps``), then one box at a time
     for the rest and the box value (``_case_a_box_w``); the values keep the bits
@@ -553,11 +559,7 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     """
     if config is None:
         config = OracleConfig()
-    lams = [float(l) for l in lambda_grid]
-    if not lams:
-        raise ValueError("lambda_grid must not be empty")
-    if not all(0.0 < l < math.inf for l in lams):
-        raise ValueError("Lambda values must be finite and positive")
+    lams = check_lambda_grid(lambda_grid)
 
     fam = spec.family
     if fam in (Family.COULOMB, Family.CUTOFF_COULOMB):
@@ -569,18 +571,16 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     r1, r2 = config.richardson_levels
     if fam is Family.INVERSE_SQUARE:
         beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
-        x_lo = math.sqrt(2.0 * units.m * min(lams)) * r1 / units.hbar
-        x_hi = math.sqrt(2.0 * units.m * max(lams)) * r2 / units.hbar
+        xs = [[math.sqrt(2.0 * units.m * lam) * r / units.hbar for r in (r1, r2)] for lam in lams]
+        x_lo, x_hi = xs[0][0], xs[-1][1]   # the grid increases
         x_min = max(2.0 * math.sqrt(beta2), _CASE_A_X_MIN)
         if not (x_min <= x_lo and x_hi <= _CASE_A_X_MAX):
-            lam, r_box, x = (min(lams), r1, x_lo) if x_lo < x_min else (max(lams), r2, x_hi)
+            lam, r_box, x = (lams[0], r1, x_lo) if x_lo < x_min else (lams[-1], r2, x_hi)
             raise ValueError(
                 f"box scale x = sqrt(2 m Lambda) R / hbar = {x:g} at Lambda = {lam:g}, "
                 f"box radius R = {r_box:g}, is outside [max(2 beta, {_CASE_A_X_MIN:g}), "
                 f"{_CASE_A_X_MAX:g}] = [{x_min:g}, {_CASE_A_X_MAX:g}]; "
                 f"move the Lambda window into it")
-        xs = [[math.sqrt(2.0 * units.m * lam) * r / units.hbar for r in (r1, r2)]
-              for lam in lams]
         # the fraction's deep steps run once over every box, then each box
         # its own shallow ones; no box's orders are held past its own turn
         deep = iter(_cf_deep_steps((_case_a_orders(x, beta2), x) for row in xs for x in row))
@@ -590,8 +590,7 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
             w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
             vals.append(w_inf)
             errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))
-        return TraceSamples(tuple(lams), tuple(vals), tuple(errs),
-                            Source.ORACLE, spec, units)
+        return TraceSamples(lams, tuple(vals), tuple(errs), Source.ORACLE, spec, units)
 
     k = np.sqrt(2.0 * units.m * np.array(lams)) / units.hbar
     g = 2.0 * units.m * spec.Z * units.e2 / (units.hbar**2 * spec.kappa)
@@ -626,5 +625,4 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     odd_resid = np.abs(w_odd_full - w_odd_half) * 4.0 / 3.0
     box_err = _box_error(np.abs(q_fine) + np.abs(c_even), k, spec.kappa, r2)
     err = _tail_error(terms[0]) + h_err + odd_resid + box_err
-    return TraceSamples(tuple(lams), tuple(w.tolist()), tuple(err.tolist()),
-                        Source.ORACLE, spec, units)
+    return TraceSamples(lams, tuple(w.tolist()), tuple(err.tolist()), Source.ORACLE, spec, units)

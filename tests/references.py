@@ -55,7 +55,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from anomaly_forge import spectral_oracle
 from anomaly_forge.errors import UnconvergedError
 from anomaly_forge.potentials import PotentialSpec, evaluate, fourier_transform_at
-from anomaly_forge.quadrature import PowerLawFit, QuadratureBudget, integrate_adaptive
+from anomaly_forge.anomaly import PowerLawFit
+from anomaly_forge.quadrature import QuadratureBudget, integrate_adaptive
 from anomaly_forge.units import UnitSystem
 
 

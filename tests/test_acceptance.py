@@ -17,6 +17,7 @@ from anomaly_forge.anomaly import (
     delta_an_case_a_closed_form,
     delta_an_case_a_exact,
     extract_anomalies,
+    fit_power_law,
 )
 from anomaly_forge.cli import main
 from anomaly_forge.perturbation import (
@@ -27,7 +28,6 @@ from anomaly_forge.perturbation import (
     w2_closed_form,
 )
 from anomaly_forge.potentials import coulomb, inverse_square, yukawa
-from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import OracleConfig, oracle_trace
 from anomaly_forge.units import ATOMIC, UnitSystem
 from references import (

@@ -218,7 +218,7 @@ class TestTraceCommand:
             ("-2.6651791574353677e-06", "2.3033650709511528e-07"),
             ("-6.0312133313835254e-07", "4.0116602080259747e-08"),
             ("-1.3447104085570895e-07", "7.3854182618589292e-09"),
-            ("-2.9667536646324413e-08", "1.7124359086205263e-09"),
+            ("-2.9667536646758094e-08", "1.7124359086205263e-09"),
         ]
 
     def test_bad_window_exits_2(self, capsys):
@@ -336,6 +336,20 @@ class TestAnomalyCommand:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write --out {path}: No such file or directory\n"
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("points", range(4, 17))
+    def test_case_a_readme_window_runs_at_every_point_count(self, capsys, points):
+        # the README's window at alpha = 50, Lambda 0.5 to 1250, puts x at 20 and
+        # 2000, the ends of the admitted range; a last point one ulp past 1250
+        # once left it at 5, 6, 11 and 16 points
+        code, out, err = run_cli(capsys, "trace", "--method", "oracle",
+                                 "--potential", "inverse-square:alpha=50",
+                                 "--lambda-min", "0.5", "--lambda-max", "1250",
+                                 "--points", str(points))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == points + 1
+        assert (rows[1][0], rows[-1][0]) == ("0.5", "1250")
 
     @pytest.mark.parametrize("alpha, window, lam, r_box, x, bounds", [
         ("50", ("0.001", "0.01"), "0.001", "20", "0.894427", "[20, 2000]"),

@@ -1,21 +1,21 @@
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import digamma, jv, lambertw
 
 from anomaly_forge import spectral_oracle
-from anomaly_forge.anomaly import delta_an_case_a_exact, extract_anomalies
+from anomaly_forge.anomaly import delta_an_case_a_exact, extract_anomalies, fit_power_law
 from anomaly_forge.errors import UnconvergedError, UnsupportedPotentialError
 from anomaly_forge.perturbation import Source, compute_w2, geometric_grid
 from anomaly_forge.potentials import coulomb, cutoff_coulomb, evaluate, inverse_square, yukawa
-from anomaly_forge.quadrature import fit_power_law
 from anomaly_forge.spectral_oracle import (
     OracleConfig,
     _classical_difference,
@@ -802,16 +802,24 @@ class TestOracleW:
 
     @pytest.mark.parametrize("spec", [yukawa(0.05, 1.0), inverse_square(ALPHA_100)],
                              ids=["yukawa", "inverse-square"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nonfinite_lambda_rejected_before_any_work(self, monkeypatch, spec, bad):
+    @pytest.mark.parametrize("grid, message", [
+        ([10.0, math.nan], "Lambda values must be finite and positive"),
+        ([10.0, math.inf], "Lambda values must be finite and positive"),
+        ([], "Lambda grid must not be empty"),
+        ([-1.0, 10.0], "Lambda values must be finite and positive"),
+        # the grid the oracle once ran a whole pass on before it refused it
+        ([100.0, 10.0, 20.0, 40.0], "Lambda values must be strictly increasing"),
+        ([10.0, 20.0, 20.0, 40.0], "Lambda values must be strictly increasing"),
+    ], ids=["nan", "inf", "empty", "negative", "unsorted", "repeated"])
+    def test_nonfinite_lambda_rejected_before_any_work(self, monkeypatch, spec, grid, message):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the oracle worked on a non-finite Lambda")
+            raise AssertionError("the oracle worked on a bad Lambda grid")
 
         for name in ("_grid_traces", "_classical_difference", "_case_a_orders",
                      "_cf_deep_steps", "_case_a_box_w"):
             monkeypatch.setattr(spectral_oracle, name, forbidden)
-        with pytest.raises(ValueError, match="Lambda values must be finite and positive"):
-            oracle_trace(spec, ATOMIC, [10.0, bad])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle_trace(spec, ATOMIC, grid)
 
     def test_coulomb_rejected(self):
         with pytest.raises(UnsupportedPotentialError):
@@ -931,6 +939,36 @@ class TestClassicalDifference:
         got = _classical_difference(spec, ATOMIC, [0.5], [0.045], 400.0, 61.0)
         ref = yukawa_classical_adaptive(spec, ATOMIC, [0.5], [0.045], 400.0, 61.0)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.floats(-3.0, 3.0), st.floats(4.0, 1e3), st.floats(3.0, 1e3), st.floats(1e-6, 80.0),
+           st.integers(10, 200), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_guards_cannot_fire_inside_the_oracles_bounds(self, log_hbar, log_m, log_e2,
+                                                          log_kappa, kappa_r, k_over_kappa, g,
+                                                          ell_max, attractive):
+        # oracle_trace admits kappa R >= 4, k >= 3 kappa, g <= 80 and l_max >= 10.
+        # There L^2 >= 121 > 80/e, and z = |f| g kappa^2/k^2 <= g/9 <= 8.9, so an
+        # attractive lane's r* <= W0(8.9)/kappa, about 1.6/kappa, below R: neither
+        # ValueError of _classical_difference can fire from the oracle
+        units = UnitSystem(hbar=10.0**log_hbar, m=10.0**log_m, e2=10.0**log_e2)
+        hbar, m = units.hbar, units.m
+        kappa = 10.0**log_kappa
+        spec = yukawa(g * hbar * hbar * kappa / (2.0 * m * units.e2), kappa,
+                      attractive=attractive)
+        r_box = kappa_r / kappa
+        lam = (hbar * k_over_kappa * kappa) ** 2 / (2.0 * m)
+        # the admitted region as oracle_trace tests it
+        k = math.sqrt(2.0 * m * lam) / hbar
+        g = 2.0 * m * spec.Z * units.e2 / (hbar * hbar * kappa)
+        assume(kappa * r_box >= 4.0 and k >= 3.0 * kappa and g <= 80.0)
+        L = ell_max + 1.0
+        factors = _COUPLING_FACTORS[:-1]
+        assert L * L > max(abs(f) for f in factors) * g / math.e
+        r_star = _turning_point(spec, units, factors, [lam])[:, 0]
+        for f, rs in zip(factors, r_star):
+            if f * spec.sign < 0.0:
+                assert rs < r_box, (f, rs, r_box)
 
     @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False)],
                              ids=["yukawa", "repulsive-yukawa"])

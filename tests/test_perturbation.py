@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomaly_forge import perturbation, quadrature
@@ -28,7 +28,8 @@ from anomaly_forge.potentials import (
     inverse_square,
     yukawa,
 )
-from anomaly_forge.quadrature import QuadratureBudget, fit_power_law, integrate_adaptive
+from anomaly_forge.anomaly import fit_power_law
+from anomaly_forge.quadrature import QuadratureBudget, integrate_adaptive
 from anomaly_forge.units import ATOMIC, UnitSystem
 from references import resolvent_bracket, second_order_kernel, w2_k_quadrature
 
@@ -294,10 +295,39 @@ class TestGeometricGrid:
         (math.nan, 100.0, "Lambda bounds must be finite"),
         (100.0, 10.0, "need 0 < lam_min < lam_max"),
         (1e-300, 1e300, "Lambda window 1e-300 to 1e+300 is too wide"),
+        # two ulps wide: the ratio rounds to 1, so the points cannot increase
+        (1.0, 1.0000000000000004, "Lambda values must be strictly increasing"),
     ])
     def test_bad_window_rejected(self, lam_min, lam_max, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             geometric_grid(lam_min, lam_max, 5)
+
+    @given(st.floats(1e-300, 1e300), st.floats(0.0, 1e12), st.integers(2, 40))
+    # criterion 3's window and the README's case-A window, whose last points
+    # lam_min ratio^(points-1) overshot lam_max by an ulp
+    @example(5.0, 9.0, 8)
+    @example(0.5, 2499.0, 16)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_ends_exactly_on_its_window(self, lam_min, spread, points):
+        lam_max = lam_min * (1.0 + spread)
+        try:
+            grid = geometric_grid(lam_min, lam_max, points)
+        except ValueError:
+            return   # a window it refuses
+        assert (len(grid), grid[0], grid[-1]) == (points, lam_min, lam_max)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        TraceSamples(grid, (1.0,) * points, (0.0,) * points, Source.ORACLE, coulomb(1.0), ATOMIC)
+
+
+# one grid per rule of check_lambda_grid, with its message
+_BAD_GRIDS = {
+    "empty": ((), "Lambda grid must not be empty"),
+    "nan": ((10.0, math.nan), "Lambda values must be finite and positive"),
+    "inf": ((10.0, math.inf), "Lambda values must be finite and positive"),
+    "zero": ((0.0, 10.0), "Lambda values must be finite and positive"),
+    "unsorted": ((20.0, 10.0, 40.0), "Lambda values must be strictly increasing"),
+    "repeated": ((10.0, 20.0, 20.0), "Lambda values must be strictly increasing"),
+}
 
 
 class TestSampleW:
@@ -312,6 +342,17 @@ class TestSampleW:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             sample_w(coulomb(1.0), ATOMIC, (10.0, 5.0, 20.0, 40.0), Order.FIRST)
+
+    @pytest.mark.parametrize("order", list(Order))
+    @pytest.mark.parametrize("grid, message", _BAD_GRIDS.values(), ids=_BAD_GRIDS.keys())
+    def test_bad_grid_rejected_before_any_closed_form(self, monkeypatch, grid, message, order):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sample_w evaluated a closed form on a bad grid")
+
+        for name in ("compute_w1", "compute_w2"):
+            monkeypatch.setattr(perturbation, name, forbidden)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_w(coulomb(1.0), ATOMIC, grid, order)
 
 
 @pytest.mark.parametrize("order", list(Order))
@@ -357,9 +398,9 @@ class TestTraceSamplesInvariants:
                          coulomb(1.0), ATOMIC)
 
     def test_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            TraceSamples((0.0, 2.0), (1.0, 0.5), (0.0, 0.0), Source.ORACLE,
-                         coulomb(1.0), ATOMIC)
+        for lams in ((0.0, 2.0), (-1.0, 10.0)):
+            with pytest.raises(ValueError, match="^Lambda values must be finite and positive$"):
+                TraceSamples(lams, (1.0, 0.5), (0.0, 0.0), Source.ORACLE, coulomb(1.0), ATOMIC)
 
     @pytest.mark.parametrize("lams", [(math.nan,), (math.inf,), (1.0, math.inf)],
                              ids=["lone-nan", "lone-inf", "inf-last"])

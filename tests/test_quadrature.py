@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomaly_forge import spectral_oracle
+from anomaly_forge.anomaly import fit_power_law
 from anomaly_forge.errors import MixedSignError
 from anomaly_forge.perturbation import Order, Source, TraceSamples, geometric_grid, sample_w
 from anomaly_forge.potentials import coulomb, inverse_square, yukawa
@@ -17,7 +18,6 @@ from anomaly_forge.quadrature import (
     _XK,
     QuadratureBudget,
     _panels,
-    fit_power_law,
     integrate_adaptive,
 )
 from anomaly_forge.units import ATOMIC, UnitSystem
@@ -341,32 +341,35 @@ class TestFitPowerLaw:
             fit_power_law(_samples([1, 2, 4, 8], [1.0, -1.0, 0.0, 0.25]))
 
     @pytest.mark.parametrize("lams, values, message", [
-        ([1, 2, 4, 8], [1.0, math.nan, -0.5, 0.25], "sample at Lambda = 2 is not finite: w = nan"),
-        ([1, 2, 4, 8], [1.0, 0.5, 0.25, math.inf], "sample at Lambda = 8 is not finite: w = inf"),
+        ([1, 2, 4, 8], [1.0, math.nan, -0.5, 0.25],
+         "sample at Lambda = 2 is not finite: w = nan; no power law to fit"),
+        ([1, 2, 4, 8], [1.0, 0.5, 0.25, math.inf],
+         "sample at Lambda = 8 is not finite: w = inf; no power law to fit"),
         ([1, 2, 4, 8], [-math.inf, 0.0, 1.0, math.nan],
-         "sample at Lambda = 1 is not finite: w = -inf"),
-        ([1, 2, math.inf, 8], [1.0, 0.5, 0.25, 0.125],
-         "sample at Lambda = inf is not finite: w = 0.25"),
-        ([1, math.nan, 4, 8], [1.0, 0.5, 0.25, 0.125],
-         "sample at Lambda = nan is not finite: w = 0.5"),
+         "sample at Lambda = 1 is not finite: w = -inf; no power law to fit"),
+        ([1, 2, math.inf, 8], [1.0, 0.5, 0.25, 0.125], "Lambda values must be finite and positive"),
+        ([1, math.nan, 4, 8], [1.0, 0.5, 0.25, 0.125], "Lambda values must be finite and positive"),
     ], ids=["nan", "plus-inf", "minus-inf-before-zero-and-flip", "infinite-lambda", "nan-lambda"])
     def test_nonfinite_named_before_zero_and_sign_tests(self, lams, values, message):
-        # plain samples: TraceSamples would reject a non-finite value itself
+        # plain samples: TraceSamples would reject a non-finite value itself; a
+        # non-finite Lambda meets the Lambda-grid check first
         samples = SimpleNamespace(lambdas=lams, values=values)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}; no power law to fit$") as info:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             fit_power_law(samples)
         assert not isinstance(info.value, MixedSignError)
 
     @pytest.mark.parametrize("lams, message", [
-        ([0, 1, 2, 3], "sample at Lambda = 0 is not positive"),
-        ([-1, 1, 2, 3], "sample at Lambda = -1 is not positive"),
-        ([1, 1, 1, 1], "all 4 samples sit at Lambda = 1"),
-    ], ids=["zero-lambda", "negative-lambda", "equal-lambdas"])
+        ([0, 1, 2, 3], "Lambda values must be finite and positive"),
+        ([-1, 1, 2, 3], "Lambda values must be finite and positive"),
+        ([1, 1, 1, 1], "Lambda values must be strictly increasing"),
+        # strictly increasing, yet one ulp apart at 1e10 their logarithms are one float
+        ([1e10, 10000000000.000002, 10000000000.000004, 10000000000.000006],
+         "all 4 samples sit at Lambda = 1e+10; no power law to fit"),
+    ], ids=["zero-lambda", "negative-lambda", "equal-lambdas", "one-log-value"])
     def test_lambdas_without_a_log_spread_named(self, lams, message):
-        # plain samples: TraceSamples would reject these Lambdas itself; before, a bare
-        # "math domain error" or a ZeroDivisionError
+        # plain samples: before any check, a bare "math domain error" or a ZeroDivisionError
         samples = SimpleNamespace(lambdas=lams, values=[1.0, 0.5, 0.25, 0.125])
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}; no power law to fit$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_power_law(samples)
 
     def test_too_few_samples(self):

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from anomaly_forge.anomaly import AnomalyResult, Status
+from anomaly_forge.anomaly import AnomalyResult, PowerLawFit, Status
 from anomaly_forge.perturbation import Source, TraceSamples
 from anomaly_forge.potentials import (
     CaseLabel,
@@ -20,7 +20,7 @@ from anomaly_forge.potentials import (
     SingularityClass,
     coulomb,
 )
-from anomaly_forge.quadrature import PowerLawFit, QuadratureBudget
+from anomaly_forge.quadrature import QuadratureBudget
 from anomaly_forge.spectral_oracle import OracleConfig
 from anomaly_forge.units import ATOMIC, UnitSystem
 
@@ -211,10 +211,9 @@ _INV = Family.INVERSE_SQUARE
      "lambda_range must be increasing"),
     (lambda: PowerLawFit(1.0, 2.0, 0.0, (1.0, 2.0), 0.0, 0.0, 3),
      "fit requires at least 4 samples"),
-    (lambda: _samples((), (), ()), "TraceSamples cannot be empty"),
+    (lambda: _samples((), (), ()), "Lambda grid must not be empty"),
     (lambda: _samples(values=(1.0,)), "lambdas, values and errors must have equal length"),
     (lambda: _samples((100.0, 10.0)), "Lambda values must be strictly increasing"),
-    (lambda: _samples((-1.0, 10.0)), "Lambda values must be positive"),
     (lambda: _samples((10.0, math.inf)), "Lambda values must be finite and positive"),
     (lambda: _samples(errors=(0.0, -1.0)), "errors must be nonnegative"),
     (lambda: _samples(values=(1.0, math.nan)),
