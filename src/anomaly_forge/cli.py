@@ -100,8 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lambda_grid(args) -> tuple:
+    """The geometric grid of the window flags.  ``main`` has checked the bounds finite and
+    ordered and --points >= 4, so once --lambda-min is positive and the bounds' ratio
+    finite, the grid can fail only by repeating a Lambda: that error names the flags."""
+    lo, hi, points = args.lambda_min, args.lambda_max, args.points
+    try:
+        return geometric_grid(lo, hi, points)
+    except ValueError:
+        if not (lo > 0.0 and math.isfinite(hi / lo)):
+            raise
+        raise ValueError(f"--lambda-min {lo:.17g} and --lambda-max {hi:.17g} are too close "
+                         f"for --points {points} distinct Lambda values; widen the window "
+                         f"or lower --points") from None
+
+
 def _samples_for(args, units: UnitSystem, spec) -> TraceSamples:
-    grid = geometric_grid(args.lambda_min, args.lambda_max, args.points)
+    grid = _lambda_grid(args)
     if args.method == "perturbative-1":
         return sample_w(spec, units, grid, Order.FIRST)
     if args.method == "perturbative-2":

@@ -25,8 +25,9 @@ fraction summed backward in numpy.  Its deep steps, which only the low orders
 of the larger boxes reach, run once over all boxes of a Lambda grid; each box
 then runs its own shallow steps.  Yukawa runs one box, within bounds on
 kappa R, Lambda, the coupling and the grid step, with O(N) pivot recursions
-of the tridiagonal radial grid operator, without eigenvalues, that sum each
-channel's difference against the free channel row by row, up to l_max.  Its classical term counts
+of the tridiagonal radial grid operator, run from both walls at once and
+joined by a twist term, without eigenvalues, that sum each channel's
+difference against the free channel row by row, up to l_max.  Its classical term counts
 only those channels: the phase-space integral over lambda = l + 1/2 < l_max + 1,
 so the channels left out need no extrapolation, only an Euler-Maclaurin
 error.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
@@ -439,7 +440,7 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
 
 
 _COUPLING_FACTORS = (1.0, -1.0, 0.5, -0.5, 0.0)   # the last is the free lane
-_SWEEP_BLOCK = 8   # rows whose diagonal parts ``_grid_traces`` tabulates at once
+_SWEEP_BLOCK = 4   # row steps whose diagonal parts ``_grid_traces`` tabulates at once
 
 
 def _grid_traces(spec, units, lams, r_box, n, ell_max):
@@ -450,60 +451,89 @@ def _grid_traces(spec, units, lams, r_box, n, ell_max):
     ell_max + 1), fine grid first: the difference against the free channel
     (the last factor, 0) for each other f of ``_COUPLING_FACTORS``.
     H_f is the Dirichlet tridiagonal radial operator on r_i = i r_box / N,
-    0 < i < N, with the potential scaled by f.  For the symmetric
-    tridiagonal lam + H = L D L^T with diagonal a_i and off-diagonal b, the
-    pivots are d_i = a_i - b^2/d_{i-1}, and Tr (lam + H)^-1 = d/dlam log det
-    = sum_i d'_i/d_i with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 >= 1.  Each row adds
-    a coupled lane's d'_i/d_i minus the free lane's: the sum is the difference.
+    0 < i < N, with the potential scaled by f.  Tr (lam + H)^-1 is
+    d/dlam log det, and the determinant of the symmetric tridiagonal
+    lam + H, with diagonal a_i and off-diagonal b, splits at any row k into
+    pivots run from both walls (Meurant, SIAM J. Matrix Anal. Appl. 13, 707
+    (1992)): det = (prod_{i<=k} d_i)(prod_{i>k} e_i)(1 - tau), with the top
+    pivots d_i = a_i - b^2/d_{i-1}, the bottom ones e_i = a_i - b^2/e_{i+1}
+    and the twist tau = b^2/(d_k e_{k+1}).  So the trace is
+    sum_{i<=k} d'_i/d_i + sum_{i>k} e'_i/e_i + tau (d'_k/d_k + e'_{k+1}/e_{k+1})/(1 - tau),
+    with d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 and e'_i = 1 + b^2 e'_{i+1}/e_{i+1}^2,
+    both >= 1.  Each row, and then the twist, adds a coupled lane's term minus
+    the free lane's: the sum is the difference, not two large traces.
 
-    One pass over the radial index serves all (grid, factor, lam, ell)
-    lanes; the coarse grid's lanes stop after its n - 1 rows.  U and 1/r^2
-    are evaluated once, on the fine nodes, and the coarse grid reads every
-    second one: its node (r_box/n) i is the fine node (r_box/2n) 2i to the
-    bit, since halving the step is exact.  The diagonal's two parts,
-    shift + cent/r^2 per (grid, lam, ell) and f U per (grid, factor), are
-    tabulated ``_SWEEP_BLOCK`` rows at a time, so each row adds them with one
-    broadcast.  A block's radial table has no factor axis, so it holds
-    ``_SWEEP_BLOCK``/5 times the lanes, and its coupling table is small:
-    memory stays O(lanes + N), not O(N lanes).
+    The split sits at each grid's middle, so one pass of n row steps runs
+    four pivot sequences in lockstep as lanes: the fine grid's rows 0 .. n-1
+    from r = h outward and its rows 2n-2 .. n from the wall inward, then the
+    coarse grid's halves the same way.  They lie on a leading sequence axis,
+    longest first, so the live sequences stay a leading block as the shorter
+    ones end.  U and 1/r^2 are evaluated once, on the fine nodes, and the
+    coarse grid reads every second one: its node (r_box/n) i is the fine node
+    (r_box/2n) 2i to the bit, since halving the step is exact.  The diagonal's
+    two parts, shift + cent/r^2 per (sequence, lam, ell) and f U per
+    (sequence, factor), are tabulated ``_SWEEP_BLOCK`` row steps at a time, so
+    each step adds them with one broadcast.  A block's radial table has no
+    factor axis, so it holds ``_SWEEP_BLOCK``/5 times the lanes, and its
+    coupling table is small: memory stays O(lanes + N), not O(N lanes).
     """
     hbar, m = units.hbar, units.m
     h = r_box / (2 * n)
     r = h * np.arange(1, 2 * n)
-    nodes = 1.0 / (r * r), evaluate(spec, units, r)
-    # lanes are laid out as (grid, factor, lam, ell), so that ell runs innermost
-    kin = np.array([hbar * hbar / (m * s * s) for s in (h, r_box / n)])[:, None, None, None]
+    # (step, sequence) tables of 1/r^2 and U: step j reads fine node j and
+    # 2n - 2 - j, then coarse row j and n - 2 - j, which are fine node 2j + 1
+    # and 2n - 3 - 2j; a sequence past its end reads a clipped, unused node
+    at = np.arange(n)[:, None] * [1, -1, 2, -2] + [0, 2 * n - 2, 1, 2 * n - 3]
+    inv_r2, pot = (np.take(a, at, mode="clip") for a in (1.0 / (r * r), evaluate(spec, units, r)))
+    del r, at   # the sweep keeps no more of the nodes than these tables
+    lengths = (n, n - 1, n // 2, (n - 1) // 2)
+    # lanes are laid out as (sequence, factor, lam, ell), so that ell runs innermost
+    kin = np.array([hbar * hbar / (m * s * s) for s in (h, h, r_box / n, r_box / n)])
+    kin = kin[:, None, None, None]
     shift = kin + np.asarray(lams, dtype=float)[:, None]
     factor = np.array(_COUPLING_FACTORS)[:, None, None]
     ell = np.arange(ell_max + 1, dtype=float)
     cent = hbar * hbar * ell * (ell + 1.0) / (2.0 * m)
     # d_{-1} = inf makes the first row's update give d_0 = a_0 and d'_0 = 1
-    d = np.full((2, len(_COUPLING_FACTORS), len(lams), ell_max + 1), np.inf)
+    d = np.full((4, len(_COUPLING_FACTORS), len(lams), ell_max + 1), np.inf)
     b2 = np.broadcast_to(0.25 * kin * kin, d.shape).copy()   # b^2 / d divides without a broadcast
     dp = np.ones_like(d)
-    g = np.empty_like(d)
-    traces = np.zeros(d[:, :-1].shape)
-    # The row update works in place in spare buffers: with a fresh array
-    # per operation the sweep ran about 10% slower.
-    lanes = d, dp, g, traces, np.empty_like(traces), b2
-    for live, rows in ((2, range(n - 1)), (1, range(n - 1, 2 * n - 1))):
-        d, dp, g, diff, step, b2 = (a[:live] for a in lanes)
-        # (row, grid) tables of 1/r^2 and U: coarse row i is fine node 2i + 1
-        inv_r2, pot = (np.stack((a[:n - 1], a[1::2]), axis=1) if live == 2 else a[:, None]
-                       for a in nodes)
-        for i in rows[::_SWEEP_BLOCK]:
-            stop = min(i + _SWEEP_BLOCK, rows.stop)
-            radial = shift[:live] + cent * inv_r2[i:stop, :, None, None, None]
-            coupling = factor * pot[i:stop, :, None, None, None]
+    g = np.zeros_like(d)   # a sequence of no rows keeps d'/d = 0, so its twist is 0
+    diff = np.zeros(d[:, :-1].shape)
+    step = np.empty_like(diff)
+    # The row update works in place in spare buffers, on flat views (x_ of x)
+    # where the shapes agree: with a fresh array per operation the sweep ran
+    # about 10% slower, and a flat operation costs less to set up than a 4-D one.
+    # The first `live` sequences run up to step lengths[live - 1].
+    start = 0
+    for live, stop in zip((4, 3, 2, 1), lengths[::-1]):
+        d_all, g_all, step_all = d[:live], g[:live], step[:live]
+        coupled, free = g_all[:, :-1], g_all[:, -1:]
+        d_, dp_, g_, b2_, diff_, step_ = (a[:live].reshape(-1) for a in (d, dp, g, b2, diff, step))
+        for i in range(start, stop, _SWEEP_BLOCK):
+            j = min(i + _SWEEP_BLOCK, stop)
+            radial = shift[:live] + cent * inv_r2[i:j, :live, None, None, None]
+            coupling = factor * pot[i:j, :live, None, None, None]
             for radial_i, coupling_i in zip(radial, coupling):
-                np.divide(b2, d, out=g)           # g = b^2 / d
-                dp *= g                           # d' = 1 + g d' / d
-                dp /= d
-                dp += 1.0
-                np.add(radial_i, coupling_i, out=d)
-                d -= g
-                np.divide(dp, d, out=g)           # g is spent: it takes d' / d
-                diff += np.subtract(g[:, :-1], g[:, -1:], out=step)
+                np.divide(b2_, d_, g_)             # g = b^2 / d
+                np.multiply(dp_, g_, dp_)          # d' = 1 + g d' / d
+                np.divide(dp_, d_, dp_)
+                np.add(dp_, 1.0, dp_)
+                np.add(radial_i, coupling_i, d_all)
+                np.subtract(d_, g_, d_)
+                np.divide(dp_, d_, g_)             # g is spent: it takes d' / d
+                np.subtract(coupled, free, step_all)
+                np.add(diff_, step_, diff_)
+        start = stop
+    # the twist of each grid, from its top pivot d_k and bottom pivot e_{k+1},
+    # in the spent buffers
+    tau = np.multiply(d[::2], d[1::2], d[::2])
+    np.divide(b2[::2], tau, tau)
+    twist = np.add(g[::2], g[1::2], g[::2])
+    twist *= tau
+    twist /= np.subtract(1.0, tau, tau)
+    traces = np.add(diff[::2], diff[1::2], diff[::2])
+    traces += np.subtract(twist[:, :-1], twist[:, -1:], step[::2])
     return traces
 
 
@@ -546,8 +576,9 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     the continued fraction twice: once for the steps past ``_CF_SHARED`` of their
     deep orders, shared by all boxes (``_cf_deep_steps``), then one box at a time
     for the rest and the box value (``_case_a_box_w``); the values keep the bits
-    of boxes run alone.  Yukawa runs at r2 alone: one ``_grid_traces`` sweep of
-    its fine grid, of step h about r1/grid_points, and its coarse grid of step 2h,
+    of boxes run alone.  Yukawa runs at r2 alone: one ``_grid_traces`` sweep, each
+    grid's pivots run from both of its walls at once, of its fine grid, of step h
+    about r1/grid_points, and its coarse grid of step 2h,
     and one Gauss-rule pass of classical differences, within the bounds of
     ``_box_error`` and k h <= ``_KH_MAX`` at the largest Lambda (ValueError
     otherwise).  The value, with grid-step Richardson,

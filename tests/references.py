@@ -16,9 +16,12 @@ form against an independent evaluation:
 ``grid_channel_levels`` is the reference of the screened oracle's grid
 traces: the eigenvalues of the radial grid operator whose resolvent traces
 ``spectral_oracle._grid_traces`` takes without eigensolves.
-``grid_trace_differences`` runs that sweep's own recursion row by row, in
-``np.longdouble`` as a reference for its rounding and in ``np.float64`` as
-a reference for its bits.
+``grid_trace_differences`` runs the pivot recursion from one wall, row by
+row, in ``np.longdouble``: a reference for the sweep's rounding.
+``grid_trace_differences_two_wall`` runs the sweep's own two-wall recursion
+row by row in ``np.float64`` (``pivot_pass`` from each wall, then
+``twist_term``): a reference for its bits.  ``two_wall_trace`` is the same
+split on any small symmetric tridiagonal, checked against a dense inverse.
 
 ``yukawa_classical_cut_mpmath`` is the double integral over channels and
 radius behind the screened oracle's cut classical term
@@ -47,6 +50,7 @@ and ``anomaly.delta_an_case_a_exact`` (scalar cells) replace.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -187,40 +191,110 @@ def grid_channel_levels(vfun, ell: int, box_radius: float, n_points: int,
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
 
 
-def grid_trace_differences(spec: PotentialSpec, lams, box_radius: float, n_points: int,
-                           ell_max: int, factors, units: UnitSystem,
-                           dtype=np.longdouble) -> np.ndarray:
-    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 by the pivot recursion, one row at a time.
+def _grid_rows(spec: PotentialSpec, lams, box_radius: float, n_points: int, ell_max: int,
+               factors, units: UnitSystem, dtype):
+    """The diagonal of lam + H_f of each row of the ``grid_channel_levels`` grid, as a
+    function of the row index, and the squared off-diagonal b^2 of the grid.
 
-    The grid operator is the one of ``grid_channel_levels``, built from the
-    same double-precision tables of r, U and the kinetic scale as the
-    library's sweep, so only the rounding of the recursion differs.  The
-    recursion runs in ``dtype``: ``np.longdouble`` bounds the library's
-    rounding, and ``np.float64`` takes each lane through the library's own
-    operations in the library's order, so it must agree with it bit for bit.
-    Returns shape (len(factors), len(lams), ell_max + 1).
+    The lanes are (factor, lam, ell), the free factor 0 last, and the rows are built
+    from the same double-precision tables of r, U and the kinetic scale as the
+    library's sweep, in ``dtype``, in the sweep's order of operations.
     """
     h = box_radius / n_points
     r = h * np.arange(1, n_points)
     kin = dtype(units.hbar * units.hbar / (units.m * h * h))
     pot = evaluate(spec, units, r).astype(dtype)
     inv_r2 = (1.0 / (r * r)).astype(dtype)
-    b2 = kin * kin / 4
     shift = kin + np.asarray(lams, dtype=dtype)[:, None]
     factor = np.array(list(factors) + [0.0], dtype=dtype)[:, None, None]
     ell = np.arange(ell_max + 1).astype(dtype)
     cent = dtype(units.hbar * units.hbar) * ell * (ell + 1) / dtype(2.0 * units.m)
-    d = shift + cent * inv_r2[0] + factor * pot[0]
-    dp = np.ones_like(d)
-    term = dp / d
-    diff = term[:-1] - term[-1]
-    for i in range(1, n_points - 1):
+    return (lambda i: shift + cent * inv_r2[i] + factor * pot[i]), kin * kin / 4
+
+
+def grid_trace_differences(spec: PotentialSpec, lams, box_radius: float, n_points: int,
+                           ell_max: int, factors, units: UnitSystem) -> np.ndarray:
+    """Tr (lam + H_f)^-1 - Tr (lam + H_0)^-1 by the pivot recursion from one wall.
+
+    The grid operator is the one of ``grid_channel_levels``, built by
+    ``_grid_rows`` as the library's sweep builds it, so only the recursion
+    and its rounding differ: here the pivots run from r = h to the wall, one
+    row at a time in ``np.longdouble``, with no twist, so it bounds the
+    rounding of the library's two-wall sweep.  Returns shape (len(factors),
+    len(lams), ell_max + 1).
+    """
+    row, b2 = _grid_rows(spec, lams, box_radius, n_points, ell_max, factors, units,
+                         np.longdouble)
+    return _coupled_minus_free(row, range(n_points - 1), b2)[0]
+
+
+def pivot_pass(diagonals, b2s):
+    """The LDL^T pivots of a symmetric tridiagonal, run down its rows in the order given.
+
+    ``diagonals`` are the rows' diagonal entries a_i and ``b2s`` each row's squared
+    coupling b^2 to the row before it (the first row's is not read).  Yields
+    (d_i, d'_i/d_i) per row, with d_i = a_i - b^2/d_{i-1} and
+    d'_i = 1 + b^2 d'_{i-1}/d_{i-1}^2 from d_{-1} = inf, so that d_0 = a_0 and
+    d'_0 = 1: d' is the derivative in a shift of the diagonal, and the sum of
+    d'_i/d_i over all rows is the trace of the inverse.  Run from the last row
+    to the first, it gives the bottom pivots e_i.  In ``np.float64`` each lane
+    takes the library sweep's operations in its order.
+    """
+    d, dp = np.inf, 1.0
+    for a, b2 in zip(diagonals, b2s):
         g = b2 / d
-        dp = 1 + g * dp / d
-        d = shift + cent * inv_r2[i] + factor * pot[i] - g
-        term = dp / d
-        diff += term[:-1] - term[-1]
-    return diff
+        dp = dp * g / d + 1.0
+        d = a - g
+        yield d, dp / d
+
+
+def _coupled_minus_free(row, rows, b2):
+    """The sum over ``rows``, pivots run in their order, of the coupled lanes' d'/d minus
+    the free lane's, one row at a time; with the last row's pivot and d'/d."""
+    diff = 0.0
+    for d, t in pivot_pass(map(row, rows), itertools.repeat(b2)):
+        diff = diff + (t[:-1] - t[-1])
+    return diff, d, t
+
+
+def twist_term(b2, d, e, t_d, t_e):
+    """d/dshift log(1 - tau), tau = b^2/(d e): the term that joins top pivots ending in d,
+    with last term t_d = d'/d, to bottom pivots ending in e, with last term t_e, across
+    an off-diagonal b.  The determinant is (prod d_i)(prod e_i)(1 - tau)."""
+    tau = b2 / (d * e)
+    return (t_d + t_e) * tau / (1.0 - tau)
+
+
+def two_wall_trace(diag, off2, k: int) -> float:
+    """Tr A^-1 of the symmetric tridiagonal A with diagonal ``diag`` and squared
+    off-diagonals ``off2``, from the top pivots of its first k rows, the bottom
+    pivots of the other N - k and the twist between them (0 < k < N)."""
+    top = list(pivot_pass(diag[:k], [0.0, *off2[:k - 1]]))
+    bottom = list(pivot_pass(diag[k:][::-1], [0.0, *off2[k:][::-1]]))
+    (d, t_d), (e, t_e) = top[-1], bottom[-1]
+    terms = [t for _, t in top + bottom]
+    return math.fsum(terms) + twist_term(off2[k - 1], d, e, t_d, t_e)
+
+
+def grid_trace_differences_two_wall(spec: PotentialSpec, lams, box_radius: float,
+                                    n_points: int, ell_max: int, factors,
+                                    units: UnitSystem) -> np.ndarray:
+    """The library sweep's two-wall recursion on one grid, one row at a time, in np.float64.
+
+    The top pivots run over rows 0 .. n_points//2 - 1 from r = h, the bottom
+    pivots over the rest from the wall inward, each row adding the coupled
+    lanes' terms minus the free lane's; then the twist at the split
+    (``twist_term``) adds its coupled-minus-free difference.  It does each
+    lane's arithmetic in the sweep's order, so the sweep must agree with it bit
+    for bit.  Returns shape (len(factors), len(lams), ell_max + 1).
+    """
+    row, b2 = _grid_rows(spec, lams, box_radius, n_points, ell_max, factors, units,
+                         np.float64)
+    k = n_points // 2
+    top, d, t_d = _coupled_minus_free(row, range(k), b2)
+    bottom, e, t_e = _coupled_minus_free(row, range(n_points - 2, k - 1, -1), b2)
+    twist = twist_term(b2, d, e, t_d, t_e)
+    return (top + bottom) + (twist[:-1] - twist[-1])
 
 
 def yukawa_classical_cut_mpmath(spec: PotentialSpec, units: UnitSystem, factor: float,

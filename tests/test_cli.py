@@ -215,16 +215,27 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["lambda", "w", "err", "source"]
         assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-2.6651791574353677e-06", "2.3033650709511528e-07"),
-            ("-6.0312133313835254e-07", "4.0116602080259747e-08"),
-            ("-1.3447104085570895e-07", "7.3854182618589292e-09"),
-            ("-2.9667536646758094e-08", "1.7124359086205263e-09"),
+            ("-2.6651791232125982e-06", "2.303366496355815e-07"),
+            ("-6.0312152877352727e-07", "4.011673353394558e-08"),
+            ("-1.3447104241059944e-07", "7.385433537892586e-09"),
+            ("-2.9667560710010932e-08", "1.712420413185007e-09"),
         ]
 
     def test_bad_window_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "trace", "--potential", "coulomb:Z=1",
                              "--lambda-min", "50", "--lambda-max", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["trace", "anomaly"])
+    def test_window_too_narrow_for_points_names_its_flags(self, capsys, command):
+        # two ulps hold no 5 distinct geometric points
+        code, out, err = run_cli(capsys, command, "--potential", "coulomb:Z=1",
+                                 "--lambda-min", "1", "--lambda-max", "1.0000000000000004",
+                                 "--points", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: --lambda-min 1 and --lambda-max 1.0000000000000004 are too "
+                       "close for --points 5 distinct Lambda values; widen the window or "
+                       "lower --points\n")
 
     def test_screened_oracle_step_too_coarse_exits_2(self, capsys):
         # the default box's fine step h = 40/4800 gives k h = 1.18 at Lambda = 1e4

@@ -33,6 +33,9 @@ from references import (
     case_a_trace_one_box_at_a_time,
     grid_channel_levels,
     grid_trace_differences,
+    grid_trace_differences_two_wall,
+    pivot_pass,
+    two_wall_trace,
     yukawa_classical_adaptive,
     yukawa_classical_cut_mpmath,
 )
@@ -217,18 +220,49 @@ class TestGridTraces:
          [(6.0, 203), (9.0, 317)], 10),
     ], ids=["bench-box", "strong-yukawa", "scaled-units"])
     def test_sweep_equals_row_by_row_reference(self, spec, units, lams, boxes, ell_max):
-        # the sweep tabulates its diagonals a block of rows at a time and
-        # reads the coarse grid's U from the fine nodes, yet every lane must
-        # do the one-row-at-a-time recursion's arithmetic in its order on its
-        # own grid's nodes, so the double-precision reference agrees bit for
-        # bit; the strong case has indefinite pivots, and odd n and coarse
-        # grids that end inside a block
+        # the sweep runs both walls of both grids as lanes of one pass,
+        # tabulates its diagonals a block of row steps at a time and reads the
+        # coarse grid's U from the fine nodes, yet every lane must do the
+        # row-at-a-time two-wall recursion's arithmetic, twist included, in its
+        # order on its own grid's nodes, so the double-precision reference
+        # agrees bit for bit; the strong case has indefinite pivots, and odd n
+        # and sequences that end inside a block
         for r_box, n in boxes:
             traces = _grid_traces(spec, units, lams, r_box, n, ell_max)
             for diffs, n_points in zip(traces, (2 * n, n)):
-                ref = grid_trace_differences(spec, lams, r_box, n_points, ell_max,
-                                             _COUPLING_FACTORS[:-1], units, dtype=np.float64)
+                ref = grid_trace_differences_two_wall(spec, lams, r_box, n_points, ell_max,
+                                                      _COUPLING_FACTORS[:-1], units)
                 assert np.array_equal(diffs, ref), (r_box, n_points)
+
+    @pytest.mark.parametrize("n_rows", [7, 8])
+    @pytest.mark.parametrize("definite", [True, False], ids=["spd", "indefinite"])
+    def test_two_wall_split_identity(self, n_rows, definite):
+        # Tr A^-1 from top pivots, bottom pivots and the twist equals the dense
+        # inverse's trace at every split row, on seeded tridiagonals: diagonally
+        # dominant ones are positive definite; the others are kept only when
+        # indefinite, with every pivot from either wall and every 1 - tau at
+        # least 0.2 from zero and the trace not a cancellation of its terms
+        rng = np.random.default_rng(31 + n_rows)
+        kept = 0
+        while kept < 10:
+            off2 = rng.uniform(0.1, 1.0, n_rows - 1)
+            diag = rng.uniform(2.5, 4.0, n_rows) if definite else rng.uniform(-3.0, 3.0, n_rows)
+            a = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+            levels = np.linalg.eigvalsh(a)
+            exact = float(np.trace(np.linalg.inv(a)))
+            if not definite:
+                pivots = [d for rows, couplings in ((diag, [0.0, *off2]),
+                                                    (diag[::-1], [0.0, *off2[::-1]]))
+                          for d, _ in pivot_pass(rows, couplings)]
+                taus = [off2[k - 1] / (pivots[k - 1] * pivots[2 * n_rows - 1 - k])
+                        for k in range(1, n_rows)]
+                if (levels.min() > 0.0 or min(np.abs(pivots)) < 0.2
+                        or min(abs(1.0 - t) for t in taus) < 0.2
+                        or abs(exact) < 0.1 * np.sum(1.0 / np.abs(levels))):
+                    continue
+            kept += 1
+            for k in range(1, n_rows):
+                assert two_wall_trace(diag, off2, k) == pytest.approx(exact, rel=1e-12), k
 
     @pytest.mark.parametrize("lams, r_box, n, ell_max, limit_kib", [
         ([10.0, 20.0, 37.5, 100.0], 12.0, 375, 30, 220),
@@ -654,18 +688,18 @@ class TestOracleW:
     @pytest.mark.parametrize("attractive, config, pinned", [
         # the benchmark's reduced box, repulsive coupling
         (False, BENCH_BOX, [
-            ("-0x1.65b73c6f7afa0p-19", "0x1.f8ba9dbcb3e74p-23"),
-            ("-0x1.7636bde2e6455p-21", "0x1.b6b688b33b631p-25"),
-            ("-0x1.b6a133b0a36abp-23", "0x1.eb50842f0cf35p-27"),
-            ("-0x1.fb582474bbaabp-26", "0x1.b20df8651558cp-29"),
+            ("-0x1.65b73cdba054bp-19", "0x1.f8bad8b5a5f1ep-23"),
+            ("-0x1.7636bfb43a455p-21", "0x1.b6b68b83a9cdap-25"),
+            ("-0x1.b6a13311ef155p-23", "0x1.eb50fe888df37p-27"),
+            ("-0x1.fb58293ff7aabp-26", "0x1.b20e20b29558bp-29"),
         ]),
         # a radius ratio whose scaled grid is odd (1200 * 18/14 = 1542.9): the
         # grids at R = 18 take N 1542 and 771, exactly twice the step apart
         (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
-            ("-0x1.65b764e711dbbp-19", "0x1.f25f355c199bdp-23"),
-            ("-0x1.763a7db7b8915p-21", "0x1.a35339fd1da15p-25"),
-            ("-0x1.b6bfdb2de6055p-23", "0x1.b2b477eca54d1p-27"),
-            ("-0x1.fd549e15de400p-26", "0x1.39334622dc885p-29"),
+            ("-0x1.65b76655e8d90p-19", "0x1.f25f29daf9c67p-23"),
+            ("-0x1.763a80c9cbf15p-21", "0x1.a35341f3d496bp-25"),
+            ("-0x1.b6bfdcdc3d5abp-23", "0x1.b2b40a7ee7f7dp-27"),
+            ("-0x1.fd54ae9d78eabp-26", "0x1.393347cd6f330p-29"),
         ]),
     ], ids=["repulsive-8-12", "attractive-14-18"])
     def test_screened_values_pinned(self, attractive, config, pinned):
