@@ -21,16 +21,17 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
 so the whole evaluation is closed-form up to the ratio itself, a continued
-fraction summed backward in numpy.  Its deep steps, which only the low orders
-of the larger boxes reach, run once over all boxes of a Lambda grid; each box
-then runs its own shallow steps.  Yukawa runs one box, within bounds on
-kappa R, Lambda, the coupling and the grid step, with O(N) pivot recursions
-of the tridiagonal radial grid operator, run from both walls at once and
-joined by a twist term, without eigenvalues, that sum each channel's
-difference against the free channel row by row, up to l_max.  Its classical term counts
-only those channels: the phase-space integral over lambda = l + 1/2 < l_max + 1,
-so the channels left out need no extrapolation, only an Euler-Maclaurin
-error.  Bare and cutoff Coulomb are rejected: a box cannot hold a 1/r tail.
+fraction summed backward in numpy.  The orders below 1.5 x, the only ones
+deeper than 23 steps, run through one call for all boxes of a Lambda grid,
+each with its box's x; each box then runs the rest.  Yukawa runs one box,
+within bounds on kappa R, Lambda, the coupling and the grid step, with O(N)
+pivot recursions of the tridiagonal radial grid operator, run from both walls
+at once and joined by a twist term, without eigenvalues, that sum each
+channel's difference against the free channel row by row, up to l_max.  Its
+classical term counts only those channels: the phase-space integral over
+lambda = l + 1/2 < l_max + 1, so the channels left out need no extrapolation,
+only an Euler-Maclaurin error.  Bare and cutoff Coulomb are rejected: a box
+cannot hold a 1/r tail.
 
 The oracle is the only production path that runs numpy (here and in the
 potential functions it calls), and it loads no scipy module: the Yukawa
@@ -71,16 +72,18 @@ class OracleConfig(Record):
 
     def __init__(self, box_radius: float = 40.0, ell_max: int = 60, grid_points: int = 2400,
                  richardson_levels: tuple = (20.0, 40.0)) -> None:
-        """Raises ValueError on a box_radius that is not positive, ell_max < 10,
-        grid_points < 200 or richardson_levels that are not two increasing finite radii."""
+        """Raises ValueError on a box_radius that is not positive, an ell_max < 10 or grid_points
+        < 200 or either not an integer, or richardson_levels not two increasing finite radii."""
         self._set(box_radius=box_radius, ell_max=ell_max, grid_points=grid_points,
                   richardson_levels=richardson_levels)
         if not (self.box_radius > 0.0):
             raise ValueError("box_radius must be positive")
-        if self.ell_max < 10:
-            raise ValueError("ell_max must be at least 10")
-        if self.grid_points < 200:
-            raise ValueError("grid_points must be at least 200")
+        for name, least in (("ell_max", 10), ("grid_points", 200)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
         radii = self.richardson_levels
         if len(radii) != 2 or not 0.0 < radii[0] < radii[1] < math.inf:
             raise ValueError(
@@ -106,65 +109,17 @@ def eigvalsh_tridiagonal(d, e, **kwargs):
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
-# The fraction's steps j above this run once per oracle_trace call, the rest once
-# per box; of 16, 24, 32 and 40, 24 made the case-A benchmark fastest (ROADMAP item 4).
-_CF_SHARED = 24
 
 
-def _cf_depth(flat: np.ndarray, x: float) -> np.ndarray:
+def _cf_depth(flat: np.ndarray, x) -> np.ndarray:
     """The fraction's depth K = ceil(sqrt(nu^2 + 44 x) - nu) + 8 of each order, without cancelling."""
-    return np.ceil(44.0 * x / (np.hypot(flat, math.sqrt(44.0 * x)) + flat)) + 8.0
+    return np.ceil(44.0 * x / (np.hypot(flat, np.sqrt(44.0 * x)) + flat)) + 8.0
 
 
-def _cf_deep_orders(nu: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(b0 = nu step, depth) of the orders deeper than ``_CF_SHARED``, in order of decreasing
-    depth and then of index: the leading block that ``_bessel_ratio_cf`` lays out.
-
-    Only the orders below 1.5 x get a depth: at nu >= 1.5 x the root plus nu is at
-    least 2 nu >= 3 x, so K <= ceil(44/3) + 8 = 23 <= ``_CF_SHARED``."""
-    flat = nu.ravel()
-    low = flat[flat < 1.5 * x]    # in index order, so the stable sort below keeps ties
-    depth = _cf_depth(low, x)
-    deep = np.flatnonzero(depth > _CF_SHARED)
-    deep = deep[np.argsort(-depth[deep], kind="stable")]
-    return low[deep] * (2.0 / x), depth[deep]
-
-
-def _cf_deep_steps(boxes) -> list[np.ndarray]:
-    """Steps j = K, ..., ``_CF_SHARED`` + 1 of ``_bessel_ratio_cf`` for many boxes at once.
-
-    ``boxes`` yields (nu, x) pairs; of each, only the deep orders
-    (``_cf_deep_orders``) are kept, with their box's step 2/x.  Returns per box
-    a (2, n) array: the r and slope of its deep orders after step
-    ``_CF_SHARED`` + 1, in their ``_cf_deep_orders`` order.  Each order does
-    the arithmetic of a one-box call.
-    """
-    steps, b0, depth = zip(*((2.0 / x, *_cf_deep_orders(nu, x)) for nu, x in boxes))
-    sizes = [d.size for d in depth]
-    depth = np.concatenate(depth)
-    order = np.argsort(-depth, kind="stable")
-    depth = depth[order]
-    k_max = int(depth[0]) if depth.size else _CF_SHARED
-    # the number of orders with depth >= j, for j = k_max, ..., _CF_SHARED + 1
-    live = np.searchsorted(-depth, -np.arange(k_max, _CF_SHARED, -1), side="right")
-    b0, step = np.concatenate(b0)[order], np.repeat(steps, sizes)[order]
-    r = np.zeros_like(b0)
-    slope = np.ones_like(b0)
-    b = np.empty_like(b0)
-    for j, n in zip(range(k_max, _CF_SHARED, -1), live):
-        np.multiply(step[:n], j, out=b[:n])   # b_j = b0 + j step, as a one-box call forms it
-        b[:n] += b0[:n]
-        r[:n] += b[:n]
-        np.reciprocal(r[:n], out=r[:n])
-        slope[:n] *= r[:n]
-    carried = np.empty((2, r.size))
-    carried[0, order], carried[1, order] = r, slope
-    return np.split(carried, np.cumsum(sizes)[:-1], axis=1)
-
-
-def _bessel_ratio_cf(nu: np.ndarray, x: float, deep: np.ndarray | None = None) -> np.ndarray:
+def _bessel_ratio_cf(nu: np.ndarray, x) -> np.ndarray:
     """I_{nu+1}(x) / I_nu(x) for an array of orders, by continued fraction.
 
+    ``x`` is one scale for every order or, for a 1-D ``nu``, one per order.
     The ratio is 1/(b_1 + 1/(b_2 + ...)) with b_j = 2 (nu + j) / x
     (DLMF 10.33.1), summed backward from a zero tail at depth
     K = ceil(sqrt(nu^2 + 44 x) - nu) + 8, written so that it neither cancels
@@ -172,42 +127,50 @@ def _bessel_ratio_cf(nu: np.ndarray, x: float, deep: np.ndarray | None = None) -
     is stable and shrinks a change of the tail by r_j^2.  The dropped tail
     lies in (0, 1/b_{K+1}), so the value moves by at most
     prod r_j^2 / b_{K+1}; an order where that exceeds ``_EPS`` of its value
-    raises ``UnconvergedError``.  Measured, the bound stays below 0.03
-    ``_EPS`` for x in [0.01, 1e5] and nu in [0, 7x + 200]; with 40 in place
-    of 44 it reaches 1.3 ``_EPS`` at x = 1e5, nu = 0.
+    raises ``UnconvergedError``, which names the x of one such order.
+    Measured, the bound stays below 0.03 ``_EPS`` for x in [0.01, 1e5] and
+    nu in [0, 7x + 200]; with 40 in place of 44 it reaches 1.3 ``_EPS`` at
+    x = 1e5, nu = 0.
 
-    The steps j > ``_CF_SHARED`` come from ``deep``, this box's entry of
-    ``_cf_deep_steps`` (run here on this box alone when it is None), and the
-    rest run here.  The orders run in order of decreasing depth, so the
-    orders still being summed at step j are a leading block, and each order
-    does the arithmetic of a call on it alone: a batch returns what single
-    calls do, bit for bit.
+    The orders run in order of decreasing depth, so the orders still being
+    summed at step j are a leading block, and each order does the arithmetic
+    of a call on it alone: a batch returns what single calls do, bit for bit,
+    whatever the other orders and their x.  At most eight arrays of the orders'
+    size, the arguments included, are live at once.
     """
-    if deep is None:
-        (deep,) = _cf_deep_steps([(nu, x)])
     flat = nu.ravel()
-    step = 2.0 / x
+    per_order = np.ndim(x) > 0
     depth = _cf_depth(flat, x)
     order = np.argsort(-depth, kind="stable")
     depth = depth[order]
+    k_max = int(depth[0]) if depth.size else 0
+    # the number of orders with depth >= j, for j = k_max, ..., 1: the depths, read back below
+    live = np.searchsorted(-depth, -np.arange(k_max, 0, -1), side="right")
+    del depth
+    step = 2.0 / x[order] if per_order else 2.0 / x
     b0 = flat[order] * step       # b_j = b0 + j step
     r = np.zeros_like(b0)         # r_j, from r_{K+1} = 0
     slope = np.ones_like(b0)      # prod r_j; the value moves by its square per unit of tail
-    r_deep, slope_deep = deep     # the leading block, past step _CF_SHARED + 1
-    r[:r_deep.size], slope[:r_deep.size] = r_deep, slope_deep
-    k_max = min(int(depth[0]), _CF_SHARED) if depth.size else 0
-    # the number of orders with depth >= j, for j = k_max, ..., 1
-    live = np.searchsorted(-depth, -np.arange(k_max, 0, -1), side="right")
+    b = np.empty_like(b0)         # b_j
     for j, n in zip(range(k_max, 0, -1), live):
-        r[:n] += b0[:n] + j * step
-        np.reciprocal(r[:n], out=r[:n])
-        slope[:n] *= r[:n]
-    unconverged = np.count_nonzero(slope * slope / (b0 + (depth + 1.0) * step) > _EPS * r)
-    if unconverged:
+        r_n = r[:n]
+        r_n += np.add(b0[:n], np.multiply(step[:n], j, out=b[:n]) if per_order else j * step,
+                      out=b[:n])
+        np.reciprocal(r_n, out=r_n)
+        slope[:n] *= r_n
+    del b
+    # the tail check, in place: slope^2 / b_{K+1} against _EPS r
+    tail = np.repeat(np.arange(k_max + 1.0, 1.0, -1.0), np.diff(live, prepend=0))   # K + 1
+    tail *= step
+    tail += b0
+    unconverged = np.divide(np.square(slope, out=slope), tail, out=slope) > np.multiply(
+        r, _EPS, out=tail)
+    if unconverged.any():
+        x_bad = x[order[np.argmax(unconverged)]] if per_order else x
         raise UnconvergedError(
-            f"Bessel-ratio continued fraction at x = {x:g}: "
-            f"{unconverged} orders unconverged at their depth")
-    out = np.empty_like(r)
+            f"Bessel-ratio continued fraction at x = {x_bad:g}: "
+            f"{np.count_nonzero(unconverged)} orders unconverged at their depth")
+    out = tail                    # spent
     out[order] = r
     return out.reshape(nu.shape)
 
@@ -219,10 +182,9 @@ def bessel_channel_sums(nu: np.ndarray, x: float) -> np.ndarray:
     zeros of J_nu, and x = sqrt(2 m Lambda) R / hbar.  The pole expansion
     of J_{nu+1}/J_nu gives sum_n (z_{nu,n}^2 + x^2)^-1 = I_{nu+1}(x) / (2 x
     I_nu(x)), so the result is x I_{nu+1}(x) / (2 I_nu(x)), with the ratio
-    from ``_bessel_ratio_cf``.  Every order is worked out on its own, so one
-    call on many orders returns what one call per order would, bit for bit.
-    A call is one box: it runs the shared deep steps on its own orders.  The
-    case-A oracle does not call it; it shares those steps over its grid.
+    from ``_bessel_ratio_cf``, whose input checks these are.  Every order is
+    worked out on its own, so one call on many orders returns what one call
+    per order would, bit for bit.
     """
     nu = np.asarray(nu, dtype=float)
     if not (math.isfinite(x) and x > 0.0):
@@ -289,21 +251,26 @@ def _case_a_orders(x: float, beta2: float) -> np.ndarray:
     return np.concatenate([np.sqrt(nu_l * nu_l + beta2), nu_l, _case_a_end_orders(float(n_ch))])
 
 
-def _case_a_box_w(beta2: float, lam: float, x: float, deep: np.ndarray) -> tuple[float, float]:
+def _case_a_box_w(beta2: float, lam: float, x: float, low_ratio: np.ndarray) -> tuple[float, float]:
     """Counterterm-subtracted w(Lambda) for U = alpha/r^2 in one box of scale x.
 
     Returns (value, residual-tail estimate).  Quantum channel sums use the
     exact Bessel-ratio form with effective orders sqrt((l+1/2)^2 + beta2);
     the classical phase-space difference is closed-form; the coupling-linear
     box artifact is beta2 times ``_case_a_linear_response``.  The channel sums
-    of the box's ``_case_a_orders`` take one ``_bessel_ratio_cf`` call, which
-    starts from ``deep``, the box's entry of ``_cf_deep_steps``.
+    take the ratios of the box's ``_case_a_orders``: ``low_ratio`` holds those
+    of the orders below 1.5 x, in index order, and the rest take one
+    ``_bessel_ratio_cf`` call here.
     """
     nu = _case_a_orders(x, beta2)
     n_ch = (nu.size - 8) // 2   # quantum, then free orders, then the eight end orders
     j = float(n_ch)
     nu_l = nu[n_ch:2 * n_ch]
-    s_q, s_l, s_end = np.split(0.5 * x * _bessel_ratio_cf(nu, x, deep), [n_ch, 2 * n_ch])
+    low = nu < 1.5 * x
+    ratio = np.empty_like(nu)
+    ratio[low] = low_ratio
+    ratio[~low] = _bessel_ratio_cf(nu[~low], x)
+    s_q, s_l, s_end = np.split(0.5 * x * ratio, [n_ch, 2 * n_ch])
     quantum = float(np.sum(2.0 * nu_l * (s_q - s_l)))
     classical = _case_a_classical(x, j, beta2)
     linear_response = _case_a_linear_response(s_end, x, j)
@@ -572,11 +539,11 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     error is a third of that step plus the larger channel-tail residual; every
     box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
     in [max(2 beta, 8), 2000] (ValueError otherwise), which the first Lambda's r1
-    box and the last Lambda's r2 box bound.  The boxes stream through
-    the continued fraction twice: once for the steps past ``_CF_SHARED`` of their
-    deep orders, shared by all boxes (``_cf_deep_steps``), then one box at a time
-    for the rest and the box value (``_case_a_box_w``); the values keep the bits
-    of boxes run alone.  Yukawa runs at r2 alone: one ``_grid_traces`` sweep, each
+    box and the last Lambda's r2 box bound.  The orders below 1.5 x of every
+    box, the only ones deeper than 23 steps, take one ``_bessel_ratio_cf`` call,
+    each with its box's x; then each box runs the rest in a call of its own and
+    gives its value (``_case_a_box_w``), with the bits of a box run alone.
+    Yukawa runs at r2 alone: one ``_grid_traces`` sweep, each
     grid's pivots run from both of its walls at once, of its fine grid, of step h
     about r1/grid_points, and its coarse grid of step 2h,
     and one Gauss-rule pass of classical differences, within the bounds of
@@ -602,8 +569,8 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     r1, r2 = config.richardson_levels
     if fam is Family.INVERSE_SQUARE:
         beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
-        xs = [[math.sqrt(2.0 * units.m * lam) * r / units.hbar for r in (r1, r2)] for lam in lams]
-        x_lo, x_hi = xs[0][0], xs[-1][1]   # the grid increases
+        xs = [math.sqrt(2.0 * units.m * lam) * r / units.hbar for lam in lams for r in (r1, r2)]
+        x_lo, x_hi = xs[0], xs[-1]   # the grid increases
         x_min = max(2.0 * math.sqrt(beta2), _CASE_A_X_MIN)
         if not (x_min <= x_lo and x_hi <= _CASE_A_X_MAX):
             lam, r_box, x = (lams[0], r1, x_lo) if x_lo < x_min else (lams[-1], r2, x_hi)
@@ -612,12 +579,15 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                 f"box radius R = {r_box:g}, is outside [max(2 beta, {_CASE_A_X_MIN:g}), "
                 f"{_CASE_A_X_MAX:g}] = [{x_min:g}, {_CASE_A_X_MAX:g}]; "
                 f"move the Lambda window into it")
-        # the fraction's deep steps run once over every box, then each box
-        # its own shallow ones; no box's orders are held past its own turn
-        deep = iter(_cf_deep_steps((_case_a_orders(x, beta2), x) for row in xs for x in row))
+        # one fraction call takes the orders below 1.5 x of every box, each with
+        # its box's x; each box then runs the rest of its orders on its own
+        low = [nu[nu < 1.5 * x] for nu, x in ((_case_a_orders(x, beta2), x) for x in xs)]
+        sizes = [a.size for a in low]
+        low = np.concatenate(low)   # no per-box copy is held through the call
+        low = iter(np.split(_bessel_ratio_cf(low, np.repeat(xs, sizes)), np.cumsum(sizes)[:-1]))
         vals, errs = [], []
-        for lam, row in zip(lams, xs):
-            (w1, t1), (w2, t2) = (_case_a_box_w(beta2, lam, x, next(deep)) for x in row)
+        for lam, row in zip(lams, zip(xs[::2], xs[1::2])):
+            (w1, t1), (w2, t2) = (_case_a_box_w(beta2, lam, x, next(low)) for x in row)
             w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
             vals.append(w_inf)
             errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))

@@ -39,9 +39,10 @@ response (``spectral_oracle._case_a_linear_response``).
 
 ``bessel_ratio_cf_one_box``, ``case_a_w_at_radius`` and
 ``case_a_trace_one_box_at_a_time`` are the case-A oracle as it ran before it
-shared its continued fraction's deep steps over a Lambda grid: every step of
-the fraction on one box's orders, one box at a time.  The shared steps must
-reproduce them bit for bit.
+put the low orders of every box of a Lambda grid through one continued
+fraction call: every step of the fraction on one box's orders, with that
+box's x, one box at a time.  The oracle's call over many boxes, each order
+with its own box's x, must reproduce them bit for bit.
 
 ``fit_power_law_lstsq`` and ``delta_an_case_a_exact_numpy`` are the numpy
 forms that ``quadrature.fit_power_law`` (a closed-form fit in ``math``)
@@ -444,9 +445,9 @@ _EPS = float(np.finfo(float).eps)
 
 def bessel_ratio_cf_one_box(nu: np.ndarray, x: float) -> np.ndarray:
     """I_{nu+1}(x) / I_nu(x) by the case-A oracle's backward continued fraction, every
-    step of it on one box's orders, as the oracle ran it before it shared the deep
-    steps over a Lambda grid (``spectral_oracle._cf_deep_steps``): the reference
-    for that split's bits.  Same depth rule, same tail check."""
+    step of it on one box's orders with one x, as the oracle ran it before one call
+    took the orders of many boxes (``spectral_oracle._bessel_ratio_cf`` with an x per
+    order): the reference for that call's bits.  Same depth rule, same tail check."""
     flat = nu.ravel()
     step = 2.0 / x
     depth = np.ceil(44.0 * x / (np.hypot(flat, math.sqrt(44.0 * x)) + flat)) + 8.0

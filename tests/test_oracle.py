@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -354,6 +355,9 @@ class TestExactChannelSum:
         assert 2.0 * d_full - d_half == pytest.approx(target, rel=1e-5)
 
 
+_MIXED_X = (0.5, 5.0, 63.0, 800.0, 1e4)
+
+
 class TestBesselRatioRoutes:
     # Every order takes the backward continued fraction.  Each point's
     # reference is x I_{nu+1}(x) / (2 I_nu(x)) at 50 digits; at 35 digits
@@ -387,13 +391,14 @@ class TestBesselRatioRoutes:
         assert got == pytest.approx(self._reference(nus, x), rel=2e-15, abs=0)
 
     def test_case_a_needs_no_ive(self, monkeypatch):
-        # criterion 3's case-A fixture runs with ive unusable, one
-        # _bessel_ratio_cf call per box over all of its orders
+        # criterion 3's case-A fixture runs with ive unusable: one
+        # _bessel_ratio_cf call on the orders below 1.5 x of every box, each
+        # with its box's x, then one per box on the rest of its orders
         calls = []
 
-        def recording_cf(nu, x, deep=None):
-            calls.append((np.asarray(nu, dtype=float), x))
-            return ratio_cf(nu, x, deep)
+        def recording_cf(nu, x):
+            calls.append((nu.copy(), np.copy(x)))
+            return ratio_cf(nu, x)
 
         def no_ive(nu, x):
             raise AssertionError("the case-A oracle called ive")
@@ -403,37 +408,48 @@ class TestBesselRatioRoutes:
         monkeypatch.setattr(spectral_oracle, "ive", no_ive)
         lams = np.geomspace(5.0, 50.0, 8)
         oracle_trace(inverse_square(ALPHA_100), ATOMIC, lams)
-        assert len(calls) == lams.size * len(OracleConfig().richardson_levels)
-        for nu, x in calls:
+        boxes = [math.sqrt(2.0 * ATOMIC.m * lam) * r / ATOMIC.hbar
+                 for lam in lams for r in OracleConfig().richardson_levels]
+        assert len(calls) == 1 + 2 * lams.size == 1 + len(boxes)
+        (low, x_low), *rest = calls
+        orders = [spectral_oracle._case_a_orders(x, 100.0) for x in boxes]
+        below = [nu < 1.5 * x for nu, x in zip(orders, boxes)]
+        assert np.array_equal(low, np.concatenate([nu[b] for nu, b in zip(orders, below)]))
+        assert np.array_equal(x_low, np.repeat(boxes, [np.count_nonzero(b) for b in below]))
+        for (nu, x), box, box_orders, b in zip(rest, boxes, orders, below):
+            assert x.ndim == 0 and x == box
+            assert np.array_equal(nu, box_orders[~b])
             # quantum orders, free orders and the eight end orders of the box
-            assert nu.size == 2 * (math.ceil(6.0 * x) + 200) + 8
+            assert box_orders.size == 2 * (math.ceil(6.0 * box) + 200) + 8
 
-    @pytest.mark.parametrize("x", [0.5, 5.0, 63.0, 800.0, 1e4])
+    @pytest.mark.parametrize("x", _MIXED_X)
     def test_one_box_call_matches_the_unshared_fraction(self, x):
-        # a call runs the shared deep steps on its own orders, then the rest:
-        # the bits of every step on one box; at x = 0.5 and 5 no order is
-        # deeper than _CF_SHARED, so the shared steps have nothing to do
-        nus = np.concatenate([np.arange(40.0) + 0.5, np.linspace(0.0, 7.0 * x + 200.0, 301)])
-        (deep,) = spectral_oracle._cf_deep_steps([(nus, x)])
-        assert (deep.shape[1] == 0) == (x <= 5.0)
-        got = bessel_channel_sums(nus, x)
-        assert np.array_equal(got, 0.5 * x * bessel_ratio_cf_one_box(nus, x))
+        # one call on the orders of five boxes, shuffled together, each order
+        # with its box's x, gives this box's orders the bits of every step of
+        # the fraction on this box alone; so does a call on this box alone
+        orders = [np.concatenate([np.arange(40.0) + 0.5, np.linspace(0.0, 7.0 * b + 200.0, 301)])
+                  for b in _MIXED_X]
+        reference = np.concatenate([bessel_ratio_cf_one_box(nu, b)
+                                    for nu, b in zip(orders, _MIXED_X)])
+        box = np.repeat(np.arange(len(_MIXED_X)), [nu.size for nu in orders])
+        mix = np.random.default_rng(32).permutation(box.size)
+        got = spectral_oracle._bessel_ratio_cf(np.concatenate(orders)[mix],
+                                               np.array(_MIXED_X)[box[mix]])
+        mine = box[mix] == _MIXED_X.index(x)
+        assert np.array_equal(got[mine], reference[mix][mine])
+        nus = orders[_MIXED_X.index(x)]
+        assert np.array_equal(bessel_channel_sums(nus, x),
+                              0.5 * x * bessel_ratio_cf_one_box(nus, x))
 
     @pytest.mark.parametrize("x", [0.01, 0.5, 8.0, 63.0, 800.0, 2000.0, 1e4, 1e5])
     def test_deep_orders_lie_below_one_and_a_half_x(self, x):
-        # _cf_deep_orders gives a depth only to the orders below 1.5 x; the
-        # depth falls with nu, so at 1.5 x it must already be <= _CF_SHARED,
-        # and the deep block equals the one taken over every order
-        edge = np.array([1.5 * x])
-        assert spectral_oracle._cf_depth(edge, x)[0] <= spectral_oracle._CF_SHARED
-        nus = np.concatenate([np.linspace(0.0, 3.0 * x, 3001),
-                              np.nextafter(1.5 * x, [0.0, math.inf]), np.arange(40.0) + 0.5])
-        depth = spectral_oracle._cf_depth(nus, x)
-        deep = np.flatnonzero(depth > spectral_oracle._CF_SHARED)
-        deep = deep[np.argsort(-depth[deep], kind="stable")]
-        b0, got_depth = spectral_oracle._cf_deep_orders(nus, x)
-        assert np.array_equal(b0, nus[deep] * (2.0 / x))
-        assert np.array_equal(got_depth, depth[deep])
+        # the case-A oracle runs each box's orders at or above 1.5 x in a call
+        # of their own: every one of them is at most ceil(44/3) + 8 = 23 steps
+        # deep, the edge order 1.5 x included
+        nus = np.concatenate([[1.5 * x, np.nextafter(1.5 * x, math.inf)],
+                              np.linspace(1.5 * x, 7.0 * x + 200.0, 3001),
+                              np.arange(40.0) + 0.5])
+        assert spectral_oracle._cf_depth(nus[nus >= 1.5 * x], x).max() <= 23
 
     @pytest.mark.parametrize("x", [0.01, 0.5, 8.0, 63.0, 800.0, 2000.0, 1e4, 1e5])
     def test_depth_rule_converges(self, x):
@@ -493,15 +509,48 @@ class TestBesselRatioRoutes:
     def test_term_cap_raises(self, monkeypatch):
         # a tail bound that never counts as small enough must raise, not
         # return the value at the depth reached
-        monkeypatch.setattr(spectral_oracle, "_EPS", -1.0)
-        with pytest.raises(UnconvergedError):
-            bessel_channel_sums(np.array([0.5, 400.0]), 63.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_oracle, "_EPS", -1.0)
+            with pytest.raises(UnconvergedError, match="^Bessel-ratio continued fraction at "
+                               "x = 63: 2 orders unconverged at their depth$"):
+                bessel_channel_sums(np.array([0.5, 400.0]), 63.0)
+        # with one x per order the message names the x of an unconverged
+        # order: one step is far too shallow, and only the orders at x = 63 take it
+        depth = spectral_oracle._cf_depth
+        monkeypatch.setattr(spectral_oracle, "_cf_depth",
+                            lambda nu, x: np.where(x == 63.0, 1.0, depth(nu, x)))
+        with pytest.raises(UnconvergedError, match="^Bessel-ratio continued fraction at "
+                           "x = 63: 2 orders unconverged at their depth$"):
+            spectral_oracle._bessel_ratio_cf(np.array([0.5, 0.5, 400.0, 3.0]),
+                                             np.array([800.0, 63.0, 63.0, 5.0]))
+
+    def test_tail_check_reads_each_orders_own_depth(self, monkeypatch):
+        # with _EPS just above, then just below, one order's own tail bound
+        # prod r_j^2 / (b_{K+1} r), worked out for that order alone, exactly
+        # the orders whose bound exceeds it are unconverged, in a call that
+        # mixes depths and x; K off by one moves a bound by 0.2-4%
+        def bound(nu, x):
+            depth = int(spectral_oracle._cf_depth(np.array([nu]), x)[0])
+            step, r, slope = 2.0 / x, 0.0, 1.0
+            for j in range(depth, 0, -1):
+                r = 1.0 / (r + (nu * step + j * step))
+                slope *= r
+            return slope * slope / (nu * step + (depth + 1) * step) / r
+
+        nus = np.array([0.5, 3.5, 40.0, 400.0] * 3)
+        xs = np.repeat([5.0, 63.0, 800.0], 4)
+        bounds = np.array([bound(nu, x) for nu, x in zip(nus, xs)])
+        for eps in np.concatenate([bounds * (1.0 + 1e-6), bounds * (1.0 - 1e-6)]):
+            monkeypatch.setattr(spectral_oracle, "_EPS", eps)
+            with pytest.raises(UnconvergedError, match=f": {np.count_nonzero(bounds > eps)} "
+                               "orders unconverged") if np.any(bounds > eps) else nullcontext():
+                spectral_oracle._bessel_ratio_cf(nus, xs)
 
 
 class TestCaseASharedDeepSteps:
-    # oracle_trace runs the fraction's steps j > _CF_SHARED once over every
-    # box of its grid; each value and bar must keep the bits of the oracle
-    # that ran every step one box at a time
+    # oracle_trace runs the orders below 1.5 x of every box of its grid, the
+    # deep ones, through one fraction call; each value and bar must keep the
+    # bits of the oracle that ran every step one box at a time
 
     @pytest.mark.parametrize("alpha, units, lams", [
         (ALPHA_100, ATOMIC, np.geomspace(5.0, 50.0, 8)),   # criterion 3's fixture
@@ -517,10 +566,11 @@ class TestCaseASharedDeepSteps:
         assert [e.hex() for e in samples.errors] == [e.hex() for e in errs]
 
     def test_memory_stays_box_sized(self):
-        # the boxes stream through both phases: only the deep orders of the
-        # grid and one box's orders are held at a time.  The bound is twice
-        # the traced peak of the oracle that ran each box alone (787 KiB);
-        # one that held every box's orders for the second phase read 1.7 MiB
+        # only the low orders of the grid and one box's orders are held at a
+        # time.  The bound is twice the traced peak of the oracle that ran
+        # each box alone (787 KiB); the traced peak is 1114 KiB, in the call
+        # on the grid's low orders, and one that held every box's orders at
+        # once read 1.7 MiB
         units = UnitSystem(hbar=0.5)
         spec = inverse_square(150.0 * 0.25 / 2.0)
         oracle_trace(spec, units, [5.0])   # first-call set-up is not counted
@@ -850,7 +900,7 @@ class TestOracleW:
             raise AssertionError("the oracle worked on a bad Lambda grid")
 
         for name in ("_grid_traces", "_classical_difference", "_case_a_orders",
-                     "_cf_deep_steps", "_case_a_box_w"):
+                     "_bessel_ratio_cf", "_case_a_box_w"):
             monkeypatch.setattr(spectral_oracle, name, forbidden)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             oracle_trace(spec, ATOMIC, grid)

@@ -225,6 +225,10 @@ _INV = Family.INVERSE_SQUARE
     (lambda: OracleConfig(box_radius=0.0), "box_radius must be positive"),
     (lambda: OracleConfig(ell_max=9), "ell_max must be at least 10"),
     (lambda: OracleConfig(grid_points=199), "grid_points must be at least 200"),
+    (lambda: OracleConfig(ell_max=math.nan), "ell_max must be an integer, got nan"),
+    (lambda: OracleConfig(grid_points=math.nan), "grid_points must be an integer, got nan"),
+    (lambda: OracleConfig(ell_max=30.0), "ell_max must be an integer, got 30.0"),
+    (lambda: OracleConfig(grid_points=2400.0), "grid_points must be an integer, got 2400.0"),
     (lambda: OracleConfig(richardson_levels=(40.0, 20.0)),
      "richardson_levels must be two finite, positive, strictly increasing radii"),
 ])
