@@ -9,8 +9,9 @@ anomaly     sample the trace difference, then one ``extract_anomalies`` call
 reproduce   run one named verification scenario and print pass/fail
 
 Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors
-(non-finite parameters, units or samples and an unwritable --out path
-included), 3 unconverged quadrature or non-power-law samples.
+(non-finite parameters, units or samples, units whose derived quantities
+leave the float range and an unwritable --out path included), 3 unconverged
+quadrature or non-power-law samples.
 
 ``main(argv)`` may be called any number of times in one process.  It builds
 its argument parser once, on the first call, and reuses it: parsing fills a
@@ -272,6 +273,10 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:   # argument, spec, unit and representability errors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError:     # e.g. hbar^2 overflowing, or a0 underflowing to 0
+        print(f"error: a derived quantity is out of float range at --hbar {args.hbar:g}, "
+              f"--mass {args.mass:g} and --e2 {args.e2:g}", file=sys.stderr)
         return 2
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 
 from ._records import Record
@@ -210,7 +211,8 @@ def geometric_grid(lam_min: float, lam_max: float, points: int) -> tuple:
     """Geometric Lambda grid, the default sampling for power-law windows: lam_min ratio^i,
     ratio = (lam_max/lam_min)^(1/(points-1)), with lam_max itself as the last point, so the
     grid ends exactly on the window's bounds.  A window too narrow for its points to
-    increase raises ValueError (``check_lambda_grid``), as do bad bounds or points < 2."""
+    increase raises ValueError (``check_lambda_grid``), as do bad bounds or points that is
+    not an integer >= 2."""
     if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
         raise ValueError(f"Lambda bounds must be finite, got {lam_min} and {lam_max}")
     if not (0.0 < lam_min < lam_max):
@@ -218,6 +220,10 @@ def geometric_grid(lam_min: float, lam_max: float, points: int) -> tuple:
     if not math.isfinite(lam_max / lam_min):
         raise ValueError(f"Lambda window {lam_min:g} to {lam_max:g} is too wide: "
                          "lam_max / lam_min overflows")
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(f"points must be an integer, got {points!r}") from None
     if points < 2:
         raise ValueError("need at least 2 grid points")
     ratio = (lam_max / lam_min) ** (1.0 / (points - 1))

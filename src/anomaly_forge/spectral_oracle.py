@@ -73,9 +73,15 @@ class OracleConfig(Record):
     def __init__(self, box_radius: float = 40.0, ell_max: int = 60, grid_points: int = 2400,
                  richardson_levels: tuple = (20.0, 40.0)) -> None:
         """Raises ValueError on a box_radius that is not positive, an ell_max < 10 or grid_points
-        < 200 or either not an integer, or richardson_levels not two increasing finite radii."""
+        < 200 or either not an integer, or richardson_levels not two increasing finite radii.
+        richardson_levels is stored as a tuple, so a list gives the same, hashable record."""
+        try:
+            radii = tuple(richardson_levels)
+            radii_ok = len(radii) == 2 and 0.0 < radii[0] < radii[1] < math.inf
+        except TypeError:   # not iterable, or radii that do not compare with floats
+            radii, radii_ok = richardson_levels, False
         self._set(box_radius=box_radius, ell_max=ell_max, grid_points=grid_points,
-                  richardson_levels=richardson_levels)
+                  richardson_levels=radii)
         if not (self.box_radius > 0.0):
             raise ValueError("box_radius must be positive")
         for name, least in (("ell_max", 10), ("grid_points", 200)):
@@ -84,8 +90,7 @@ class OracleConfig(Record):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}")
-        radii = self.richardson_levels
-        if len(radii) != 2 or not 0.0 < radii[0] < radii[1] < math.inf:
+        if not radii_ok:
             raise ValueError(
                 "richardson_levels must be two finite, positive, strictly increasing radii")
 

@@ -2,8 +2,12 @@
 
 ``cli_bytes.json`` holds each command of the list with the exit code, stdout
 and stderr that ``cli.main`` gave it, run in this process with COLUMNS=80.
+It is the one place that holds a command's expected bytes: the tests that
+assert what the output means check keys, statuses and messages, not bytes.
 Output is kept as lists of lines, each with its line ending, so a re-recording
-shows as a line diff.  ``tests/test_cli_bytes.py`` replays the list.
+shows as a line diff.  ``tests/test_cli_bytes.py`` replays the list and checks
+that the file is as this recorder writes it, with each command once;
+``tests/test_cli.py::TestSharedParser`` replays records in sequence.
 
 A change that moves output on purpose re-records the file from the
 repository root:
@@ -47,6 +51,11 @@ def load() -> list[dict]:
     return json.loads(DATA.read_text(encoding="utf-8"))
 
 
+def dumps(records: list[dict]) -> str:
+    """The text of ``cli_bytes.json`` that holds ``records``."""
+    return json.dumps(records, indent=1, ensure_ascii=False) + "\n"
+
+
 def _lines(record: dict) -> list[str]:
     return ([f"exit {record['exit']}\n"] + [f"stdout {line}" for line in record["stdout"]]
             + [f"stderr {line}" for line in record["stderr"]])
@@ -67,5 +76,5 @@ def moved(old: list[dict], new: list[dict]) -> list[str]:
 if __name__ == "__main__":
     old = load()
     new = [run(record["command"]) for record in old]
-    DATA.write_text(json.dumps(new, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    DATA.write_text(dumps(new), encoding="utf-8")
     sys.stdout.writelines(moved(old, new))

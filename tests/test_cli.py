@@ -1,8 +1,10 @@
 import csv
 import io
+import shlex
 
 import pytest
 
+import cli_replay
 from anomaly_forge import cli
 from anomaly_forge.anomaly import extract_anomalies
 from anomaly_forge.cli import emit_report, main
@@ -10,87 +12,14 @@ from anomaly_forge.perturbation import Order, geometric_grid, sample_w
 from anomaly_forge.potentials import coulomb, cutoff_coulomb
 from anomaly_forge.units import ATOMIC
 
+_RECORDED = cli_replay.load()
+_BY_COMMAND = {r["command"]: r for r in _RECORDED}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-# (argv, exit code, stdout, stderr), byte for byte.  The first-order Coulomb
-# gamma_err and fit_residual are rounding noise of an exact power law; they
-# move with any last-bit change in w1 and are pinned all the same.
-_PINNED = {
-    "anomaly-yukawa-keyvalue": (
-        ("anomaly", "--potential", "yukawa:Z=1,kappa=0.5"),
-        0,
-        "case=B\n"
-        "a_n_reduced=0 (below tolerance)\n"
-        "a_n_status=zero\n"
-        "a_e_reduced=0.2194\n"
-        "a_e_status=finite\n"
-        "gamma=1.9765\n"
-        "gamma_err=1.14e-03\n"
-        "fit_residual=2.60e-03\n",
-        ""),
-    "anomaly-yukawa-csv": (
-        ("anomaly", "--potential", "yukawa:Z=1,kappa=0.5", "--format", "csv"),
-        0,
-        "case,a_n_reduced,a_n_status,a_e_reduced,a_e_status,gamma,gamma_err,fit_residual\n"
-        "B,0 (below tolerance),zero,0.2194,finite,1.9765,1.14e-03,2.60e-03\n",
-        ""),
-    "anomaly-coulomb-first-order": (
-        ("anomaly", "--method", "perturbative-1", "--potential", "coulomb:Z=1",
-         "--lambda-min", "10", "--lambda-max", "1000", "--points", "8"),
-        0,
-        "case=B\n"
-        "a_n_reduced=0 (below tolerance)\n"
-        "a_n_status=zero\n"
-        "a_e_reduced=n/a (divergent)\n"
-        "a_e_status=divergent growth_exponent=0.50\n"
-        "gamma=1.5000\n"
-        "gamma_err=8.50e-17\n"
-        "fit_residual=3.14e-16\n",
-        ""),
-    "anomaly-cutoff": (
-        ("anomaly", "--potential", "cutoff-coulomb:Z=1,rcut=1"),
-        0,
-        "case=C\n"
-        "a_n_reduced=0 (below tolerance)\n"
-        "a_n_status=zero\n"
-        "a_e_reduced=0 (below tolerance)\n"
-        "a_e_status=zero\n"
-        "gamma=2.4831\n"
-        "gamma_err=8.81e-04\n"
-        "fit_residual=2.01e-03\n",
-        ""),
-    "classify": (
-        ("classify", "--potential", "coulomb:Z=1"),
-        0, "case B, Coulomb tail\n", ""),
-    "reproduce-w1-scaling": (
-        ("reproduce", "--target", "w1-scaling"),
-        0,
-        "first-order decay exponent: computed +1.5, expected +1.5 (tolerance 3.3%) -> PASS\n",
-        ""),
-    "bad-window": (
-        ("anomaly", "--potential", "coulomb:Z=1", "--lambda-min", "50", "--lambda-max", "10"),
-        2, "", "error: --lambda-min must be below --lambda-max\n"),
-    "too-few-points": (
-        ("anomaly", "--potential", "coulomb:Z=1", "--points", "2"),
-        2, "", "error: --points must be at least 4 for fit-consuming commands\n"),
-    "zero-hbar": (
-        ("anomaly", "--potential", "coulomb:Z=1", "--hbar", "0"),
-        2, "", "error: hbar must be strictly positive, got 0.0\n"),
-    # the unit system is checked before the grid options
-    "zero-hbar-and-too-few-points": (
-        ("anomaly", "--potential", "coulomb:Z=1", "--hbar", "0", "--points", "2"),
-        2, "", "error: hbar must be strictly positive, got 0.0\n"),
-}
-
-
-@pytest.mark.parametrize("argv, code, out, err", list(_PINNED.values()), ids=list(_PINNED))
-def test_pinned_bytes(capsys, argv, code, out, err):
-    assert run_cli(capsys, *argv) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -172,54 +101,6 @@ class TestTraceCommand:
                                  "--points", "5", "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_case_a_oracle_digits_pinned(self, capsys):
-        """The case-A oracle's trace at 2 m alpha / hbar^2 = 100, to all 17 digits.
-
-        Every Bessel ratio comes from the backward continued fraction, one
-        batched call per box; reorganising that work (batching, the order of
-        the sweep) must leave these bytes alone.
-        The linear response is already the telescoped ladder sum, with no
-        step-h difference in the order; ROADMAP item 4's remaining bias fix,
-        a 1/R radius term, will move them on purpose.  Any such update is
-        recorded in CHANGES.md with the old and new values.
-        """
-        code, out, _ = run_cli(capsys, "trace", "--method", "oracle",
-                               "--potential", "inverse-square:alpha=50",
-                               "--lambda-min", "5", "--lambda-max", "50", "--points", "8")
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["lambda", "w", "err", "source"]
-        assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-0.083239936607755999", "0.0052698462214682863"),
-            ("-0.059894473847136746", "0.0027335471969121405"),
-            ("-0.043106037638380661", "0.0014166709363478114"),
-            ("-0.031025478917765852", "0.00073379478585878068"),
-            ("-0.022330631337499653", "0.00037996268898191212"),
-            ("-0.016072253081317139", "0.00019671301561096938"),
-            ("-0.011567625080582893", "0.00010183342292295557"),
-            ("-0.0083253867643157051", "5.2716913927978288e-05"),
-        ]
-
-    def test_screened_oracle_digits_pinned(self, capsys):
-        """The weak-Yukawa box oracle's trace, to all 17 digits.
-
-        Reorganising the classical term or the pivot recursion must leave
-        these bytes alone; any change to them is recorded in CHANGES.md with
-        the old and new values.
-        """
-        code, out, _ = run_cli(capsys, "trace", "--method", "oracle",
-                               "--potential", "yukawa:Z=0.05,kappa=1",
-                               "--lambda-min", "10", "--lambda-max", "100", "--points", "4")
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["lambda", "w", "err", "source"]
-        assert [(r[1], r[2]) for r in rows[1:]] == [
-            ("-2.6651791232125982e-06", "2.303366496355815e-07"),
-            ("-6.0312152877352727e-07", "4.011673353394558e-08"),
-            ("-1.3447104241059944e-07", "7.385433537892586e-09"),
-            ("-2.9667560710010932e-08", "1.712420413185007e-09"),
-        ]
 
     def test_bad_window_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "trace", "--potential", "coulomb:Z=1",
@@ -438,15 +319,17 @@ class TestReproduceCommand:
 
 
 class TestSharedParser:
-    """``main`` builds its parser once per process; nothing of one call reaches the next."""
+    """``main`` builds its parser once per process; nothing of one call reaches the next.
+    The commands and their bytes are records of ``cli_bytes.json``."""
 
     def test_overrides_do_not_reach_the_next_call(self, capsys, tmp_path):
-        argv, code, out, err = _PINNED["anomaly-yukawa-keyvalue"]
+        record = _BY_COMMAND["anomaly --potential yukawa:Z=1,kappa=0.5"]
         path = tmp_path / "report.csv"
-        first = run_cli(capsys, *argv, "--hbar", "0.5", "--format", "csv", "--out", str(path))
+        first = run_cli(capsys, *shlex.split(record["command"]),
+                        "--hbar", "0.5", "--format", "csv", "--out", str(path))
         assert first == (0, "", "")
         assert path.read_text().startswith("case,a_n_reduced,")
-        assert run_cli(capsys, *argv) == (code, out, err)
+        assert cli_replay.run(record["command"]) == record
 
     @pytest.mark.parametrize("before, before_code", [
         (("anomaly", "--potential", "coulomb:Z=1", "--format", "xml"), 2),
@@ -459,17 +342,19 @@ class TestSharedParser:
         code, out, err = first
         assert code == before_code
         assert (out if before_code == 0 else err).startswith("usage: anomaly-forge")
-        for name in ("anomaly-yukawa-keyvalue", "classify", "bad-window"):
-            argv, code, out, err = _PINNED[name]
-            assert run_cli(capsys, *argv) == (code, out, err)
+        for command in ("anomaly --potential yukawa:Z=1,kappa=0.5",
+                        "classify --potential coulomb:Z=1",
+                        "anomaly --potential coulomb:Z=1 --lambda-min 50 --lambda-max 10"):
+            assert cli_replay.run(command) == _BY_COMMAND[command]
         # the same bytes again: the failed or help call changed nothing in the parser
         assert run_cli(capsys, *before) == first
 
-    def test_many_calls_build_one_parser(self, capsys):
+    def test_many_calls_build_one_parser(self):
+        # every record that runs no oracle, one after another in one process
+        records = [r for r in _RECORDED
+                   if "--method oracle" not in r["command"] and "eq7" not in r["command"]]
         cli._build_parser.cache_clear()
-        calls = [argv for argv, *_ in _PINNED.values()]
-        for argv in calls:
-            main(list(argv))
-        capsys.readouterr()
+        for record in records:
+            assert cli_replay.run(record["command"]) == record
         info = cli._build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        assert (info.misses, info.hits) == (1, len(records) - 1)

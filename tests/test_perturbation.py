@@ -290,17 +290,20 @@ class TestClosedForm:
 
 
 class TestGeometricGrid:
-    @pytest.mark.parametrize("lam_min, lam_max, message", [
-        (10.0, math.inf, "Lambda bounds must be finite"),
-        (math.nan, 100.0, "Lambda bounds must be finite"),
-        (100.0, 10.0, "need 0 < lam_min < lam_max"),
-        (1e-300, 1e300, "Lambda window 1e-300 to 1e+300 is too wide"),
+    @pytest.mark.parametrize("lam_min, lam_max, points, message", [
+        (10.0, math.inf, 5, "Lambda bounds must be finite"),
+        (math.nan, 100.0, 5, "Lambda bounds must be finite"),
+        (100.0, 10.0, 5, "need 0 < lam_min < lam_max"),
+        (1e-300, 1e300, 5, "Lambda window 1e-300 to 1e+300 is too wide"),
         # two ulps wide: the ratio rounds to 1, so the points cannot increase
-        (1.0, 1.0000000000000004, "Lambda values must be strictly increasing"),
+        (1.0, 1.0000000000000004, 5, "Lambda values must be strictly increasing"),
+        (10.0, 100.0, 1, "need at least 2 grid points"),
+        (10.0, 100.0, 4.5, "points must be an integer, got 4.5"),
+        (10.0, 100.0, math.nan, "points must be an integer, got nan"),
     ])
-    def test_bad_window_rejected(self, lam_min, lam_max, message):
+    def test_bad_window_rejected(self, lam_min, lam_max, points, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            geometric_grid(lam_min, lam_max, 5)
+            geometric_grid(lam_min, lam_max, points)
 
     @given(st.floats(1e-300, 1e300), st.floats(0.0, 1e12), st.integers(2, 40))
     # criterion 3's window and the README's case-A window, whose last points

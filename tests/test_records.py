@@ -163,6 +163,9 @@ def test_positional_and_keyword_construction():
     assert QuadratureBudget() == QuadratureBudget(1e-10, 1e-8, 500_000)
     assert OracleConfig(box_radius=12.0, ell_max=30, grid_points=500,
                         richardson_levels=(6.0, 12.0)) == OracleConfig(12.0, 30, 500, (6.0, 12.0))
+    # a list of radii is stored as the tuple: the same record, and hashable
+    listed = OracleConfig(richardson_levels=[20.0, 40.0])
+    assert (listed, hash(listed)) == (OracleConfig(), hash(OracleConfig()))
     assert PowerLawFit(amplitude=-0.125, gamma=2.0, residual=0.0, lambda_range=(10.0, 100.0),
                        gamma_err=0.0, amplitude_err=0.0, n_samples=4) == _fit()
     assert _result().growth_exponent_e is None
@@ -230,6 +233,10 @@ _INV = Family.INVERSE_SQUARE
     (lambda: OracleConfig(ell_max=30.0), "ell_max must be an integer, got 30.0"),
     (lambda: OracleConfig(grid_points=2400.0), "grid_points must be an integer, got 2400.0"),
     (lambda: OracleConfig(richardson_levels=(40.0, 20.0)),
+     "richardson_levels must be two finite, positive, strictly increasing radii"),
+    (lambda: OracleConfig(richardson_levels="ab"),
+     "richardson_levels must be two finite, positive, strictly increasing radii"),
+    (lambda: OracleConfig(richardson_levels=None),
      "richardson_levels must be two finite, positive, strictly increasing radii"),
 ])
 def test_validation_messages(make, message):
