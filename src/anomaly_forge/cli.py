@@ -9,7 +9,8 @@ anomaly     sample the trace difference, then one ``extract_anomalies`` call
 reproduce   run one named verification scenario and print pass/fail
 
 Exit codes: 0 success, 1 reproduction-target failure, 2 argument errors
-(non-finite parameters, units or samples, units whose derived quantities
+(non-finite parameters, units or samples, a reproduction whose computed or
+expected value is not finite, a potential or units whose derived quantities
 leave the float range and an unwritable --out path included), 3 unconverged
 quadrature or non-power-law samples.
 
@@ -206,6 +207,11 @@ def _cmd_anomaly(args, units: UnitSystem) -> int:
 
 
 def _check(label, computed, expected, rel_tol) -> bool:
+    """Print one PASS/FAIL line.  A non-finite value is no reproduction to judge: it
+    raises ValueError (exit 2) instead."""
+    if not (math.isfinite(computed) and math.isfinite(expected)):
+        raise ValueError(f"{label} is not finite: computed {computed:+.6g}, "
+                         f"expected {expected:+.6g}")
     ok = abs(computed - expected) <= rel_tol * abs(expected)
     verdict = "PASS" if ok else "FAIL"
     print(f"{label}: computed {computed:+.6g}, expected {expected:+.6g} "
@@ -275,7 +281,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError:     # e.g. hbar^2 overflowing, or a0 underflowing to 0
-        print(f"error: a derived quantity is out of float range at --hbar {args.hbar:g}, "
+        spec = f"--potential {args.potential}, " if "potential" in args else ""
+        print(f"error: a derived quantity is out of float range at {spec}--hbar {args.hbar:g}, "
               f"--mass {args.mass:g} and --e2 {args.e2:g}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,8 @@ so the whole evaluation is closed-form up to the ratio itself, a continued
 fraction summed backward in numpy.  The orders below 1.5 x, the only ones
 deeper than 23 steps, run through one call for all boxes of a Lambda grid,
 each with its box's x; each box then runs the rest.  Yukawa runs one box,
-within bounds on kappa R, Lambda, the coupling and the grid step, with O(N)
+within bounds on kappa R, Lambda, the coupling and the grid step, that ends
+at kappa R = 10 where the configured box is larger, with O(N)
 pivot recursions of the tridiagonal radial grid operator, run from both walls
 at once and joined by a twist term, without eigenvalues, that sum each
 channel's difference against the free channel row by row, up to l_max.  Its
@@ -64,8 +65,10 @@ class OracleConfig(Record):
     """Box and grid sizes of ``oracle_trace``.
 
     ``richardson_levels`` is the (small, large) pair of box radii: case A
-    runs both, Yukawa only the large one, with the fine step
-    small radius / ``grid_points``.  ``ell_max`` is the last channel summed,
+    runs both.  Yukawa runs one box, with the fine step about
+    small radius / ``grid_points``; the large radius is the largest it may
+    use, and its box ends sooner, at 10/kappa, where that is smaller
+    (``oracle_trace``).  ``ell_max`` is the last channel summed,
     quantum and classical alike.  No code reads ``box_radius``; it stays only
     because ``bench/workloads.py`` still sets it (ROADMAP item 1).
     """
@@ -516,6 +519,7 @@ def _tail_error(terms: np.ndarray) -> np.ndarray:
 
 
 _BOX_C, _KAPPA_R_MIN, _K_MIN, _G_MAX = 4.0, 4.0, 3.0, 80.0   # C and the bounds a sweep checked
+_KAPPA_R_CAP = 10.0   # the largest kappa R a Yukawa box runs (the sweep: oracle_trace)
 # The fine step's bound at the largest Lambda, k = sqrt(2 m Lambda)/hbar.  In a sweep of
 # Z = 0.05 (kappa 1), 1 and 3 (kappa 0.5) over R 12 and 40, Lambda 10-1000 and
 # grid_points 200-2400, the bar covered the value at all 245 points with k h <= 0.5
@@ -548,12 +552,19 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     box, the only ones deeper than 23 steps, take one ``_bessel_ratio_cf`` call,
     each with its box's x; then each box runs the rest in a call of its own and
     gives its value (``_case_a_box_w``), with the bits of a box run alone.
-    Yukawa runs at r2 alone: one ``_grid_traces`` sweep, each
-    grid's pivots run from both of its walls at once, of its fine grid, of step h
-    about r1/grid_points, and its coarse grid of step 2h,
-    and one Gauss-rule pass of classical differences, within the bounds of
-    ``_box_error`` and k h <= ``_KH_MAX`` at the largest Lambda (ValueError
-    otherwise).  The value, with grid-step Richardson,
+    Yukawa runs one box of radius R = min(r2, c/kappa), c = ``_KAPPA_R_CAP``:
+    r2 is the largest radius it may use.  The fine step h is about
+    r1/grid_points, from the 2n-point fine grid of r2, and the box keeps it:
+    it takes min(n, ceil(c/(2 kappa h))) coarse rows, so R = r2 to the bit
+    where kappa r2 <= c.  Its bar's box term goes like e^(-2 kappa R), and in a
+    sweep over kappa 0.1-3, g 0.1-78, Lambda from k = 3 kappa to k h = 0.5 and
+    the default, bench and criterion-9 boxes, c = 10 moved no value by 1e-4 of
+    its bar and no bar by 1%.  The bounds of ``_box_error`` are checked at r2
+    and k h <= ``_KH_MAX`` at the largest Lambda (ValueError otherwise), before
+    one ``_grid_traces`` sweep, each grid's pivots run from both of its walls at
+    once, of the box's fine grid and its coarse grid of step 2h, and one
+    Gauss-rule pass of classical differences, both at R.  The value, with
+    grid-step Richardson,
     is the coupling-even part [W(+U) + W(-U)]/2 of the channels l <= l_max
     against their classical counterpart; it cancels the coupling-linear wall and
     grid artifacts to all odd orders.  Its error sums ``_box_error``,
@@ -611,11 +622,14 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
         raise ValueError(f"the grid step is checked at k h <= {_KH_MAX:g}; here k h = "
                          f"{k.max() * h:g} (h = {h:g}) at Lambda = {max(lams):g}; lower "
                          f"Lambda or raise grid_points")
+    # the box ends at kappa R = _KAPPA_R_CAP, at the same step, or at r2 if that is sooner
+    n_box = min(n, math.ceil(_KAPPA_R_CAP / (2.0 * spec.kappa * h)))
+    r_box = r2 if n_box == n else 2 * n_box * h
     c_p1, c_m1, c_ph, c_mh = _classical_difference(spec, units, _COUPLING_FACTORS[:-1], lams,
-                                                   r2, config.ell_max + 1.0)
+                                                   r_box, config.ell_max + 1.0)
     # (grid, factor, lam, ell): every sum runs over ell as the contiguous last
     # axis, so that it adds in the order of a 1-D np.sum over one channel series
-    diffs = _grid_traces(spec, units, lams, r2, n, config.ell_max)
+    diffs = _grid_traces(spec, units, lams, r_box, n_box, config.ell_max)
     deg = 2.0 * np.arange(config.ell_max + 1) + 1.0
     # channel terms (2 ell + 1) [Tr_f - Tr_0] of the factors 1, -1, 1/2, -1/2
     t_p1, t_m1, t_ph, t_mh = np.moveaxis(deg * diffs, 1, 0)
@@ -629,6 +643,6 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     w_odd_full = 0.5 * (np.sum(t_p1[0] - t_m1[0], axis=-1) - (c_p1 - c_m1))
     w_odd_half = np.sum(t_ph[0] - t_mh[0], axis=-1) - (c_ph - c_mh)
     odd_resid = np.abs(w_odd_full - w_odd_half) * 4.0 / 3.0
-    box_err = _box_error(np.abs(q_fine) + np.abs(c_even), k, spec.kappa, r2)
+    box_err = _box_error(np.abs(q_fine) + np.abs(c_even), k, spec.kappa, r_box)
     err = _tail_error(terms[0]) + h_err + odd_resid + box_err
     return TraceSamples(lams, tuple(w.tolist()), tuple(err.tolist()), Source.ORACLE, spec, units)

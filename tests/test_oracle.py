@@ -735,39 +735,51 @@ class TestOracleW:
         target = compute_w2(spec, ATOMIC, lam)
         assert w == pytest.approx(target, rel=0.05)
 
-    @pytest.mark.parametrize("attractive, config, pinned", [
-        # the benchmark's reduced box, repulsive coupling
-        (False, BENCH_BOX, [
-            ("-0x1.65b73cdba054bp-19", "0x1.f8bad8b5a5f1ep-23"),
-            ("-0x1.7636bfb43a455p-21", "0x1.b6b68b83a9cdap-25"),
-            ("-0x1.b6a13311ef155p-23", "0x1.eb50fe888df37p-27"),
-            ("-0x1.fb58293ff7aabp-26", "0x1.b20e20b29558bp-29"),
+    @pytest.mark.parametrize("spec, config, pinned", [
+        # the benchmark's reduced box, repulsive coupling, capped at R = 10.016
+        (yukawa(0.05, 1.0, attractive=False), BENCH_BOX, [
+            ("-0x1.65b73d9bacbf5p-19", "0x1.f8baf2cae5d39p-23"),
+            ("-0x1.7636b99689700p-21", "0x1.b6b680469c9cfp-25"),
+            ("-0x1.b6a132ab9a6abp-23", "0x1.eb50adf3ff6bcp-27"),
+            ("-0x1.fb582ddcb1000p-26", "0x1.b20e0d3b3b506p-29"),
         ]),
         # a radius ratio whose scaled grid is odd (1200 * 18/14 = 1542.9): the
-        # grids at R = 18 take N 1542 and 771, exactly twice the step apart
-        (True, OracleConfig(ell_max=40, grid_points=1200, richardson_levels=(14.0, 18.0)), [
-            ("-0x1.65b76655e8d90p-19", "0x1.f25f29daf9c67p-23"),
-            ("-0x1.763a80c9cbf15p-21", "0x1.a35341f3d496bp-25"),
-            ("-0x1.b6bfdcdc3d5abp-23", "0x1.b2b40a7ee7f7dp-27"),
-            ("-0x1.fd54ae9d78eabp-26", "0x1.393347cd6f330p-29"),
+        # grids at R = 18 take N 1542 and 771, exactly twice the step apart,
+        # and the box ends after 429 coarse rows, at R = 10.016
+        (yukawa(0.05, 1.0), OracleConfig(ell_max=40, grid_points=1200,
+                                         richardson_levels=(14.0, 18.0)), [
+            ("-0x1.65b764b551110p-19", "0x1.f25d6cf2a8899p-23"),
+            ("-0x1.763a84dffffc0p-21", "0x1.a350b250fce55p-25"),
+            ("-0x1.b6bfd95c2bb00p-23", "0x1.b2b01528c608ep-27"),
+            ("-0x1.fd54b18887955p-26", "0x1.392f42a446210p-29"),
         ]),
-    ], ids=["repulsive-8-12", "attractive-14-18"])
-    def test_screened_values_pinned(self, attractive, config, pinned):
+        # kappa r2 = 10 = _KAPPA_R_CAP: the whole default box runs, with the
+        # bits it had before the box was capped
+        (yukawa(0.05, 0.25), OracleConfig(), [
+            ("-0x1.9235d879760abp-19", "0x1.15335acf93558p-22"),
+            ("-0x1.973ab91642555p-21", "0x1.d49efc2f1419bp-25"),
+            ("-0x1.d32b72fdb2000p-23", "0x1.00ea02c48290bp-26"),
+            ("-0x1.096f659957800p-25", "0x1.b605fbc174ad8p-29"),
+        ]),
+    ], ids=["repulsive-8-12", "attractive-14-18", "kappa-quarter-default-box"])
+    def test_screened_values_pinned(self, spec, config, pinned):
         """Screened values and errors, bit for bit.
 
         Reorganising how the oracle assembles its grids, radii and coupling
         factors must leave every bit of both alone; any change to them is
         recorded in CHANGES.md with the old and new values.
         """
-        spec = yukawa(0.05, 1.0, attractive=attractive)
         samples = oracle_trace(spec, ATOMIC, (10.0, 20.0, 37.5, 100.0), config)
         assert [(v.hex(), e.hex()) for v, e in zip(samples.values, samples.errors)] == pinned
 
     def test_yukawa_runs_one_radius(self, monkeypatch):
-        # 1200 * 18/14 = 1542.9 rounds odd: the coarse grid takes round(771.4)
-        # and the fine grid twice that, so the step ratio is exactly 2; the
-        # smaller radius sets only the step
-        grid_calls, classical_calls = [], []
+        # 1200 * 18/14 = 1542.9 rounds odd: the coarse grid at R = 18 would take
+        # round(771.4) rows and the fine grid twice that, so the step ratio is
+        # exactly 2; the smaller radius sets only the step.  At kappa = 1 the
+        # box ends at c/kappa = 10: ceil(10 / 2h) = 429 coarse rows of the same
+        # step, R = 858 h, and the sweep, the classical term and the box term
+        # all take that radius
+        grid_calls, classical_calls, box_calls = [], [], []
 
         def grid_traces(spec, units, lams, r_box, n, ell_max):
             grid_calls.append((r_box, n))
@@ -777,14 +789,67 @@ class TestOracleW:
             classical_calls.append(r_box)
             return real_classical(spec, units, factors, lams, r_box, L)
 
+        def box_error(scale, k, kappa, r_box):
+            box_calls.append(r_box)
+            return real_box(scale, k, kappa, r_box)
+
         real_grids = spectral_oracle._grid_traces
         real_classical = spectral_oracle._classical_difference
+        real_box = spectral_oracle._box_error
         monkeypatch.setattr(spectral_oracle, "_grid_traces", grid_traces)
         monkeypatch.setattr(spectral_oracle, "_classical_difference", classical_difference)
+        monkeypatch.setattr(spectral_oracle, "_box_error", box_error)
         cfg = OracleConfig(ell_max=10, grid_points=1200, richardson_levels=(14.0, 18.0))
         oracle_trace(yukawa(0.05, 1.0), ATOMIC, [20.0], cfg)
-        assert grid_calls == [(18.0, 771)]
-        assert classical_calls == [18.0]
+        ((r_box, n),) = grid_calls
+        assert n == 429
+        assert r_box / (2 * n) == 18.0 / 1542   # the step of the R = 18 grid, to the bit
+        assert r_box == pytest.approx(10.0156, abs=1e-4)
+        assert classical_calls == box_calls == [r_box]
+
+    @pytest.mark.parametrize("kappa, config, rows", [
+        (1.0, OracleConfig(), 600),      # R 40 -> 10: ceil(10 * 120 / 2)
+        (1.0, BENCH_BOX, 313),           # R 12 -> 10.016: ceil(10 / 0.032)
+        (0.25, OracleConfig(), 2400),    # kappa r2 = 10: the whole box
+    ], ids=["default-box", "bench-box", "default-box-kappa-quarter"])
+    def test_sweep_row_steps(self, monkeypatch, kappa, config, rows):
+        # the sweep takes n row steps (each grid's top half; ``_grid_traces``);
+        # a count, unlike a time, repeats exactly, so a change that grows the
+        # sweep fails here.  The wrapper stops the run before the sweep
+        class Stop(Exception):
+            pass
+
+        def grid_traces(spec, units, lams, r_box, n, ell_max):
+            raise Stop(r_box, n)
+
+        monkeypatch.setattr(spectral_oracle, "_grid_traces", grid_traces)
+        with pytest.raises(Stop) as stop:
+            oracle_trace(yukawa(0.05, kappa), ATOMIC, (10.0, 100.0), config)
+        r_box, n = stop.value.args
+        r1, r2 = config.richardson_levels
+        assert n == rows
+        assert r_box / (2 * n) == r2 / (2 * round(config.grid_points * r2 / (2 * r1)))
+        assert (r_box == r2) == (kappa * r2 <= spectral_oracle._KAPPA_R_CAP)
+
+    @pytest.mark.parametrize("spec, lams", [
+        (yukawa(0.05, 1.0), (4.5, 10.0, 25.0, 60.0)),
+        (yukawa(1.0, 0.5), (1.125, 3.0, 8.0, 15.0)),
+        (yukawa(39.0, 1.0), (4.5, 10.0, 25.0, 60.0)),
+    ], ids=["weak", "bound-state", "strong"])
+    def test_capped_box_agrees_with_the_whole_box(self, monkeypatch, spec, lams):
+        # kappa r2 = 20 on a coarse grid (225 coarse rows), capped to kappa R =
+        # 10 against the whole box: the values agree within 1e-4 of the capped
+        # bar and the bars within 1%, as in the sweep that chose the cap over
+        # kappa 0.1-3, these three couplings (g = 0.1, 4 and 78) and the
+        # default, bench and criterion-9 boxes
+        r2 = 20.0 / spec.kappa
+        cfg = OracleConfig(ell_max=20, grid_points=300, richardson_levels=(2.0 * r2 / 3.0, r2))
+        capped = oracle_trace(spec, ATOMIC, lams, cfg)
+        monkeypatch.setattr(spectral_oracle, "_KAPPA_R_CAP", 1e9)
+        whole = oracle_trace(spec, ATOMIC, lams, cfg)
+        w, err = np.array(capped.values), np.array(capped.errors)
+        assert np.all(np.abs(w - np.array(whole.values)) <= 1e-4 * err)
+        assert np.all(np.abs(err / np.array(whole.errors) - 1.0) <= 0.01)
 
     @pytest.mark.parametrize("spec, lams", [
         (yukawa(0.05, 1.0), (4.5, 8.0, 20.0, 100.0)),
