@@ -221,22 +221,20 @@ def _check(label, computed, expected, rel_tol) -> bool:
 
 def _cmd_reproduce(args, units: UnitSystem) -> int:
     z = args.Z
+    spec = potentials.coulomb(z)   # every target checks --Z, eq7 too, which does not read it
     ok = True
     if args.target == "w2-closed-form":
         from .perturbation import compute_w2, w2_closed_form
-        spec = potentials.coulomb(z)
         for lam in (10.0, 40.0):
             ok &= _check(f"w2(Z={z:g}, Lambda={lam:g})",
                          compute_w2(spec, units, lam),
                          w2_closed_form(z, units, lam), 1e-3)
     elif args.target == "case-b-energy":
-        spec = potentials.coulomb(z)
         samples = sample_w(spec, units, geometric_grid(10.0, 100.0, 12), Order.SECOND)
         result = extract_anomalies(samples)
         ok &= _check(f"energy anomaly (Z={z:g})", result.a_e,
                      delta_ae_case_b_closed_form(z, units), 1e-2)
     elif args.target == "w1-scaling":
-        spec = potentials.coulomb(z)
         samples = sample_w(spec, units, geometric_grid(10.0, 1000.0, 10), Order.FIRST)
         fit = fit_power_law(samples)
         ok &= _check("first-order decay exponent", fit.gamma, 1.5, 0.05 / 1.5)

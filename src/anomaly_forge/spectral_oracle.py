@@ -144,7 +144,10 @@ def _bessel_ratio_cf(nu: np.ndarray, x) -> np.ndarray:
     summed at step j are a leading block, and each order does the arithmetic
     of a call on it alone: a batch returns what single calls do, bit for bit,
     whatever the other orders and their x.  At most eight arrays of the orders'
-    size, the arguments included, are live at once.
+    size, the arguments included, are live at once.  The depths are read back
+    from ``live``, the count of orders still summed at each step: the step loop
+    slices by its entries as Python ints, and the tail check's K + 1 repeats
+    each depth by its differences.
     """
     flat = nu.ravel()
     per_order = np.ndim(x) > 0
@@ -157,10 +160,10 @@ def _bessel_ratio_cf(nu: np.ndarray, x) -> np.ndarray:
     del depth
     step = 2.0 / x[order] if per_order else 2.0 / x
     b0 = flat[order] * step       # b_j = b0 + j step
-    r = np.zeros_like(b0)         # r_j, from r_{K+1} = 0
-    slope = np.ones_like(b0)      # prod r_j; the value moves by its square per unit of tail
-    b = np.empty_like(b0)         # b_j
-    for j, n in zip(range(k_max, 0, -1), live):
+    r = np.zeros(flat.size)       # r_j, from r_{K+1} = 0
+    slope = np.ones(flat.size)    # prod r_j; the value moves by its square per unit of tail
+    b = np.empty(flat.size)       # b_j
+    for j, n in zip(range(k_max, 0, -1), live.tolist()):
         r_n = r[:n]
         r_n += np.add(b0[:n], np.multiply(step[:n], j, out=b[:n]) if per_order else j * step,
                       out=b[:n])
@@ -168,7 +171,8 @@ def _bessel_ratio_cf(nu: np.ndarray, x) -> np.ndarray:
         slope[:n] *= r_n
     del b
     # the tail check, in place: slope^2 / b_{K+1} against _EPS r
-    tail = np.repeat(np.arange(k_max + 1.0, 1.0, -1.0), np.diff(live, prepend=0))   # K + 1
+    live[1:] -= live[:-1]   # the number of orders of depth j, for j = k_max, ..., 1
+    tail = np.repeat(np.arange(k_max + 1.0, 1.0, -1.0), live)   # K + 1
     tail *= step
     tail += b0
     unconverged = np.divide(np.square(slope, out=slope), tail, out=slope) > np.multiply(
@@ -251,35 +255,43 @@ def _case_a_linear_response(s_end: np.ndarray, x: float, j: float) -> float:
     return (s_j - c_of(j)) - (s0 - c_of(0.0)) - (d2_j - d2_0) / 24.0 - 7.0 * d4_0 / 5760.0
 
 
-def _case_a_orders(x: float, beta2: float) -> np.ndarray:
-    """The Bessel orders of one box: the quantum orders sqrt((l+1/2)^2 + beta2) and the
-    free orders l + 1/2 of l < ceil(6x) + 200, then ``_case_a_end_orders``."""
-    n_ch = int(math.ceil(6.0 * x)) + 200
-    nu_l = np.arange(n_ch, dtype=float) + 0.5
-    return np.concatenate([np.sqrt(nu_l * nu_l + beta2), nu_l, _case_a_end_orders(float(n_ch))])
+def _case_a_ladders(n: int, beta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quantum orders sqrt((l+1/2)^2 + beta2) and the free orders l + 1/2 of l < n, two
+    ascending ladders.  A box of scale x takes the first ceil(6x) + 200 of each, then
+    ``_case_a_end_orders``; no order below 1.5 x lies past l = ceil(1.5 x), since
+    sqrt((l+1/2)^2 + beta2) >= l + 1/2."""
+    nu_l = np.arange(n, dtype=float) + 0.5
+    return np.sqrt(nu_l * nu_l + beta2), nu_l
 
 
-def _case_a_box_w(beta2: float, lam: float, x: float, low_ratio: np.ndarray) -> tuple[float, float]:
+def _case_a_box_w(beta2: float, lam: float, x: float, nu_q: np.ndarray, nu_l: np.ndarray,
+                  two_nu_l: np.ndarray, cuts: tuple[int, int],
+                  low_ratio: np.ndarray) -> tuple[float, float]:
     """Counterterm-subtracted w(Lambda) for U = alpha/r^2 in one box of scale x.
 
     Returns (value, residual-tail estimate).  Quantum channel sums use the
-    exact Bessel-ratio form with effective orders sqrt((l+1/2)^2 + beta2);
-    the classical phase-space difference is closed-form; the coupling-linear
-    box artifact is beta2 times ``_case_a_linear_response``.  The channel sums
-    take the ratios of the box's ``_case_a_orders``: ``low_ratio`` holds those
-    of the orders below 1.5 x, in index order, and the rest take one
-    ``_bessel_ratio_cf`` call here.
+    exact Bessel-ratio form with effective orders ``nu_q`` = sqrt((l+1/2)^2 + beta2)
+    against the free orders ``nu_l`` = l + 1/2, l < ceil(6x) + 200, each of weight
+    ``two_nu_l`` = 2 (l + 1/2): the box's slices of ``_case_a_ladders``.  The
+    classical phase-space difference is closed-form; the coupling-linear box
+    artifact is beta2 times ``_case_a_linear_response``.  ``cuts`` counts the
+    orders of each ladder below 1.5 x; ``low_ratio`` holds their ratios, the
+    quantum ones, then the free ones, then those of the five low end orders.
+    The rest, the orders past the cuts and the end orders j - d, j and j + d,
+    take one ``_bessel_ratio_cf`` call here.
     """
-    nu = _case_a_orders(x, beta2)
-    n_ch = (nu.size - 8) // 2   # quantum, then free orders, then the eight end orders
+    n_ch = nu_l.size
     j = float(n_ch)
-    nu_l = nu[n_ch:2 * n_ch]
-    low = nu < 1.5 * x
-    ratio = np.empty_like(nu)
-    ratio[low] = low_ratio
-    ratio[~low] = _bessel_ratio_cf(nu[~low], x)
+    cut_q, cut_l = cuts
+    end = _case_a_end_orders(j)   # j - d, j and j + d lie above 1.5 x
+    high_ratio = _bessel_ratio_cf(np.concatenate([nu_q[cut_q:], nu_l[cut_l:], end[5:]]), x)
+    # the box's ratios, quantum, free and end orders, each its low part then its high part
+    q, l = cut_q, cut_q + cut_l            # where the low free and end parts start
+    hq, hl = n_ch - cut_q, 2 * n_ch - l    # where the high free and end parts start
+    ratio = np.concatenate([low_ratio[:q], high_ratio[:hq], low_ratio[q:l], high_ratio[hq:hl],
+                            low_ratio[l:], high_ratio[hl:]])
     s_q, s_l, s_end = np.split(0.5 * x * ratio, [n_ch, 2 * n_ch])
-    quantum = float(np.sum(2.0 * nu_l * (s_q - s_l)))
+    quantum = float(np.sum(two_nu_l * (s_q - s_l)))
     classical = _case_a_classical(x, j, beta2)
     linear_response = _case_a_linear_response(s_end, x, j)
 
@@ -548,10 +560,15 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     error is a third of that step plus the larger channel-tail residual; every
     box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
     in [max(2 beta, 8), 2000] (ValueError otherwise), which the first Lambda's r1
-    box and the last Lambda's r2 box bound.  The orders below 1.5 x of every
-    box, the only ones deeper than 23 steps, take one ``_bessel_ratio_cf`` call,
-    each with its box's x; then each box runs the rest in a call of its own and
-    gives its value (``_case_a_box_w``), with the bits of a box run alone.
+    box and the last Lambda's r2 box bound.  Every box's quantum and free orders
+    are prefixes of two ladders (``_case_a_ladders``), each cut at 1.5 x by
+    position (``np.searchsorted``).  The orders below the cuts of every box, the
+    only ones deeper than 23 steps, and the end orders 0 to 4d take one
+    ``_bessel_ratio_cf`` call, each with its box's x, read from ladders of
+    ceil(1.5 x) + 1 rungs at the largest x; the full ladders are built after
+    it.  Then each box runs the rest in a call of its own on its slices of the
+    ladders and gives its value (``_case_a_box_w``), with the bits of a box run
+    alone.
     Yukawa runs one box of radius R = min(r2, c/kappa), c = ``_KAPPA_R_CAP``:
     r2 is the largest radius it may use.  The fine step h is about
     r1/grid_points, from the 2n-point fine grid of r2, and the box keeps it:
@@ -595,15 +612,27 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                 f"box radius R = {r_box:g}, is outside [max(2 beta, {_CASE_A_X_MIN:g}), "
                 f"{_CASE_A_X_MAX:g}] = [{x_min:g}, {_CASE_A_X_MAX:g}]; "
                 f"move the Lambda window into it")
-        # one fraction call takes the orders below 1.5 x of every box, each with
-        # its box's x; each box then runs the rest of its orders on its own
-        low = [nu[nu < 1.5 * x] for nu, x in ((_case_a_orders(x, beta2), x) for x in xs)]
-        sizes = [a.size for a in low]
-        low = np.concatenate(low)   # no per-box copy is held through the call
-        low = iter(np.split(_bessel_ratio_cf(low, np.repeat(xs, sizes)), np.cumsum(sizes)[:-1]))
+        # every box's orders are prefixes of the grid's two ladders, cut at 1.5 x by
+        # position.  One fraction call takes the orders below the cuts of every box,
+        # each with its box's x, read from short ladders; each box then runs the rest
+        # of its orders on its own, sliced from the full ladders built after that call
+        short_q, short_l = _case_a_ladders(math.ceil(1.5 * x_hi) + 1, beta2)
+        cuts = list(zip(*(np.searchsorted(nu, 1.5 * np.array(xs)).tolist()
+                          for nu in (short_q, short_l))))
+        low_end = _case_a_end_orders(0.0)[:5]   # 0, d, ..., 4d: below 1.5 x, as x >= 8
+        low = np.concatenate([nu for cut_q, cut_l in cuts
+                              for nu in (short_q[:cut_q], short_l[:cut_l], low_end)])
+        sizes = [cut_q + cut_l + low_end.size for cut_q, cut_l in cuts]
+        del short_q, short_l
+        low = np.split(_bessel_ratio_cf(low, np.repeat(xs, sizes)), np.cumsum(sizes)[:-1])
+        n_chs = [math.ceil(6.0 * x) + 200 for x in xs]   # each box's channels
+        nu_q, nu_l = _case_a_ladders(n_chs[-1], beta2)   # the last box is the largest
+        two_nu_l = 2.0 * nu_l
+        boxes = [_case_a_box_w(beta2, lam, x, nu_q[:n], nu_l[:n], two_nu_l[:n], cut, low_ratio)
+                 for lam, x, n, cut, low_ratio in zip((lam for lam in lams for _ in (r1, r2)),
+                                                      xs, n_chs, cuts, low)]
         vals, errs = [], []
-        for lam, row in zip(lams, zip(xs[::2], xs[1::2])):
-            (w1, t1), (w2, t2) = (_case_a_box_w(beta2, lam, x, next(low)) for x in row)
+        for (w1, t1), (w2, t2) in zip(boxes[::2], boxes[1::2]):
             w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
             vals.append(w_inf)
             errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))

@@ -473,17 +473,26 @@ def bessel_ratio_cf_one_box(nu: np.ndarray, x: float) -> np.ndarray:
     return out.reshape(nu.shape)
 
 
+def case_a_box_orders(x: float, beta2: float) -> np.ndarray:
+    """The Bessel orders of one case-A box of scale x, built for that box alone: the
+    quantum orders sqrt((l+1/2)^2 + beta2) and the free orders l + 1/2 of
+    l < ceil(6x) + 200, then ``spectral_oracle._case_a_end_orders``."""
+    n_ch = int(math.ceil(6.0 * x)) + 200
+    nu_l = np.arange(n_ch, dtype=float) + 0.5
+    return np.concatenate([np.sqrt(nu_l * nu_l + beta2), nu_l,
+                           spectral_oracle._case_a_end_orders(float(n_ch))])
+
+
 def case_a_w_at_radius(beta2: float, lam: float, r_box: float,
                        units: UnitSystem) -> tuple[float, float]:
     """The case-A box value (w, residual-tail estimate) at one radius, with every
     channel sum from ``bessel_ratio_cf_one_box`` on the box's orders."""
     hbar, m = units.hbar, units.m
     x = math.sqrt(2.0 * m * lam) * r_box / hbar
-    n_ch = int(math.ceil(6.0 * x)) + 200
+    orders = case_a_box_orders(x, beta2)
+    n_ch = (orders.size - 8) // 2   # quantum, then free orders, then the eight end orders
     j = float(n_ch)
-    nu_l = np.arange(n_ch, dtype=float) + 0.5
-    nu_q = np.sqrt(nu_l * nu_l + beta2)
-    orders = np.concatenate([nu_q, nu_l, spectral_oracle._case_a_end_orders(j)])
+    nu_l = orders[n_ch:2 * n_ch]
     s_q, s_l, s_end = np.split(0.5 * x * bessel_ratio_cf_one_box(orders, x), [n_ch, 2 * n_ch])
     quantum = float(np.sum(2.0 * nu_l * (s_q - s_l)))
     classical = spectral_oracle._case_a_classical(x, j, beta2)

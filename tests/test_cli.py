@@ -314,6 +314,14 @@ class TestReproduceCommand:
         assert published.startswith("published closed form")
         assert "(not a check)" in published and "PASS" not in published
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "-1"])
+    def test_eq7_checks_z_as_the_other_targets_do(self, capsys, z):
+        # eq7 does not read --Z, but refuses what the Coulomb targets refuse,
+        # with their message, before any work
+        eq7 = run_cli(capsys, "reproduce", "--target", "eq7", "--Z", z)
+        assert eq7[0] == 2 and eq7[1] == ""
+        assert eq7 == run_cli(capsys, "reproduce", "--target", "w2-closed-form", "--Z", z)
+
     def test_unknown_target_exits_2(self, capsys):
         assert main(["reproduce", "--target", "nonsense"]) == 2
 

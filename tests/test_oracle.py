@@ -31,6 +31,7 @@ from anomaly_forge.units import ATOMIC, UnitSystem
 from references import (
     bessel_ratio_cf_one_box,
     bessel_ratio_nu_derivative,
+    case_a_box_orders,
     case_a_trace_one_box_at_a_time,
     grid_channel_levels,
     grid_trace_differences,
@@ -412,7 +413,7 @@ class TestBesselRatioRoutes:
                  for lam in lams for r in OracleConfig().richardson_levels]
         assert len(calls) == 1 + 2 * lams.size == 1 + len(boxes)
         (low, x_low), *rest = calls
-        orders = [spectral_oracle._case_a_orders(x, 100.0) for x in boxes]
+        orders = [case_a_box_orders(x, 100.0) for x in boxes]
         below = [nu < 1.5 * x for nu, x in zip(orders, boxes)]
         assert np.array_equal(low, np.concatenate([nu[b] for nu, b in zip(orders, below)]))
         assert np.array_equal(x_low, np.repeat(boxes, [np.count_nonzero(b) for b in below]))
@@ -565,12 +566,31 @@ class TestCaseASharedDeepSteps:
         assert [v.hex() for v in samples.values] == [v.hex() for v in vals]
         assert [e.hex() for e in samples.errors] == [e.hex() for e in errs]
 
+    def test_kernel_work_is_counted(self, monkeypatch):
+        # criterion 3's fixture makes one fraction call on the grid's low
+        # orders and one per box: 17 calls, 41 284 orders and 855 406 steps,
+        # the sum of every order's depth.  A change that adds fraction work
+        # fails here, where timing noise would hide it
+        calls = []
+
+        def counting_cf(nu, x):
+            calls.append((nu.size, int(spectral_oracle._cf_depth(nu, x).sum())))
+            return ratio_cf(nu, x)
+
+        ratio_cf = spectral_oracle._bessel_ratio_cf
+        monkeypatch.setattr(spectral_oracle, "_bessel_ratio_cf", counting_cf)
+        oracle_trace(inverse_square(ALPHA_100), ATOMIC, np.geomspace(5.0, 50.0, 8))
+        orders, steps = (sum(column) for column in zip(*calls))
+        assert (len(calls), orders, steps) == (17, 41_284, 855_406)
+
     def test_memory_stays_box_sized(self):
         # only the low orders of the grid and one box's orders are held at a
-        # time.  The traced peak is 1113.5 KiB, in the call on the grid's low
-        # orders; the bound leaves it 8%.  A kernel that kept its b_j buffer
+        # time.  The traced peak is 1115 KiB, in the call on the grid's low
+        # orders; the bound leaves it 7.6%.  A kernel that kept its b_j buffer
         # through the tail check read 1250 KiB, one that kept two temporaries
-        # per step 1369 KiB, and one that held every box's orders at once 1.7 MiB
+        # per step 1369 KiB, one that built the grid's full order ladders
+        # before the low call 1232 KiB, and one that held every box's orders
+        # at once 1.7 MiB
         units = UnitSystem(hbar=0.5)
         spec = inverse_square(150.0 * 0.25 / 2.0)
         oracle_trace(spec, units, [5.0])   # first-call set-up is not counted
@@ -936,16 +956,26 @@ class TestOracleW:
         assert all(abs(w - t) <= e for w, t, e in zip(samples.values, targets, samples.errors))
 
     @pytest.mark.parametrize("ell_max", [10, 15])
-    def test_tail_bar_covers_the_channels_left_out(self, ell_max):
-        # the tail component, from the even channel terms of the larger
-        # radius's fine grid, against what doubling the channel list moves
+    def test_tail_bar_covers_the_channels_left_out(self, ell_max, monkeypatch):
+        # the tail component, from the even channel terms of the fine grid of
+        # the box the oracle runs (criterion 9's box ends at kappa R = 10, on
+        # its 625th coarse row), against what doubling the channel list moves
         spec = yukawa(0.05, 1.0)
-        diffs = _grid_traces(spec, ATOMIC, CRITERION_9_LAMS, 22.0, 1375, ell_max)[0]
-        t_p1, t_m1 = (2.0 * np.arange(ell_max + 1) + 1.0) * diffs[:2]
-        tail_bar = spectral_oracle._tail_error(0.5 * (t_p1 + t_m1))
+        swept = []
+
+        def recording_sweep(*args):
+            swept.append((args, grid_traces(*args)))
+            return swept[-1][1]
+
+        grid_traces = spectral_oracle._grid_traces
+        monkeypatch.setattr(spectral_oracle, "_grid_traces", recording_sweep)
         w, w_double = (np.array(oracle_trace(spec, ATOMIC, CRITERION_9_LAMS,
                                              criterion_9_box(l)).values)
                        for l in (ell_max, 2 * ell_max))
+        (args, diffs), _ = swept
+        assert args[3:] == (pytest.approx(10.0, rel=1e-12), 625, ell_max)
+        t_p1, t_m1 = (2.0 * np.arange(ell_max + 1) + 1.0) * diffs[0, :2]
+        tail_bar = spectral_oracle._tail_error(0.5 * (t_p1 + t_m1))
         ratio = tail_bar / np.abs(w - w_double)
         assert np.all((ratio >= 1.0) & (ratio <= 10.0)), ratio
 
@@ -964,7 +994,7 @@ class TestOracleW:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle worked on a bad Lambda grid")
 
-        for name in ("_grid_traces", "_classical_difference", "_case_a_orders",
+        for name in ("_grid_traces", "_classical_difference", "_case_a_ladders",
                      "_bessel_ratio_cf", "_case_a_box_w"):
             monkeypatch.setattr(spectral_oracle, name, forbidden)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
