@@ -21,11 +21,12 @@ artifacts must be cancelled before the infinite-volume physics emerges:
 For the inverse-square family the box spectra are exact Bessel zeros and
 the channel resolvent sums collapse to modified-Bessel-function ratios,
 so the whole evaluation is closed-form up to the ratio itself, a continued
-fraction summed backward in numpy.  The orders below 1.5 x, the only ones
-deeper than 23 steps, run through one call for all boxes of a Lambda grid,
-each with its box's x; each box then runs the rest.  Yukawa runs one box,
-within bounds on kappa R, Lambda, the coupling and the grid step, that ends
-at kappa R = 10 where the configured box is larger, with O(N)
+fraction summed backward in numpy.  At fixed beta^2 a box's Lambda w is a
+function of its scale x alone, so one pass runs a list of scales: the orders
+below 1.5 x, the only ones deeper than 23 steps, take one call for up to 32
+boxes, each with its box's x, and each box then runs the rest.  Yukawa runs
+one box, within bounds on kappa R, Lambda, the coupling and the grid step,
+that ends at kappa R = 10 where the configured box is larger, with O(N)
 pivot recursions of the tridiagonal radial grid operator, run from both walls
 at once and joined by a twist term, without eigenvalues, that sum each
 channel's difference against the free channel row by row, up to l_max.  Its
@@ -264,40 +265,51 @@ def _case_a_ladders(n: int, beta2: float) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(nu_l * nu_l + beta2), nu_l
 
 
-def _case_a_box_w(beta2: float, lam: float, x: float, nu_q: np.ndarray, nu_l: np.ndarray,
-                  two_nu_l: np.ndarray, cuts: tuple[int, int],
-                  low_ratio: np.ndarray) -> tuple[float, float]:
-    """Counterterm-subtracted w(Lambda) for U = alpha/r^2 in one box of scale x.
+_CASE_A_BOXES = 32   # the most boxes oracle_trace gives one _case_a_boxes call: bounds its memory
 
-    Returns (value, residual-tail estimate).  Quantum channel sums use the
-    exact Bessel-ratio form with effective orders ``nu_q`` = sqrt((l+1/2)^2 + beta2)
-    against the free orders ``nu_l`` = l + 1/2, l < ceil(6x) + 200, each of weight
-    ``two_nu_l`` = 2 (l + 1/2): the box's slices of ``_case_a_ladders``.  The
-    classical phase-space difference is closed-form; the coupling-linear box
-    artifact is beta2 times ``_case_a_linear_response``.  ``cuts`` counts the
-    orders of each ladder below 1.5 x; ``low_ratio`` holds their ratios, the
-    quantum ones, then the free ones, then those of the five low end orders.
-    The rest, the orders past the cuts and the end orders j - d, j and j + d,
-    take one ``_bessel_ratio_cf`` call here.
+
+def _case_a_boxes(beta2: float, xs: np.ndarray) -> np.ndarray:
+    """Lambda w for U = alpha/r^2 in a box of each scale x of ``xs``, and Lambda times its
+    residual-tail estimate: shape (2,) + ``xs.shape``.
+
+    At fixed beta2 = 2 m alpha / hbar^2, Lambda w depends only on the box scale
+    x = sqrt(2 m Lambda) R / hbar.  A box sums l < n = ceil(6x) + 200 channels,
+    its quantum orders against its free orders, prefixes of ``_case_a_ladders``,
+    each weighted 2 (l + 1/2); then it subtracts its closed-form classical term
+    and beta2 times ``_case_a_linear_response``.  One ``_bessel_ratio_cf`` call,
+    with an x per order, takes every box's eight ``_case_a_end_orders`` and its
+    ladder orders below 1.5 x, the only ones deeper than 23 steps, cut by
+    position from ladders of ceil(1.5 x) + 1 rungs at the largest x: its memory
+    grows with the number of boxes.  The full ladders are built after it; each
+    box then runs its orders at or above 1.5 x in a call of its own.  Every
+    order does the arithmetic of a call on its box alone, so a box's bits do
+    not depend on the other boxes.
     """
-    n_ch = nu_l.size
-    j = float(n_ch)
-    cut_q, cut_l = cuts
-    end = _case_a_end_orders(j)   # j - d, j and j + d lie above 1.5 x
-    high_ratio = _bessel_ratio_cf(np.concatenate([nu_q[cut_q:], nu_l[cut_l:], end[5:]]), x)
-    # the box's ratios, quantum, free and end orders, each its low part then its high part
-    q, l = cut_q, cut_q + cut_l            # where the low free and end parts start
-    hq, hl = n_ch - cut_q, 2 * n_ch - l    # where the high free and end parts start
-    ratio = np.concatenate([low_ratio[:q], high_ratio[:hq], low_ratio[q:l], high_ratio[hq:hl],
-                            low_ratio[l:], high_ratio[hl:]])
-    s_q, s_l, s_end = np.split(0.5 * x * ratio, [n_ch, 2 * n_ch])
-    quantum = float(np.sum(two_nu_l * (s_q - s_l)))
-    classical = _case_a_classical(x, j, beta2)
-    linear_response = _case_a_linear_response(s_end, x, j)
-
-    w = (quantum - classical - beta2 * linear_response) / lam
-    tail_resid = x * x * beta2 * beta2 / (8.0 * (j * j + x * x) ** 2) / lam
-    return w, tail_resid
+    flat = np.ravel(xs).tolist()
+    n_chs = [math.ceil(6.0 * x) + 200 for x in flat]   # each box's channels
+    short_q, short_l = _case_a_ladders(math.ceil(1.5 * max(flat)) + 1, beta2)
+    cuts = list(zip(*(np.searchsorted(nu, 1.5 * np.array(flat)).tolist()
+                      for nu in (short_q, short_l))))
+    low = np.concatenate([nu for (cut_q, cut_l), n in zip(cuts, n_chs) for nu in (
+        short_q[:cut_q], short_l[:cut_l], _case_a_end_orders(float(n)))])
+    sizes = [cut_q + cut_l + 8 for cut_q, cut_l in cuts]
+    del short_q, short_l
+    low = np.split(_bessel_ratio_cf(low, np.repeat(flat, sizes)), np.cumsum(sizes)[:-1])
+    nu_q, nu_l = _case_a_ladders(max(n_chs), beta2)
+    two_nu_l = 2.0 * nu_l
+    boxes = []
+    for x, n, (cut_q, cut_l), low_ratio in zip(flat, n_chs, cuts, low):
+        high = _bessel_ratio_cf(np.concatenate([nu_q[cut_q:n], nu_l[cut_l:n]]), x)
+        # each ladder's ratios, its low part then its high part: quantum, then free
+        s = 0.5 * x * np.concatenate([low_ratio[:cut_q], high[:n - cut_q],
+                                      low_ratio[cut_q:cut_q + cut_l], high[n - cut_q:]])
+        quantum = float(np.sum(two_nu_l[:n] * (s[:n] - s[n:])))
+        j = float(n)
+        linear_response = _case_a_linear_response(0.5 * x * low_ratio[cut_q + cut_l:], x, j)
+        # the tail stays in Python floats: its ** 2, C pow, can differ from v * v in the last bit
+        boxes.append((quantum - _case_a_classical(x, j, beta2) - beta2 * linear_response,
+                      x * x * beta2 * beta2 / (8.0 * (j * j + x * x) ** 2)))
+    return np.moveaxis(np.reshape(boxes, (*np.shape(xs), 2)), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +572,10 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     error is a third of that step plus the larger channel-tail residual; every
     box scale x = sqrt(2 m Lambda) R / hbar of the grid and both radii must lie
     in [max(2 beta, 8), 2000] (ValueError otherwise), which the first Lambda's r1
-    box and the last Lambda's r2 box bound.  Every box's quantum and free orders
-    are prefixes of two ladders (``_case_a_ladders``), each cut at 1.5 x by
-    position (``np.searchsorted``).  The orders below the cuts of every box, the
-    only ones deeper than 23 steps, and the end orders 0 to 4d take one
-    ``_bessel_ratio_cf`` call, each with its box's x, read from ladders of
-    ceil(1.5 x) + 1 rungs at the largest x; the full ladders are built after
-    it.  Then each box runs the rest in a call of its own on its slices of the
-    ladders and gives its value (``_case_a_box_w``), with the bits of a box run
-    alone.
+    box and the last Lambda's r2 box bound.  Each box's Lambda w and tail come
+    from ``_case_a_boxes`` on its scale, ``_CASE_A_BOXES`` boxes a call, so a
+    long grid's memory stays that of one call; each box keeps the bits it has
+    when run alone.
     Yukawa runs one box of radius R = min(r2, c/kappa), c = ``_KAPPA_R_CAP``:
     r2 is the largest radius it may use.  The fine step h is about
     r1/grid_points, from the 2n-point fine grid of r2, and the box keeps it:
@@ -602,8 +609,9 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
     r1, r2 = config.richardson_levels
     if fam is Family.INVERSE_SQUARE:
         beta2 = 2.0 * units.m * spec.alpha / units.hbar**2
-        xs = [math.sqrt(2.0 * units.m * lam) * r / units.hbar for lam in lams for r in (r1, r2)]
-        x_lo, x_hi = xs[0], xs[-1]   # the grid increases
+        lam_col = np.array(lams)[:, None]
+        xs = np.sqrt(2.0 * units.m * lam_col) * [r1, r2] / units.hbar   # (Lambda, radius)
+        x_lo, x_hi = float(xs[0, 0]), float(xs[-1, -1])   # the grid increases
         x_min = max(2.0 * math.sqrt(beta2), _CASE_A_X_MIN)
         if not (x_min <= x_lo and x_hi <= _CASE_A_X_MAX):
             lam, r_box, x = (lams[0], r1, x_lo) if x_lo < x_min else (lams[-1], r2, x_hi)
@@ -612,31 +620,14 @@ def oracle_trace(spec: PotentialSpec, units: UnitSystem, lambda_grid,
                 f"box radius R = {r_box:g}, is outside [max(2 beta, {_CASE_A_X_MIN:g}), "
                 f"{_CASE_A_X_MAX:g}] = [{x_min:g}, {_CASE_A_X_MAX:g}]; "
                 f"move the Lambda window into it")
-        # every box's orders are prefixes of the grid's two ladders, cut at 1.5 x by
-        # position.  One fraction call takes the orders below the cuts of every box,
-        # each with its box's x, read from short ladders; each box then runs the rest
-        # of its orders on its own, sliced from the full ladders built after that call
-        short_q, short_l = _case_a_ladders(math.ceil(1.5 * x_hi) + 1, beta2)
-        cuts = list(zip(*(np.searchsorted(nu, 1.5 * np.array(xs)).tolist()
-                          for nu in (short_q, short_l))))
-        low_end = _case_a_end_orders(0.0)[:5]   # 0, d, ..., 4d: below 1.5 x, as x >= 8
-        low = np.concatenate([nu for cut_q, cut_l in cuts
-                              for nu in (short_q[:cut_q], short_l[:cut_l], low_end)])
-        sizes = [cut_q + cut_l + low_end.size for cut_q, cut_l in cuts]
-        del short_q, short_l
-        low = np.split(_bessel_ratio_cf(low, np.repeat(xs, sizes)), np.cumsum(sizes)[:-1])
-        n_chs = [math.ceil(6.0 * x) + 200 for x in xs]   # each box's channels
-        nu_q, nu_l = _case_a_ladders(n_chs[-1], beta2)   # the last box is the largest
-        two_nu_l = 2.0 * nu_l
-        boxes = [_case_a_box_w(beta2, lam, x, nu_q[:n], nu_l[:n], two_nu_l[:n], cut, low_ratio)
-                 for lam, x, n, cut, low_ratio in zip((lam for lam in lams for _ in (r1, r2)),
-                                                      xs, n_chs, cuts, low)]
-        vals, errs = [], []
-        for (w1, t1), (w2, t2) in zip(boxes[::2], boxes[1::2]):
-            w_inf = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
-            vals.append(w_inf)
-            errs.append(abs(w_inf - w2) / 3.0 + max(t1, t2))
-        return TraceSamples(lams, tuple(vals), tuple(errs), Source.ORACLE, spec, units)
+        per_call = _CASE_A_BOXES // 2   # Lambda values, two boxes each
+        boxes = np.concatenate([_case_a_boxes(beta2, xs[i:i + per_call])
+                                for i in range(0, len(lams), per_call)], axis=1)
+        (w1, w2), (t1, t2) = (a.T for a in boxes / lam_col)
+        vals = (r2 * r2 * w2 - r1 * r1 * w1) / (r2 * r2 - r1 * r1)
+        errs = np.abs(vals - w2) / 3.0 + np.maximum(t1, t2)
+        return TraceSamples(lams, tuple(vals.tolist()), tuple(errs.tolist()), Source.ORACLE,
+                            spec, units)
 
     k = np.sqrt(2.0 * units.m * np.array(lams)) / units.hbar
     g = 2.0 * units.m * spec.Z * units.e2 / (units.hbar**2 * spec.kappa)

@@ -393,8 +393,9 @@ class TestBesselRatioRoutes:
 
     def test_case_a_needs_no_ive(self, monkeypatch):
         # criterion 3's case-A fixture runs with ive unusable: one
-        # _bessel_ratio_cf call on the orders below 1.5 x of every box, each
-        # with its box's x, then one per box on the rest of its orders
+        # _bessel_ratio_cf call on the quantum and free orders below 1.5 x and
+        # the eight end orders of every box, each with its box's x, then one
+        # per box on its quantum and free orders at or above 1.5 x
         calls = []
 
         def recording_cf(nu, x):
@@ -414,12 +415,14 @@ class TestBesselRatioRoutes:
         assert len(calls) == 1 + 2 * lams.size == 1 + len(boxes)
         (low, x_low), *rest = calls
         orders = [case_a_box_orders(x, 100.0) for x in boxes]
-        below = [nu < 1.5 * x for nu, x in zip(orders, boxes)]
-        assert np.array_equal(low, np.concatenate([nu[b] for nu, b in zip(orders, below)]))
-        assert np.array_equal(x_low, np.repeat(boxes, [np.count_nonzero(b) for b in below]))
-        for (nu, x), box, box_orders, b in zip(rest, boxes, orders, below):
+        # the quantum and free orders come first, then the eight end orders
+        low_part = [(nu < 1.5 * x) | (np.arange(nu.size) >= nu.size - 8)
+                    for nu, x in zip(orders, boxes)]
+        assert np.array_equal(low, np.concatenate([nu[b] for nu, b in zip(orders, low_part)]))
+        assert np.array_equal(x_low, np.repeat(boxes, [np.count_nonzero(b) for b in low_part]))
+        for (nu, x), box, box_orders, b in zip(rest, boxes, orders, low_part):
             assert x.ndim == 0 and x == box
-            assert np.array_equal(nu, box_orders[~b])
+            assert np.array_equal(nu, box_orders[~b]) and np.all(nu >= 1.5 * box)
             # quantum orders, free orders and the eight end orders of the box
             assert box_orders.size == 2 * (math.ceil(6.0 * box) + 200) + 8
 
@@ -566,10 +569,17 @@ class TestCaseASharedDeepSteps:
         assert [v.hex() for v in samples.values] == [v.hex() for v in vals]
         assert [e.hex() for e in samples.errors] == [e.hex() for e in errs]
 
-    def test_kernel_work_is_counted(self, monkeypatch):
-        # criterion 3's fixture makes one fraction call on the grid's low
-        # orders and one per box: 17 calls, 41 284 orders and 855 406 steps,
-        # the sum of every order's depth.  A change that adds fraction work
+    @pytest.mark.parametrize("hbar, counts", [
+        (1.0, (17, 41_284, 855_406)),    # criterion 3's fixture
+        (0.8, (17, 49_968, 1_067_566)),
+        (0.625, (17, 62_124, 1_369_480)),
+        (0.5, (17, 76_024, 1_720_334)),
+    ], ids=["hbar=1-criterion-3", "hbar=0.8", "hbar=0.625", "hbar=0.5"])
+    def test_kernel_work_is_counted(self, monkeypatch, hbar, counts):
+        # one fraction call on the grid's low orders and one per box, with
+        # the orders and the steps (the sum of every order's depth) of the
+        # benchmark's case-A hbar values on its window, at beta^2 = 100: the
+        # benchmark draws beta^2 from 50-150.  A change that adds fraction work
         # fails here, where timing noise would hide it
         calls = []
 
@@ -579,18 +589,19 @@ class TestCaseASharedDeepSteps:
 
         ratio_cf = spectral_oracle._bessel_ratio_cf
         monkeypatch.setattr(spectral_oracle, "_bessel_ratio_cf", counting_cf)
-        oracle_trace(inverse_square(ALPHA_100), ATOMIC, np.geomspace(5.0, 50.0, 8))
+        spec = inverse_square(100.0 * hbar * hbar / 2.0)
+        oracle_trace(spec, UnitSystem(hbar=hbar), np.geomspace(5.0, 50.0, 8))
         orders, steps = (sum(column) for column in zip(*calls))
-        assert (len(calls), orders, steps) == (17, 41_284, 855_406)
+        assert (len(calls), orders, steps) == counts
 
     def test_memory_stays_box_sized(self):
         # only the low orders of the grid and one box's orders are held at a
-        # time.  The traced peak is 1115 KiB, in the call on the grid's low
-        # orders; the bound leaves it 7.6%.  A kernel that kept its b_j buffer
-        # through the tail check read 1250 KiB, one that kept two temporaries
-        # per step 1369 KiB, one that built the grid's full order ladders
-        # before the low call 1232 KiB, and one that held every box's orders
-        # at once 1.7 MiB
+        # time.  The traced peak is 1119 KiB, in the call on the grid's low
+        # orders and every box's end orders; the bound leaves it 7.2%.  A
+        # kernel that kept its b_j buffer through the tail check read 1250
+        # KiB, one that kept two temporaries per step 1369 KiB, one that built
+        # the grid's full order ladders before the low call 1232 KiB, and one
+        # that held every box's orders at once 1.7 MiB
         units = UnitSystem(hbar=0.5)
         spec = inverse_square(150.0 * 0.25 / 2.0)
         oracle_trace(spec, units, [5.0])   # first-call set-up is not counted
@@ -601,6 +612,23 @@ class TestCaseASharedDeepSteps:
         finally:
             tracemalloc.stop()
         assert peak <= 1200 * 1024, peak
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the low fraction call holds the low orders of at most 32 boxes (16
+        # Lambda) at once: 128 points peak at 3460 KiB against 2214 at 16.
+        # One call on the low orders of every box read 17 508 KiB at 128
+        units = UnitSystem(hbar=0.5)
+        spec = inverse_square(150.0 * 0.25 / 2.0)
+        oracle_trace(spec, units, [5.0])   # first-call set-up is not counted
+        peaks = []
+        for points in (16, 128):
+            tracemalloc.start()
+            try:
+                oracle_trace(spec, units, np.geomspace(5.0, 50.0, points))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestCaseAUnitCovariance:
@@ -938,6 +966,22 @@ class TestOracleW:
                                              r"k h = 0\.565685 \(h = 0\.04\) at Lambda = 100; "):
             oracle_trace(spec, ATOMIC, [30.0, 100.0], cfg)
 
+    def test_bench_box_integrand_nodes_are_counted(self, monkeypatch):
+        # the benchmark's screened job evaluates U twice: once on the 8208
+        # nodes of the classical batch, 228 segments of 24 + 12 Gauss nodes,
+        # then once on the 625 fine nodes of the sweep's box (R 12 -> 10.016).
+        # A change that adds integrand work fails here, where timing noise
+        # would hide it
+        calls = []
+
+        def counting(spec, units, r):
+            calls.append(np.shape(r))
+            return evaluate(spec, units, r)
+
+        monkeypatch.setattr(spectral_oracle, "evaluate", counting)
+        oracle_trace(yukawa(0.05, 1.0), ATOMIC, [10.0, 20.0, 40.0, 100.0], BENCH_BOX)
+        assert calls == [(228, 36), (625,)]
+
     def test_bench_box_lambda_100_near_w2(self):
         # the fitted power-law l-tail left this point 17.3% off w2
         spec = yukawa(0.05, 1.0)
@@ -995,7 +1039,7 @@ class TestOracleW:
             raise AssertionError("the oracle worked on a bad Lambda grid")
 
         for name in ("_grid_traces", "_classical_difference", "_case_a_ladders",
-                     "_bessel_ratio_cf", "_case_a_box_w"):
+                     "_bessel_ratio_cf", "_case_a_boxes"):
             monkeypatch.setattr(spectral_oracle, name, forbidden)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             oracle_trace(spec, ATOMIC, grid)
