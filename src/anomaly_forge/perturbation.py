@@ -109,12 +109,12 @@ def compute_w1(spec: PotentialSpec, units: UnitSystem, lam: float) -> float:
 
     The delta-localized first-order term
     -(2 pi hbar)^-3 * C * int d^3p c2(p, Lambda) / (Lambda + p^2/2m),
-    with C the Coulomb tail coefficient and c2 the small-k curvature of the
+    with C the Coulomb tail coefficient's magnitude and c2 the small-k curvature of the
     angle-averaged resolvent, -1/(2m E^2) + p^2/(3 m^2 E^3) with
     E = Lambda + p^2/2m.  In scaled momenta the p-integral is -pi/48 (see
     the module docstring), so
     w1 = C 4 pi / (2 pi hbar)^3 * sqrt(2m) * (pi/48) * Lambda^-3/2.
-    Exactly zero for screened tails, where C vanishes.
+    Exactly zero for screened tails, where C vanishes.  The sign is open (ROADMAP item 25).
     """
     if not (lam > 0.0):
         raise ValueError(f"Lambda must be positive, got {lam}")

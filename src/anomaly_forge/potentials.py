@@ -4,15 +4,15 @@ Supported families:
 
 * Coulomb            U(r) = -Z e^2 / r                       (attractive)
 * InverseSquare      U(r) = +alpha / r^2                     (repulsive)
-* Yukawa             U(r) = -Z e^2 exp(-kappa r) / r
-* CutoffCoulomb      U(r) = -Z e^2 / max(r, r_cut)
+* Yukawa             U(r) = -Z e^2 exp(-kappa r) / r         (attractive)
+* CutoffCoulomb      U(r) = -Z e^2 / max(r, r_cut)           (attractive)
 
-The momentum-space transform follows the convention in which the Coulomb
-potential transforms to 4 pi Z e^2 hbar^2 / k^2.  Transforms are returned
-for the magnitude profile |U|; the attractive/repulsive sign lives on the
-spec itself, so squared transforms are unambiguous.  ``evaluate`` and
-``fourier_transform_at`` are array functions that only the spectral oracle
-and the tests call, so they import numpy on the call.
+Each family has that one sign; the oracle keeps only the part of the trace
+even in U.  The momentum-space transform follows the convention in which
+the Coulomb potential transforms to 4 pi Z e^2 hbar^2 / k^2, and is of the
+magnitude |U|.  ``evaluate`` and ``fourier_transform_at`` are array
+functions that only the spectral oracle and the tests call, so they import
+numpy on the call.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ class CaseLabel(enum.Enum):
     A = "A"
     B = "B"
     C = "C"
-    UNSUPPORTED = "unsupported"
 
 
 class PotentialSpec(Record):
     def __init__(self, family: Family, Z: float = 0.0, alpha: float = 0.0, kappa: float = 0.0,
-                 r_cut: float = 0.0, attractive: bool = True) -> None:
-        """Raises ValueError on a non-finite parameter or one the family needs but lacks;
-        an inverse-square spec is always stored with ``attractive=False``."""
-        self._set(family=family, Z=Z, alpha=alpha, kappa=kappa, r_cut=r_cut, attractive=attractive)
+                 r_cut: float = 0.0) -> None:
+        """A family and its parameters; the family fixes the sign (see the module docstring).
+        Raises ValueError on a non-finite parameter or one the family needs but lacks."""
+        self._set(family=family, Z=Z, alpha=alpha, kappa=kappa, r_cut=r_cut)
         for name in ("Z", "alpha", "kappa", "r_cut"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -60,7 +59,6 @@ class PotentialSpec(Record):
             # Repulsive only; attractive 1/r^2 needs self-adjoint extension data.
             if self.alpha < 0.0:
                 raise ValueError("inverse-square strength alpha must be >= 0")
-            self._set(attractive=False)
         else:
             if not (self.Z > 0.0):
                 raise ValueError(f"{fam.value} requires charge Z > 0, got {self.Z}")
@@ -69,26 +67,21 @@ class PotentialSpec(Record):
         if fam is Family.CUTOFF_COULOMB and not (self.r_cut > 0.0):
             raise ValueError(f"cutoff Coulomb requires r_cut > 0, got {self.r_cut}")
 
-    @property
-    def sign(self) -> float:
-        """-1 for attractive wells, +1 for repulsive barriers."""
-        return -1.0 if self.attractive else 1.0
 
-
-def coulomb(Z: float, attractive: bool = True) -> PotentialSpec:
-    return PotentialSpec(Family.COULOMB, Z=Z, attractive=attractive)
+def coulomb(Z: float) -> PotentialSpec:
+    return PotentialSpec(Family.COULOMB, Z=Z)
 
 
 def inverse_square(alpha: float) -> PotentialSpec:
     return PotentialSpec(Family.INVERSE_SQUARE, alpha=alpha)
 
 
-def yukawa(Z: float, kappa: float, attractive: bool = True) -> PotentialSpec:
-    return PotentialSpec(Family.YUKAWA, Z=Z, kappa=kappa, attractive=attractive)
+def yukawa(Z: float, kappa: float) -> PotentialSpec:
+    return PotentialSpec(Family.YUKAWA, Z=Z, kappa=kappa)
 
 
-def cutoff_coulomb(Z: float, r_cut: float, attractive: bool = True) -> PotentialSpec:
-    return PotentialSpec(Family.CUTOFF_COULOMB, Z=Z, r_cut=r_cut, attractive=attractive)
+def cutoff_coulomb(Z: float, r_cut: float) -> PotentialSpec:
+    return PotentialSpec(Family.CUTOFF_COULOMB, Z=Z, r_cut=r_cut)
 
 
 class SingularityClass(Record):
@@ -107,11 +100,11 @@ def evaluate(spec: PotentialSpec, units: UnitSystem, r):
     if fam is Family.INVERSE_SQUARE:
         return spec.alpha / r**2
     if fam is Family.COULOMB:
-        return spec.sign * spec.Z * units.e2 / r
+        return -spec.Z * units.e2 / r
     if fam is Family.YUKAWA:
-        return spec.sign * spec.Z * units.e2 * np.exp(-spec.kappa * r) / r
+        return -spec.Z * units.e2 * np.exp(-spec.kappa * r) / r
     if fam is Family.CUTOFF_COULOMB:
-        return spec.sign * spec.Z * units.e2 / np.maximum(r, spec.r_cut)
+        return -spec.Z * units.e2 / np.maximum(r, spec.r_cut)
     raise AssertionError(f"unhandled family {fam}")
 
 
@@ -160,7 +153,7 @@ def classify(spec: PotentialSpec) -> SingularityClass:
 
 
 def coulomb_tail_coefficient(spec: PotentialSpec, units: UnitSystem) -> float:
-    """lim_{k->0} k^2 U(k): 4 pi Z e^2 hbar^2 for a bare Coulomb tail, else 0."""
+    """|lim_{k->0} k^2 U(k)|, the magnitude: 4 pi Z e^2 hbar^2 for a bare Coulomb tail, else 0."""
     if classify(spec).large_x_tail is LargeXTail.COULOMB_TAIL:
         return 4.0 * math.pi * spec.Z * units.e2 * units.hbar**2
     return 0.0

@@ -397,7 +397,7 @@ def _classical_difference(spec: PotentialSpec, units: UnitSystem, factors, lams,
                                                    r_star)):
         if factor == 0.0:
             continue   # the bracket vanishes
-        core = factor * spec.sign < 0.0   # attractive
+        core = factor > 0.0   # f > 0 lanes are attractive
         if core and rs > r_box:
             raise ValueError(f"the classically forbidden core reaches the box wall: at Lambda = "
                              f"{lam:g} the turning point r0 = {rs:g} lies beyond the box "

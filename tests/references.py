@@ -314,7 +314,7 @@ def yukawa_classical_cut_mpmath(spec: PotentialSpec, units: UnitSystem, factor: 
 
     with mpmath.workdps(40):
         hbar, m, lam_mp, f, R = (mpmath.mpf(v) for v in (units.hbar, units.m, lam, factor, r_box))
-        g = f * spec.sign * spec.Z * mpmath.mpf(units.e2)
+        g = -f * spec.Z * mpmath.mpf(units.e2)
         kappa = mpmath.mpf(spec.kappa)
 
         def c(nu):
@@ -350,7 +350,7 @@ def yukawa_classical_adaptive(spec: PotentialSpec, units: UnitSystem, factors, l
 
     out = np.zeros((len(factors), len(lams)))
     for i, factor in enumerate(factors):
-        g = -factor * spec.sign * spec.Z * units.e2
+        g = factor * spec.Z * units.e2
         for j, lam in enumerate(lams):
             def integrand(r, factor=factor, lam=lam):
                 u = factor * evaluate(spec, units, r)

@@ -15,7 +15,7 @@ from scipy.special import digamma, jv, lambertw
 from anomaly_forge import spectral_oracle
 from anomaly_forge.anomaly import delta_an_case_a_exact, extract_anomalies, fit_power_law
 from anomaly_forge.errors import UnconvergedError, UnsupportedPotentialError
-from anomaly_forge.perturbation import Source, compute_w2, geometric_grid
+from anomaly_forge.perturbation import Source, compute_w1, compute_w2, geometric_grid
 from anomaly_forge.potentials import coulomb, cutoff_coulomb, evaluate, inverse_square, yukawa
 from anomaly_forge.spectral_oracle import (
     OracleConfig,
@@ -660,6 +660,42 @@ class TestCaseAUnitCovariance:
         assert got == pytest.approx(ref, rel=rel, abs=0)
 
 
+def _values_in_atomic_units(units):
+    """The screened oracle's values and bars for yukawa(0.05, 1) on the bench box and the
+    default box, case A's at alpha = 50 on Lambda 5-50, w2 of yukawa(0.3, 1) and w1 of
+    coulomb(1), each posed in ``units`` (kappa / a0, alpha E a0^2, Lambda E, radii a0)
+    and returned times the energy unit E = e2 / a0."""
+    a0 = units.a0
+    energy = units.e2 / a0
+
+    def scaled(config):
+        return OracleConfig(config.box_radius * a0, config.ell_max, config.grid_points,
+                            tuple(r * a0 for r in config.richardson_levels))
+
+    out = []
+    for spec, lams, config in [
+        (yukawa(0.05, 1.0 / a0), (10.0, 20.0, 37.5, 100.0), BENCH_BOX),
+        (yukawa(0.05, 1.0 / a0), (10.0, 20.0, 37.5, 100.0), OracleConfig()),
+        (inverse_square(50.0 * energy * a0 * a0), geometric_grid(5.0, 50.0, 8), OracleConfig()),
+    ]:
+        samples = oracle_trace(spec, units, [lam * energy for lam in lams], scaled(config))
+        out.append([w * energy for w in samples.values + samples.errors])
+    for compute, spec in [(compute_w2, yukawa(0.3, 1.0 / a0)), (compute_w1, coulomb(1.0))]:
+        out.append([compute(spec, units, lam * energy) * energy for lam in (1.0, 10.0, 100.0)])
+    return out
+
+
+@pytest.mark.parametrize("units", [UnitSystem(hbar=2.0), UnitSystem(hbar=0.5),
+                                   UnitSystem(e2=2.0), UnitSystem(m=0.25)],
+                         ids=["hbar-2", "hbar-half", "e2-2", "m-quarter"])
+def test_exact_unit_covariance(units):
+    # a0 a power of two and the energy unit e2/a0 a power of four: every
+    # scaled input, and sqrt(2 m Lambda)/hbar, then differs from its atomic
+    # value by an exact power of two, so each value times the energy unit is
+    # the atomic value bit for bit (not so at m = 2 or hbar = 3)
+    assert _values_in_atomic_units(units) == _values_in_atomic_units(ATOMIC)
+
+
 class TestCaseAClassical:
     # _case_a_w_at_radius's classical term at its own j = ceil(6x) + 200,
     # against 40-digit mpmath of the eight powers whose sum it is
@@ -784,8 +820,9 @@ class TestOracleW:
         assert w == pytest.approx(target, rel=0.05)
 
     @pytest.mark.parametrize("spec, config, pinned", [
-        # the benchmark's reduced box, repulsive coupling, capped at R = 10.016
-        (yukawa(0.05, 1.0, attractive=False), BENCH_BOX, [
+        # the benchmark's reduced box, capped at R = 10.016; w keeps only the
+        # part even in U, so these are also the bits of the repulsive -U
+        (yukawa(0.05, 1.0), BENCH_BOX, [
             ("-0x1.65b73d9bacbf5p-19", "0x1.f8baf2cae5d39p-23"),
             ("-0x1.7636b99689700p-21", "0x1.b6b680469c9cfp-25"),
             ("-0x1.b6a132ab9a6abp-23", "0x1.eb50adf3ff6bcp-27"),
@@ -1063,13 +1100,12 @@ class TestOracleW:
             oracle_trace(inverse_square(1.0), ATOMIC, [])
 
 
-# The classical term's configurations: the bench box with both signs, the CLI's
-# default window (R = 40, l_max = 60) for Z = 0.05 and Z = 1, Z = 3 at small
-# Lambda, and criterion 9's box
+# The classical term's configurations: the bench box, the CLI's default window
+# (R = 40, l_max = 60) for Z = 0.05 and Z = 1, Z = 3 at small Lambda, and
+# criterion 9's box.  The factors +-1 and +-1/2 run each cell as an attractive
+# and a repulsive lane
 _CLASSICAL_CONFIGS = {
     "bench-attractive": (yukawa(0.05, 1.0), (10.0, 20.0, 37.5, 100.0), 12.0, 31.0),
-    "bench-repulsive": (yukawa(0.05, 1.0, attractive=False), (10.0, 20.0, 37.5, 100.0),
-                        12.0, 31.0),
     "default-0.05": (yukawa(0.05, 1.0), tuple(geometric_grid(10.0, 100.0, 12)), 40.0, 61.0),
     "default-1": (yukawa(1.0, 0.5), tuple(geometric_grid(10.0, 100.0, 12)), 40.0, 61.0),
     "strong-3": (yukawa(3.0, 0.5), tuple(geometric_grid(0.5, 10.0, 8)), 40.0, 61.0),
@@ -1122,11 +1158,11 @@ class TestClassicalDifference:
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_cut_term_against_mpmath(self):
-        # the channels l <= 10 of a repulsive core, where lam + f U > 0
+        # the channels l <= 10 of a repulsive lane (f = -1), where lam + f U > 0
         pytest.importorskip("mpmath")
-        spec, lam, r_box, L = yukawa(1.0, 0.5, attractive=False), 4.0, 12.0, 11.0
-        ((got,),) = _classical_difference(spec, ATOMIC, [1.0], [lam], r_box, L)
-        exact = yukawa_classical_cut_mpmath(spec, ATOMIC, 1.0, lam, r_box, L)
+        spec, lam, r_box, L = yukawa(1.0, 0.5), 4.0, 12.0, 11.0
+        ((got,),) = _classical_difference(spec, ATOMIC, [-1.0], [lam], r_box, L)
+        exact = yukawa_classical_cut_mpmath(spec, ATOMIC, -1.0, lam, r_box, L)
         assert got == pytest.approx(exact, rel=1e-9)
 
     def test_strong_attraction_cut_terms_finite(self):
@@ -1165,11 +1201,11 @@ class TestClassicalDifference:
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
            st.floats(-3.0, 3.0), st.floats(4.0, 1e3), st.floats(3.0, 1e3), st.floats(1e-6, 80.0),
-           st.integers(10, 200), st.booleans())
+           st.integers(10, 200))
     @settings(max_examples=300, deadline=None)
     def test_guards_cannot_fire_inside_the_oracles_bounds(self, log_hbar, log_m, log_e2,
                                                           log_kappa, kappa_r, k_over_kappa, g,
-                                                          ell_max, attractive):
+                                                          ell_max):
         # oracle_trace admits kappa R >= 4, k >= 3 kappa, g <= 80 and l_max >= 10.
         # There L^2 >= 121 > 80/e, and z = |f| g kappa^2/k^2 <= g/9 <= 8.9, so an
         # attractive lane's r* <= W0(8.9)/kappa, about 1.6/kappa, below R: neither
@@ -1177,8 +1213,7 @@ class TestClassicalDifference:
         units = UnitSystem(hbar=10.0**log_hbar, m=10.0**log_m, e2=10.0**log_e2)
         hbar, m = units.hbar, units.m
         kappa = 10.0**log_kappa
-        spec = yukawa(g * hbar * hbar * kappa / (2.0 * m * units.e2), kappa,
-                      attractive=attractive)
+        spec = yukawa(g * hbar * hbar * kappa / (2.0 * m * units.e2), kappa)
         r_box = kappa_r / kappa
         lam = (hbar * k_over_kappa * kappa) ** 2 / (2.0 * m)
         # the admitted region as oracle_trace tests it
@@ -1190,19 +1225,19 @@ class TestClassicalDifference:
         assert L * L > max(abs(f) for f in factors) * g / math.e
         r_star = _turning_point(spec, units, factors, [lam])[:, 0]
         for f, rs in zip(factors, r_star):
-            if f * spec.sign < 0.0:
+            if f > 0.0:
                 assert rs < r_box, (f, rs, r_box)
 
-    @pytest.mark.parametrize("spec", [yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False)],
-                             ids=["yukawa", "repulsive-yukawa"])
-    def test_batch_equals_single_calls(self, spec):
+    def test_batch_equals_single_calls(self):
         # one call over (factors x Lambda) returns what one call per element
         # does, bit for bit, in a box that cuts some cells' doubling segments
-        # short (R = 12) and one that does not (R = 20)
-        factors, lams = (1.0, -1.0, 0.5), (1.5, 4.0, 40.0)
+        # short (R = 12) and one that does not (R = 20); f > 0 lanes are
+        # attractive, f < 0 lanes repulsive
+        spec = yukawa(1.0, 0.5)
+        factors, lams = (1.0, -1.0, 0.5, -0.5), (1.5, 4.0, 40.0)
         for r_box in (12.0, 20.0):
             batch = _classical_difference(spec, ATOMIC, factors, lams, r_box, 31.0)
-            assert batch.shape == (3, 3)
+            assert batch.shape == (4, 3)
             for j, f in enumerate(factors):
                 for k, lam in enumerate(lams):
                     alone = _classical_difference(spec, ATOMIC, [f], [lam], r_box, 31.0)
@@ -1229,16 +1264,13 @@ def _brentq_turning_points(spec, units, factors, lams):
                      for f in factors])
 
 
-_TURNING_SPECS = [
-    yukawa(1.0, 0.5), yukawa(1.0, 0.5, attractive=False), yukawa(0.05, 1.0),
-    yukawa(3.0, 2.0, attractive=False),
-]
+_TURNING_SPECS = [yukawa(1.0, 0.5), yukawa(0.05, 1.0), yukawa(3.0, 2.0)]
 # cores from r0 = 1.54 (Lambda = 0.3, g = 1) down to 6.2e-4 (Lambda = 40, g = 0.025)
 _TURNING_LAMS = (0.3, 1.5, 4.0, 40.0)
 
 
 def _spec_id(spec):
-    return f"{spec.family.value}-{'att' if spec.attractive else 'rep'}"
+    return f"Z{spec.Z:g}-kappa{spec.kappa:g}"
 
 
 class TestTurningPoint:

@@ -47,10 +47,9 @@ RECORDS = {
         lambda: UnitSystem(hbar=0.5, m=2.0, e2=1.0),
         "UnitSystem(hbar=0.5, m=2.0, e2=1.0)"),
     PotentialSpec: (
-        ("family", "Z", "alpha", "kappa", "r_cut", "attractive"),
+        ("family", "Z", "alpha", "kappa", "r_cut"),
         lambda: PotentialSpec(Family.YUKAWA, Z=1.0, kappa=0.5),
-        "PotentialSpec(family=<Family.YUKAWA: 'yukawa'>, Z=1.0, alpha=0.0, kappa=0.5, r_cut=0.0, "
-        "attractive=True)"),
+        "PotentialSpec(family=<Family.YUKAWA: 'yukawa'>, Z=1.0, alpha=0.0, kappa=0.5, r_cut=0.0)"),
     SingularityClass: (
         ("small_x_exponent", "large_x_tail", "case_label"),
         lambda: SingularityClass(1.0, LargeXTail.COULOMB_TAIL, CaseLabel.B),
@@ -71,7 +70,7 @@ RECORDS = {
         _samples,
         "TraceSamples(lambdas=(10.0, 100.0), values=(-0.00125, -1.25e-05), errors=(0.0, 0.0), "
         "source=<Source.SECOND_ORDER: 'second-order'>, spec=PotentialSpec(family=<Family.COULOMB: "
-        "'coulomb'>, Z=1.0, alpha=0.0, kappa=0.0, r_cut=0.0, attractive=True), "
+        "'coulomb'>, Z=1.0, alpha=0.0, kappa=0.0, r_cut=0.0), "
         "units=UnitSystem(hbar=1.0, m=1.0, e2=1.0))"),
     AnomalyResult: (
         ("a_n", "a_e", "status_n", "status_e", "a_n_err", "a_e_err", "case_label", "fit",
@@ -158,8 +157,8 @@ def test_pickle_and_copy_round_trips(cls, roundtrip):
 def test_positional_and_keyword_construction():
     # the call forms the package itself uses
     assert UnitSystem(hbar=0.5, m=2.0, e2=3.0) == UnitSystem(0.5, 2.0, 3.0)
-    assert PotentialSpec(Family.COULOMB, Z=1.0, attractive=False) == \
-        PotentialSpec(Family.COULOMB, 1.0, 0.0, 0.0, 0.0, False)
+    assert PotentialSpec(Family.CUTOFF_COULOMB, Z=1.0, r_cut=2.0) == \
+        PotentialSpec(Family.CUTOFF_COULOMB, 1.0, 0.0, 0.0, 2.0)
     assert QuadratureBudget() == QuadratureBudget(1e-10, 1e-8, 500_000)
     assert OracleConfig(box_radius=12.0, ell_max=30, grid_points=500,
                         richardson_levels=(6.0, 12.0)) == OracleConfig(12.0, 30, 500, (6.0, 12.0))
@@ -172,12 +171,6 @@ def test_positional_and_keyword_construction():
     divergent = AnomalyResult(0.0, None, Status.ZERO, Status.DIVERGENT, 0.0, 0.0, CaseLabel.B,
                               None, growth_exponent_e=0.5, growth_amplitude_e=-0.3)
     assert (divergent.growth_exponent_e, divergent.growth_amplitude_e) == (0.5, -0.3)
-
-
-def test_inverse_square_is_stored_repulsive():
-    spec = PotentialSpec(Family.INVERSE_SQUARE, alpha=2.0, attractive=True)
-    assert spec.attractive is False
-    assert spec == PotentialSpec(Family.INVERSE_SQUARE, alpha=2.0)
 
 
 @pytest.mark.parametrize("make", [lambda: UnitSystem(hbar=1.0, mass=1.0),
