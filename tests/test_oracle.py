@@ -1264,8 +1264,10 @@ def _brentq_turning_points(spec, units, factors, lams):
                      for f in factors])
 
 
-_TURNING_SPECS = [yukawa(1.0, 0.5), yukawa(0.05, 1.0), yukawa(3.0, 2.0)]
-# cores from r0 = 1.54 (Lambda = 0.3, g = 1) down to 6.2e-4 (Lambda = 40, g = 0.025)
+# the last is nearly Coulomb (kappa r* <= 0.033), where W0's argument is small and r*
+# is within 3.3% of the bare Coulomb core |f| Z e^2 / Lambda
+_TURNING_SPECS = [yukawa(1.0, 0.5), yukawa(0.05, 1.0), yukawa(3.0, 2.0), yukawa(1.0, 0.01)]
+# cores from r0 = 3.23 (Lambda = 0.3, kappa = 0.01) down to 6.2e-4 (Lambda = 40, g = 0.025)
 _TURNING_LAMS = (0.3, 1.5, 4.0, 40.0)
 
 
